@@ -1,8 +1,9 @@
 //! Batch vs streaming analysis throughput, and shard-merge cost.
 //!
 //! Three questions:
-//! * what does one-pass incremental observation cost next to the
-//!   multi-pass batch `TraceSummary::compute`?
+//! * what does one-record-at-a-time observation cost next to the batch
+//!   `TraceSummary::compute`, which folds the same states over record
+//!   chunks in parallel?
 //! * what does folding a record into a live `StreamSummary` cost at the
 //!   drain hook (the per-record price of `run_streamed`)?
 //! * how does reducing k shards scale with k (the campaign's merge step)?

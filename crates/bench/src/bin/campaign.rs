@@ -295,7 +295,7 @@ fn main() {
     let per_seed: Vec<(u64, f64, f64, u64)> = runs
         .iter()
         .map(|(seed, run, s)| {
-            let rw = s.rw.finalize(run.duration);
+            let rw = s.exact.rw.finalize(run.duration);
             (*seed, rw.read_pct(), rw.req_per_sec(), rw.total)
         })
         .collect();
@@ -311,7 +311,7 @@ fn main() {
     let shards: Vec<StreamSummary> = runs.into_iter().map(|(_, _, s)| s).collect();
     let merged = merge_all(shards).expect("at least one seed");
 
-    let mut rw = merged.rw.finalize(total_duration);
+    let mut rw = merged.exact.rw.finalize(total_duration);
     rw.reads /= nodes;
     rw.writes /= nodes;
     rw.total /= nodes;

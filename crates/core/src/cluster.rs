@@ -105,8 +105,6 @@ pub struct BeowulfConfig {
     pub net: NetConfig,
     /// Interval between host-side trace drains, µs.
     pub drain_every_us: SimTime,
-    /// Optional deterministic disk fault injection (every Nth command).
-    pub disk_fault_every: Option<u64>,
     /// Deterministic fault plan (disk media faults, frame loss, node
     /// crashes). The default plan is empty and the fault plane is then
     /// completely inert: traces are bit-identical with or without it.
@@ -130,7 +128,6 @@ impl Default for BeowulfConfig {
             cache_blocks: 1536,
             net: NetConfig::default(),
             drain_every_us: 5_000_000,
-            disk_fault_every: None,
             faults: FaultPlan::none(),
             obs: false,
         }
@@ -344,7 +341,6 @@ impl Beowulf {
             kc.frames_user = cfg.frames_user;
             kc.cache_blocks = cfg.cache_blocks;
             kc.seed = cfg.seed ^ (0x9E3779B97F4A7C15u64.wrapping_mul(n as u64 + 1));
-            kc.timing.fault_every = cfg.disk_fault_every;
             kc.fault_seed = cfg.seed ^ cfg.faults.seed;
             kc.disk_faults = cfg.faults.disk.clone();
             let mut kernel = Kernel::new(kc);

@@ -179,12 +179,6 @@ impl Experiment {
         self
     }
 
-    /// Inject a legacy timing fault every Nth disk command.
-    pub fn disk_fault_every(mut self, every: Option<u64>) -> Self {
-        self.cluster.disk_fault_every = every;
-        self
-    }
-
     /// Enable the observability plane: request-lifecycle spans in virtual
     /// time, per-node metrics, and the physical-command timeline, returned
     /// as [`ExperimentResult::obs`] / [`StreamedRun::obs`]. Off by default;
@@ -550,7 +544,7 @@ impl ExperimentResult {
     /// Per-disk-average read/write statistics — what Table 1 reports
     /// ("average per disk").
     pub fn per_disk_rw(&self) -> RwStats {
-        let mut s = RwStats::compute(&self.trace, self.duration);
+        let mut s = self.summary.rw;
         let n = self.nodes.max(1) as u64;
         s.reads /= n;
         s.writes /= n;
@@ -674,7 +668,6 @@ mod tests {
             .frames_user(512)
             .spool_trace(false)
             .instrumentation(InstrumentationLevel::Off)
-            .disk_fault_every(Some(1000))
             .faults(
                 FaultPlan::none()
                     .seed(9)
@@ -689,7 +682,6 @@ mod tests {
         assert_eq!(e.cluster.frames_user, 512);
         assert!(!e.cluster.spool_trace);
         assert_eq!(e.cluster.instrumentation, InstrumentationLevel::Off);
-        assert_eq!(e.cluster.disk_fault_every, Some(1000));
         assert!(!e.cluster.faults.is_empty());
     }
 

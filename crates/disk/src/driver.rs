@@ -95,8 +95,6 @@ pub struct DriverStats {
     pub busy_us: u64,
     /// Deepest queue observed at dispatch.
     pub max_queue_depth: usize,
-    /// Commands that suffered an injected fault/retry.
-    pub faults: u64,
     /// Commands that returned an uncorrectable media (ECC) error.
     pub media_errors: u64,
     /// Commands aborted at the stuck-command timeout.
@@ -282,12 +280,9 @@ impl IdeDriver {
     /// Send a physical request to the drive; **this is the instrumented
     /// read/write handler** — the trace entry is generated here.
     fn dispatch(&mut self, now: SimTime, req: QueuedRequest) -> SimTime {
-        let mut service =
-            self.timing
-                .service_us(self.head_pos, req.sector, req.nsectors, self.commands);
-        if self.timing.is_faulted(self.commands) {
-            self.stats.faults += 1;
-        }
+        let mut service = self
+            .timing
+            .service_us(self.head_pos, req.sector, req.nsectors);
         // The deterministic fault plane: what happens to this command is a
         // pure function of (plan seed, node, command index). Relocated
         // retries target a known-good spare region and are exempt.
@@ -482,11 +477,23 @@ mod tests {
 
     #[test]
     fn fault_injection_counts() {
-        let mut timing = TimingModel::beowulf_ide();
-        timing.fault_every = Some(2);
-        let mut d = IdeDriver::new(0, timing, SchedPolicy::Fifo, 64);
+        use essio_faults::{DiskFault, DiskFaultConfig, DiskFaultState};
+        let oracle = DiskFaultState::new(
+            0,
+            0,
+            DiskFaultConfig {
+                slow_every: 2,
+                ..Default::default()
+            },
+        );
+        let expected = (0..16)
+            .filter(|&i| oracle.decide(i) == DiskFault::Slow)
+            .count() as u64;
+        assert!(expected > 0, "slow_every=2 slows some of 16 commands");
+        let mut d = driver();
+        d.set_faults(Some(oracle));
         let mut now = 0;
-        for i in 0..4 {
+        for i in 0..16 {
             let SubmitOutcome::Dispatched { completes_at } =
                 d.submit(now, breq(i, 100, 2, Op::Write))
             else {
@@ -495,7 +502,7 @@ mod tests {
             now = completes_at;
             d.on_complete(now);
         }
-        assert_eq!(d.stats().faults, 2);
+        assert_eq!(d.stats().slow_commands, expected);
     }
 
     #[test]

@@ -7,12 +7,8 @@
 //! rotational latency rather than sampled angle) so experiment traces are
 //! reproducible; what the study measures — request counts, sizes, positions,
 //! timing at whole-second granularity — is insensitive to per-request
-//! rotational jitter.
-//!
-//! Deterministic fault injection is built in: every `fault_every`-th command
-//! suffers a recalibrate-and-retry penalty, exercising the driver's retry
-//! accounting (a real IDE failure mode the study's long runs would have
-//! ridden through silently).
+//! rotational jitter. Slow, failing and stuck commands come from the
+//! fault plane (`essio_faults::DiskFaultState`), applied by the driver.
 
 use essio_sim::SimTime;
 use essio_trace::SECTOR_BYTES;
@@ -34,10 +30,6 @@ pub struct TimingModel {
     pub transfer_bytes_per_sec: u64,
     /// Controller + driver fixed overhead per command, µs.
     pub overhead_us: u64,
-    /// Inject a retry penalty on every Nth command (None = no faults).
-    pub fault_every: Option<u64>,
-    /// Penalty per injected fault, µs (recalibrate + reissue).
-    pub fault_penalty_us: u64,
 }
 
 impl TimingModel {
@@ -50,23 +42,12 @@ impl TimingModel {
             rotation_mean_us: 6_700,
             transfer_bytes_per_sec: 2_000_000,
             overhead_us: 500,
-            fault_every: None,
-            fault_penalty_us: 50_000,
         }
     }
 
     /// Service time for a command moving `nsectors` starting at `sector`,
     /// with the head currently parked after `head_pos`.
-    ///
-    /// `command_index` is the drive's lifetime command counter, used for
-    /// deterministic fault injection.
-    pub fn service_us(
-        &self,
-        head_pos: u32,
-        sector: u32,
-        nsectors: u16,
-        command_index: u64,
-    ) -> SimTime {
+    pub fn service_us(&self, head_pos: u32, sector: u32, nsectors: u16) -> SimTime {
         let dist = self.geometry.cylinder_distance(head_pos, sector);
         let seek = if dist == 0 {
             0
@@ -75,16 +56,7 @@ impl TimingModel {
         };
         let bytes = nsectors as u64 * SECTOR_BYTES as u64;
         let transfer = bytes * 1_000_000 / self.transfer_bytes_per_sec;
-        let fault = match self.fault_every {
-            Some(n) if n > 0 && command_index % n == n - 1 => self.fault_penalty_us,
-            _ => 0,
-        };
-        self.overhead_us + seek + self.rotation_mean_us + transfer + fault
-    }
-
-    /// Whether command `command_index` gets a fault injected.
-    pub fn is_faulted(&self, command_index: u64) -> bool {
-        matches!(self.fault_every, Some(n) if n > 0 && command_index % n == n - 1)
+        self.overhead_us + seek + self.rotation_mean_us + transfer
     }
 }
 
@@ -96,8 +68,8 @@ mod tests {
     fn zero_seek_when_sequential() {
         let m = TimingModel::beowulf_ide();
         let spc = m.geometry.sectors_per_cylinder();
-        let t_same = m.service_us(100, 100, 2, 0);
-        let t_far = m.service_us(100, 100 + 500 * spc, 2, 0);
+        let t_same = m.service_us(100, 100, 2);
+        let t_far = m.service_us(100, 100 + 500 * spc, 2);
         assert!(
             t_far > t_same + 5_000,
             "long seek must dominate: {t_same} vs {t_far}"
@@ -107,8 +79,8 @@ mod tests {
     #[test]
     fn transfer_scales_with_size() {
         let m = TimingModel::beowulf_ide();
-        let t1k = m.service_us(0, 0, 2, 0);
-        let t16k = m.service_us(0, 0, 32, 0);
+        let t1k = m.service_us(0, 0, 2);
+        let t16k = m.service_us(0, 0, 32);
         // 15 KiB extra at 2 MB/s ≈ 7.7 ms.
         let delta = t16k - t1k;
         assert!((7_000..9_000).contains(&delta), "delta {delta}");
@@ -118,35 +90,15 @@ mod tests {
     fn single_block_service_time_is_mid_90s_plausible() {
         let m = TimingModel::beowulf_ide();
         // Random 1 KB I/O with an average-ish seek: ~10–25 ms.
-        let t = m.service_us(0, 500_000, 2, 0);
+        let t = m.service_us(0, 500_000, 2);
         assert!((10_000..25_000).contains(&t), "t {t}");
-    }
-
-    #[test]
-    fn fault_injection_is_periodic_and_deterministic() {
-        let mut m = TimingModel::beowulf_ide();
-        m.fault_every = Some(4);
-        let faults: Vec<bool> = (0..8).map(|i| m.is_faulted(i)).collect();
-        assert_eq!(
-            faults,
-            vec![false, false, false, true, false, false, false, true]
-        );
-        let clean = m.service_us(0, 0, 2, 0);
-        let faulted = m.service_us(0, 0, 2, 3);
-        assert_eq!(faulted - clean, m.fault_penalty_us);
-    }
-
-    #[test]
-    fn no_faults_by_default() {
-        let m = TimingModel::beowulf_ide();
-        assert!((0..1000).all(|i| !m.is_faulted(i)));
     }
 
     #[test]
     fn full_stroke_seek_is_about_13ms() {
         let m = TimingModel::beowulf_ide();
         let total = m.geometry.total_sectors();
-        let t = m.service_us(0, total - 1, 2, 0);
+        let t = m.service_us(0, total - 1, 2);
         let seek_part = t - m.overhead_us - m.rotation_mean_us - 512; // minus ~0.5ms transfer
         assert!((10_000..16_000).contains(&seek_part), "seek {seek_part}");
     }

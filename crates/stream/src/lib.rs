@@ -1,23 +1,18 @@
 //! Online, mergeable, bounded-memory trace analytics.
 //!
-//! The batch pipeline in `essio-trace::analysis` answers the paper's
-//! questions (§3.6, §4) by materialising the whole trace and making several
-//! passes over it. That is fine for one 700-second experiment; it stops
-//! being fine for seed campaigns, multi-node aggregation, or replaying
-//! multi-gigabyte trace files. This crate re-expresses every paper metric
-//! as an *incremental* state with three operations:
-//!
-//! * `observe(&TraceRecord)` — fold one record in, O(1) amortised;
-//! * `merge(other)` — combine two states built over disjoint record sets.
-//!   For the exact states this is associative and commutative, so shards
-//!   can be reduced in any order (and in parallel, see [`merge_all`]);
-//! * `finalize(...)` — produce the *identical* figure the batch analysis
-//!   produces. Identical means bit-identical: each state accumulates the
-//!   same integers the batch pass accumulates and finalizes through the
-//!   same constructors in `essio-trace` (`RwStats::from_counts`,
-//!   `ClassBreakdown::from_counts`, `SpatialLocality::from_band_counts`,
-//!   `TemporalLocality::from_parts`), so every float is computed once, from
-//!   the same integers, by the same expression.
+//! `essio-trace::analysis` holds the one implementation of every paper
+//! metric: an exact state per metric with `observe` (fold one record in,
+//! O(1) amortised), `merge` (combine with a state built over a disjoint
+//! record set; associative and commutative, the fresh state its identity)
+//! and `finalize` (derive the figure from the accumulated integers). The
+//! batch `TraceSummary::compute` is a parallel fold of those states over
+//! record chunks. This crate folds the same states one record at a time as
+//! records arrive, so a summary never needs the whole trace resident: seed
+//! campaigns, multi-node aggregation and replay of multi-gigabyte trace
+//! files run in bounded memory. Because the merge laws make every split of
+//! a trace hold the same integers, the streamed summary equals the batch
+//! one bit for bit, however the records were sharded or merged (shards can
+//! be reduced in parallel, see [`merge_all`]).
 //!
 //! [`StreamSummary`] bundles the four exact states (read/write mix, size
 //! classes, banded spatial locality, temporal hot spots + inter-access
@@ -28,10 +23,8 @@
 //! decoder ([`replay_path`] / `essio_trace::codec::ChunkedDecoder`).
 
 pub mod sketch;
-pub mod state;
 pub mod summary;
 
-pub use state::{RwState, SizeState, SpatialState, TemporalState};
 pub use summary::{merge_all, NodeShards, StreamConfig, StreamSummary};
 
 use std::fs::File;

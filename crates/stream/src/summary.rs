@@ -4,11 +4,10 @@ use rayon::prelude::*;
 
 use essio_sim::SimTime;
 use essio_trace::analysis::spatial::PAPER_BAND_SECTORS;
-use essio_trace::analysis::TraceSummary;
+use essio_trace::analysis::{MetricState, SummaryState, TraceSummary};
 use essio_trace::{RecordSink, TraceRecord};
 
 use crate::sketch::{LogHistogram, SpaceSaving};
-use crate::state::{RwState, SizeState, SpatialState, TemporalState};
 
 /// Configuration shared by every shard of one analysis.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -32,8 +31,9 @@ impl StreamConfig {
     }
 }
 
-/// Online equivalent of [`TraceSummary`]: every paper metric as mergeable
-/// incremental state, plus bounded-memory sketches.
+/// Online form of [`TraceSummary`]: the exact per-metric states
+/// ([`SummaryState`]) behind a [`RecordSink`], plus bounded-memory
+/// sketches.
 ///
 /// Implements [`RecordSink`], so it plugs directly into the kernel drain
 /// path (`Experiment::run_streamed`), the chunked trace decoder
@@ -41,14 +41,8 @@ impl StreamConfig {
 #[derive(Debug, Clone)]
 pub struct StreamSummary {
     cfg: StreamConfig,
-    /// Read/write mix (Table 1).
-    pub rw: RwState,
-    /// Size-class decomposition (Figures 2–5).
-    pub sizes: SizeState,
-    /// Banded spatial locality (Figure 7).
-    pub spatial: SpatialState,
-    /// Temporal locality / hot spots (Figure 8).
-    pub temporal: TemporalState,
+    /// The exact per-metric states [`StreamSummary::finalize`] reads.
+    pub exact: SummaryState,
     /// Bounded-memory hot-spot sketch over starting sectors.
     pub hot_sketch: SpaceSaving<u32>,
     /// Log-bucket histogram of request inter-arrival gaps, µs.
@@ -66,10 +60,7 @@ impl StreamSummary {
     pub fn new(cfg: StreamConfig) -> Self {
         Self {
             cfg,
-            rw: RwState::default(),
-            sizes: SizeState::default(),
-            spatial: SpatialState::new(cfg.band_sectors, cfg.total_sectors),
-            temporal: TemporalState::default(),
+            exact: SummaryState::new(cfg.band_sectors, cfg.total_sectors),
             hot_sketch: SpaceSaving::new(cfg.hot_capacity),
             interarrival_us: LogHistogram::new(),
             records: 0,
@@ -94,10 +85,7 @@ impl StreamSummary {
             self.cfg, other.cfg,
             "cannot merge summaries with different configs"
         );
-        self.rw.merge(&other.rw);
-        self.sizes.merge(&other.sizes);
-        self.spatial.merge(&other.spatial);
-        self.temporal.merge(&other.temporal);
+        self.exact.merge(other.exact);
         self.hot_sketch.merge(&other.hot_sketch);
         self.interarrival_us.merge(&other.interarrival_us);
         // Boundary gap between the earlier stream's end and the later
@@ -118,17 +106,12 @@ impl StreamSummary {
         self
     }
 
-    /// Produce the batch-identical [`TraceSummary`] for a run of
-    /// `duration`: every field matches what
+    /// The [`TraceSummary`] of every observed record for a run of
+    /// `duration`. With the paper's band width this is exactly what
     /// `TraceSummary::compute(&trace, duration, total_sectors)` returns on
-    /// the concatenation of all observed records, bit for bit.
+    /// the same records: both fold the same states.
     pub fn finalize(&self, duration: SimTime) -> TraceSummary {
-        TraceSummary {
-            rw: self.rw.finalize(duration),
-            sizes: self.sizes.finalize(),
-            spatial: self.spatial.finalize(),
-            temporal: self.temporal.finalize(duration),
-        }
+        self.exact.finalize(duration)
     }
 
     /// Human-readable report (delegates to the finalized summary, plus the
@@ -159,10 +142,7 @@ impl StreamSummary {
 
 impl RecordSink for StreamSummary {
     fn observe(&mut self, r: &TraceRecord) {
-        self.rw.observe(r);
-        self.sizes.observe(r);
-        self.spatial.observe(r);
-        self.temporal.observe(r);
+        self.exact.observe(r);
         self.hot_sketch.observe(r.sector, 1);
         if let Some(last) = self.last_ts {
             self.interarrival_us.observe(r.ts.saturating_sub(last));
@@ -243,44 +223,39 @@ mod tests {
     use super::*;
     use essio_trace::{Op, Origin};
 
-    fn rec(ts: u64, sector: u32, nsectors: u16, node: u8, op: Op) -> TraceRecord {
-        TraceRecord {
-            ts,
-            sector,
-            nsectors,
-            pending: 0,
-            node,
-            op,
-            origin: Origin::FileData,
-        }
-    }
-
     fn sample(n: u64) -> Vec<TraceRecord> {
         (0..n)
-            .map(|i| {
-                rec(
-                    i * 500,
-                    (i as u32 * 977) % 1_000_000,
-                    2 * (1 + (i % 4) as u16),
-                    (i % 4) as u8,
-                    if i % 5 == 0 { Op::Read } else { Op::Write },
-                )
+            .map(|i| TraceRecord {
+                ts: i * 500,
+                // Recurs every 20,011 records and reaches past the last
+                // band of a 1 M-sector disk.
+                sector: (i as u32 * 977) % 20_011 * 53,
+                nsectors: 2 * (1 + (i % 4) as u16),
+                pending: 0,
+                node: (i % 4) as u8,
+                op: if i % 5 == 0 { Op::Read } else { Op::Write },
+                origin: Origin::ALL[i as usize % Origin::ALL.len()],
             })
             .collect()
     }
 
     #[test]
-    fn streaming_equals_batch_on_synthetic_trace() {
-        let recs = sample(2000);
-        let duration = 2000 * 500 + 1;
+    fn batch_chunk_fold_equals_one_record_at_a_time_stream() {
+        // Several 16 K-record chunks, so the batch fold really merges
+        // per-chunk states across workers.
+        let recs = sample(50_000);
+        let duration = 50_000 * 500 + 1;
         let mut s = StreamSummary::new(StreamConfig::paper(1_000_000));
-        s.observe_all(&recs);
+        for r in &recs {
+            s.observe(r);
+        }
         let stream = s.finalize(duration);
         let batch = TraceSummary::compute(&recs, duration, 1_000_000);
+        assert!(batch.temporal.mean_interaccess_s > 0.0);
+        assert!(!batch.sizes.confusion.is_empty());
         assert_eq!(
             serde_json::to_string(&stream).unwrap(),
             serde_json::to_string(&batch).unwrap(),
-            "streaming and batch summaries must be bit-identical"
         );
     }
 

@@ -1,8 +1,8 @@
 //! Workload-characterization analyses (paper §3.6 metrics, §4 results).
 //!
-//! Each submodule computes one family of metrics straight from a slice of
-//! [`TraceRecord`]s, so analyses can run on live simulation output or on
-//! traces reloaded through [`crate::codec`]:
+//! Each submodule computes one family of metrics from [`TraceRecord`]s, so
+//! analyses run the same way on live simulation output, on a live tap at
+//! the driver drain path, or on traces reloaded through [`crate::codec`]:
 //!
 //! * [`size`] — request-size histograms and the 1 KB / 4 KB / 16 KB class
 //!   decomposition behind Figures 2–5 and the paper's §5 taxonomy.
@@ -16,6 +16,22 @@
 //! * [`phases`] — activity-phase segmentation: the automated version of the
 //!   paper's figure narratives (startup burst / ingest spike / lull /
 //!   output burst).
+//!
+//! # One implementation per metric
+//!
+//! The four [`TraceSummary`] metrics each have exactly one accumulation
+//! path: an exact [`MetricState`] ([`RwState`], [`SizeState`],
+//! [`SpatialState`], [`TemporalState`]) that folds one record at a time,
+//! merges with a state built over a disjoint record set, and finalizes to
+//! the figure type beside it. Every state holds integers only, and its
+//! `merge` is associative and commutative with the fresh state as
+//! identity, so any split of a trace — 16 K-record chunks on rayon workers,
+//! per-node shards, per-seed campaign runs — folded shard-locally and
+//! merged in any order holds the very integers a serial fold holds. The
+//! floats are derived once, in `finalize`. That is why the batch
+//! [`TraceSummary::compute`] (a parallel fold, [`fold_records`]) and the
+//! streaming `essio-stream` summary (a one-record-at-a-time fold) agree bit
+//! for bit without a second implementation to keep in step.
 
 pub mod phases;
 pub mod rw;
@@ -24,16 +40,46 @@ pub mod size;
 pub mod spatial;
 pub mod temporal;
 
+use rayon::prelude::*;
 use serde::Serialize;
 
 use crate::record::TraceRecord;
+use crate::sink::RecordSink;
 use essio_sim::SimTime;
 
 pub use phases::{Phase, PhaseConfig, PhaseKind};
-pub use rw::RwStats;
-pub use size::{ClassBreakdown, SizeClass, SizeHistogram};
-pub use spatial::SpatialLocality;
-pub use temporal::TemporalLocality;
+pub use rw::{RwState, RwStats};
+pub use size::{ClassBreakdown, SizeClass, SizeHistogram, SizeState};
+pub use spatial::{SpatialLocality, SpatialState};
+pub use temporal::{SectorSpan, TemporalLocality, TemporalState};
+
+/// An exact, mergeable accumulator over trace records.
+///
+/// `merge` must be associative and commutative, with a freshly built state
+/// as its identity: then folding any split of a trace and merging the
+/// parts in any order yields the same state as one serial fold.
+pub trait MetricState: RecordSink + Send {
+    /// Combine with a state built over a disjoint record set.
+    fn merge(&mut self, other: Self);
+}
+
+/// Records folded per rayon task by [`fold_records`].
+const FOLD_CHUNK: usize = 16 * 1024;
+
+/// Fold `records` into states made by `empty`, in parallel over
+/// 16 K-record chunks, and merge the per-chunk states.
+pub fn fold_records<S: MetricState>(records: &[TraceRecord], empty: impl Fn() -> S + Sync) -> S {
+    records
+        .par_chunks(FOLD_CHUNK)
+        .fold(&empty, |mut state, chunk| {
+            state.observe_all(chunk);
+            state
+        })
+        .reduce(&empty, |mut a, b| {
+            a.merge(b);
+            a
+        })
+}
 
 /// Everything the study reports about one trace, in one struct.
 #[derive(Debug, Clone, Serialize)]
@@ -52,12 +98,10 @@ impl TraceSummary {
     /// Compute the full summary for a trace spanning `duration` of virtual
     /// time on a disk with `total_sectors` sectors.
     pub fn compute(records: &[TraceRecord], duration: SimTime, total_sectors: u32) -> Self {
-        Self {
-            rw: RwStats::compute(records, duration),
-            sizes: ClassBreakdown::compute(records),
-            spatial: SpatialLocality::compute(records, spatial::PAPER_BAND_SECTORS, total_sectors),
-            temporal: TemporalLocality::compute(records, duration),
-        }
+        fold_records(records, || {
+            SummaryState::new(spatial::PAPER_BAND_SECTORS, total_sectors)
+        })
+        .finalize(duration)
     }
 
     /// Multi-line human-readable report.
@@ -69,6 +113,60 @@ impl TraceSummary {
         s.push_str(&self.spatial.report());
         s.push_str(&self.temporal.report());
         s
+    }
+}
+
+/// The four exact states behind one [`TraceSummary`].
+#[derive(Debug, Clone)]
+pub struct SummaryState {
+    /// Read/write mix (Table 1).
+    pub rw: RwState,
+    /// Size-class decomposition (Figures 2–5).
+    pub sizes: SizeState,
+    /// Banded spatial locality (Figure 7).
+    pub spatial: SpatialState,
+    /// Temporal locality / hot spots (Figure 8).
+    pub temporal: TemporalState,
+}
+
+impl SummaryState {
+    /// Empty state for a disk of `total_sectors` split into `band_sectors`
+    /// spatial bands.
+    pub fn new(band_sectors: u32, total_sectors: u32) -> Self {
+        Self {
+            rw: RwState::default(),
+            sizes: SizeState::default(),
+            spatial: SpatialState::new(band_sectors, total_sectors),
+            temporal: TemporalState::default(),
+        }
+    }
+
+    /// The summary of every record folded in, for a run of `duration`.
+    pub fn finalize(&self, duration: SimTime) -> TraceSummary {
+        TraceSummary {
+            rw: self.rw.finalize(duration),
+            sizes: self.sizes.finalize(),
+            spatial: self.spatial.finalize(),
+            temporal: self.temporal.finalize(duration),
+        }
+    }
+}
+
+impl RecordSink for SummaryState {
+    fn observe(&mut self, r: &TraceRecord) {
+        self.rw.observe(r);
+        self.sizes.observe(r);
+        self.spatial.observe(r);
+        self.temporal.observe(r);
+    }
+}
+
+impl MetricState for SummaryState {
+    fn merge(&mut self, other: Self) {
+        self.rw.merge(other.rw);
+        self.sizes.merge(other.sizes);
+        self.spatial.merge(other.spatial);
+        self.temporal.merge(other.temporal);
     }
 }
 

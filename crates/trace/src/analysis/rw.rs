@@ -7,7 +7,9 @@
 
 use serde::Serialize;
 
+use super::{fold_records, MetricState};
 use crate::record::{Op, TraceRecord};
+use crate::sink::RecordSink;
 use essio_sim::SimTime;
 
 /// Read/write statistics for one experiment trace.
@@ -27,46 +29,61 @@ pub struct RwStats {
     pub write_bytes: u64,
 }
 
+/// Incremental read/write mix: the counters behind [`RwStats`].
+#[derive(Debug, Clone, Copy, Default)]
+pub struct RwState {
+    /// Read requests.
+    pub reads: u64,
+    /// Write requests.
+    pub writes: u64,
+    /// Bytes read.
+    pub read_bytes: u64,
+    /// Bytes written.
+    pub write_bytes: u64,
+}
+
+impl RwState {
+    /// The mix over a run of `duration`.
+    pub fn finalize(&self, duration: SimTime) -> RwStats {
+        RwStats {
+            reads: self.reads,
+            writes: self.writes,
+            total: self.reads + self.writes,
+            duration_s: essio_sim::time::as_secs_f64(duration),
+            read_bytes: self.read_bytes,
+            write_bytes: self.write_bytes,
+        }
+    }
+}
+
+impl RecordSink for RwState {
+    fn observe(&mut self, r: &TraceRecord) {
+        match r.op {
+            Op::Read => {
+                self.reads += 1;
+                self.read_bytes += r.bytes() as u64;
+            }
+            Op::Write => {
+                self.writes += 1;
+                self.write_bytes += r.bytes() as u64;
+            }
+        }
+    }
+}
+
+impl MetricState for RwState {
+    fn merge(&mut self, other: Self) {
+        self.reads += other.reads;
+        self.writes += other.writes;
+        self.read_bytes += other.read_bytes;
+        self.write_bytes += other.write_bytes;
+    }
+}
+
 impl RwStats {
     /// Compute the mix over a run of `duration`.
     pub fn compute(records: &[TraceRecord], duration: SimTime) -> Self {
-        let (mut reads, mut writes) = (0u64, 0u64);
-        let (mut read_bytes, mut write_bytes) = (0u64, 0u64);
-        for r in records {
-            match r.op {
-                Op::Read => {
-                    reads += 1;
-                    read_bytes += r.bytes() as u64;
-                }
-                Op::Write => {
-                    writes += 1;
-                    write_bytes += r.bytes() as u64;
-                }
-            }
-        }
-        Self::from_counts(reads, writes, read_bytes, write_bytes, duration)
-    }
-
-    /// Assemble stats from pre-accumulated counters.
-    ///
-    /// `compute` delegates here, and the incremental `RwState` in
-    /// `essio-stream` finalizes through the same path, so batch and
-    /// streaming analyses produce bit-identical values by construction.
-    pub fn from_counts(
-        reads: u64,
-        writes: u64,
-        read_bytes: u64,
-        write_bytes: u64,
-        duration: SimTime,
-    ) -> Self {
-        Self {
-            reads,
-            writes,
-            total: reads + writes,
-            duration_s: essio_sim::time::as_secs_f64(duration),
-            read_bytes,
-            write_bytes,
-        }
+        fold_records(records, RwState::default).finalize(duration)
     }
 
     /// Percentage of requests that are reads (0 for an empty trace).

@@ -12,7 +12,9 @@ use std::collections::BTreeMap;
 
 use serde::Serialize;
 
+use super::{fold_records, MetricState};
 use crate::record::{Origin, TraceRecord};
+use crate::sink::RecordSink;
 
 /// The size taxonomy used throughout the reproduction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
@@ -83,11 +85,7 @@ pub struct SizeHistogram {
 impl SizeHistogram {
     /// Build the histogram for a trace.
     pub fn compute(records: &[TraceRecord]) -> Self {
-        let mut counts = BTreeMap::new();
-        for r in records {
-            *counts.entry(r.bytes()).or_insert(0) += 1;
-        }
-        Self { counts }
+        ClassBreakdown::compute(records).histogram
     }
 
     /// Total requests counted.
@@ -134,40 +132,7 @@ pub struct ClassBreakdown {
 impl ClassBreakdown {
     /// Compute the class decomposition of a trace.
     pub fn compute(records: &[TraceRecord]) -> Self {
-        let mut class_counts: BTreeMap<SizeClass, u64> = BTreeMap::new();
-        let mut confusion: BTreeMap<(SizeClass, u8), u64> = BTreeMap::new();
-        for r in records {
-            let class = SizeClass::classify(r.bytes());
-            *class_counts.entry(class).or_insert(0) += 1;
-            if r.origin != Origin::Unknown {
-                *confusion.entry((class, r.origin as u8)).or_insert(0) += 1;
-            }
-        }
-        Self::from_counts(class_counts, SizeHistogram::compute(records), confusion)
-    }
-
-    /// Assemble the breakdown from pre-accumulated count maps.
-    ///
-    /// Both `compute` and the incremental `SizeState` in `essio-stream`
-    /// finalize through this constructor, so the two paths agree exactly.
-    pub fn from_counts(
-        class_counts: BTreeMap<SizeClass, u64>,
-        histogram: SizeHistogram,
-        confusion: BTreeMap<(SizeClass, u8), u64>,
-    ) -> Self {
-        let by_class = SizeClass::ALL
-            .iter()
-            .map(|c| (*c, class_counts.get(c).copied().unwrap_or(0)))
-            .collect();
-        let confusion = confusion
-            .into_iter()
-            .map(|((c, o), n)| (c, Origin::from_u8(o), n))
-            .collect();
-        Self {
-            by_class,
-            histogram,
-            confusion,
-        }
+        fold_records(records, SizeState::default).finalize()
     }
 
     /// Total requests.
@@ -235,6 +200,72 @@ impl ClassBreakdown {
             let _ = writeln!(s, "  predominant size: {} bytes", mode);
         }
         s
+    }
+}
+
+/// Incremental size decomposition: the counts behind [`ClassBreakdown`].
+#[derive(Debug, Clone, Default)]
+pub struct SizeState {
+    /// Requests per size class, indexed by `SizeClass as usize`.
+    pub class_counts: [u64; SizeClass::ALL.len()],
+    /// Requests per exact transfer size in bytes.
+    pub size_counts: BTreeMap<u32, u64>,
+    /// Requests per (size class, origin), known origins only, indexed by
+    /// `SizeClass as usize` then `Origin as usize`.
+    pub confusion: [[u64; Origin::ALL.len()]; SizeClass::ALL.len()],
+}
+
+impl SizeState {
+    /// The class decomposition of every record folded in.
+    pub fn finalize(&self) -> ClassBreakdown {
+        let by_class = SizeClass::ALL
+            .iter()
+            .map(|&c| (c, self.class_counts[c as usize]))
+            .collect();
+        let confusion = SizeClass::ALL
+            .iter()
+            .flat_map(|&c| {
+                Origin::ALL
+                    .iter()
+                    .map(move |&o| (c, o, self.confusion[c as usize][o as usize]))
+            })
+            .filter(|&(_, _, n)| n > 0)
+            .collect();
+        ClassBreakdown {
+            by_class,
+            histogram: SizeHistogram {
+                counts: self.size_counts.clone(),
+            },
+            confusion,
+        }
+    }
+}
+
+impl RecordSink for SizeState {
+    fn observe(&mut self, r: &TraceRecord) {
+        let bytes = r.bytes();
+        let class = SizeClass::classify(bytes) as usize;
+        self.class_counts[class] += 1;
+        *self.size_counts.entry(bytes).or_insert(0) += 1;
+        if r.origin != Origin::Unknown {
+            self.confusion[class][r.origin as usize] += 1;
+        }
+    }
+}
+
+impl MetricState for SizeState {
+    fn merge(&mut self, other: Self) {
+        for (a, b) in self.class_counts.iter_mut().zip(other.class_counts) {
+            *a += b;
+        }
+        for (size, n) in other.size_counts {
+            *self.size_counts.entry(size).or_insert(0) += n;
+        }
+        for (row, other_row) in self.confusion.iter_mut().zip(other.confusion) {
+            for (a, b) in row.iter_mut().zip(other_row) {
+                *a += b;
+            }
+        }
     }
 }
 

@@ -11,7 +11,9 @@
 
 use serde::Serialize;
 
+use super::{fold_records, MetricState};
 use crate::record::TraceRecord;
+use crate::sink::RecordSink;
 
 /// The paper's band width: 100,000 sectors (~49 MB of a 500 MB disk).
 pub const PAPER_BAND_SECTORS: u32 = 100_000;
@@ -41,52 +43,9 @@ pub struct SpatialLocality {
 }
 
 impl SpatialLocality {
-    /// Number of bands a disk of `total_sectors` splits into.
-    pub fn nbands(band_sectors: u32, total_sectors: u32) -> usize {
-        assert!(band_sectors > 0, "band width must be nonzero");
-        (total_sectors as u64).div_ceil(band_sectors as u64).max(1) as usize
-    }
-
     /// Compute the banded distribution over a disk of `total_sectors`.
     pub fn compute(records: &[TraceRecord], band_sectors: u32, total_sectors: u32) -> Self {
-        let nbands = Self::nbands(band_sectors, total_sectors);
-        let mut counts = vec![0u64; nbands];
-        for r in records {
-            let band = ((r.sector / band_sectors) as usize).min(nbands - 1);
-            counts[band] += 1;
-        }
-        Self::from_band_counts(band_sectors, counts)
-    }
-
-    /// Assemble the summary from a pre-accumulated per-band count vector.
-    ///
-    /// Both `compute` and the incremental `SpatialState` in `essio-stream`
-    /// finalize through this constructor (same `lorenz`/`gini` arithmetic on
-    /// the same integers), so the two paths agree bit-for-bit.
-    pub fn from_band_counts(band_sectors: u32, counts: Vec<u64>) -> Self {
-        assert!(band_sectors > 0, "band width must be nonzero");
-        let total: u64 = counts.iter().sum();
-        let bands = counts
-            .iter()
-            .enumerate()
-            .map(|(i, &requests)| Band {
-                start: i as u32 * band_sectors,
-                requests,
-                pct: if total == 0 {
-                    0.0
-                } else {
-                    requests as f64 * 100.0 / total as f64
-                },
-            })
-            .collect();
-        let gini = gini(&counts);
-        let top20_fraction = top_fraction(&counts, 0.20);
-        Self {
-            band_sectors,
-            bands,
-            gini,
-            top20_fraction,
-        }
+        fold_records(records, || SpatialState::new(band_sectors, total_sectors)).finalize()
     }
 
     /// Total requests across all bands.
@@ -128,6 +87,71 @@ impl SpatialLocality {
             self.top20_fraction * 100.0
         );
         s
+    }
+}
+
+/// Incremental banded distribution: the per-band counts behind
+/// [`SpatialLocality`].
+#[derive(Debug, Clone)]
+pub struct SpatialState {
+    /// Band width in sectors.
+    pub band_sectors: u32,
+    /// Requests per band (fixed length: the whole disk).
+    pub counts: Vec<u64>,
+}
+
+impl SpatialState {
+    /// State for a disk of `total_sectors` split into `band_sectors` bands.
+    pub fn new(band_sectors: u32, total_sectors: u32) -> Self {
+        assert!(band_sectors > 0, "band width must be nonzero");
+        let nbands = (total_sectors as u64).div_ceil(band_sectors as u64).max(1) as usize;
+        Self {
+            band_sectors,
+            counts: vec![0; nbands],
+        }
+    }
+
+    /// The banded distribution of every record folded in.
+    pub fn finalize(&self) -> SpatialLocality {
+        let total: u64 = self.counts.iter().sum();
+        let bands = self
+            .counts
+            .iter()
+            .enumerate()
+            .map(|(i, &requests)| Band {
+                start: i as u32 * self.band_sectors,
+                requests,
+                pct: if total == 0 {
+                    0.0
+                } else {
+                    requests as f64 * 100.0 / total as f64
+                },
+            })
+            .collect();
+        SpatialLocality {
+            band_sectors: self.band_sectors,
+            bands,
+            gini: gini(&self.counts),
+            top20_fraction: top_fraction(&self.counts, 0.20),
+        }
+    }
+}
+
+impl RecordSink for SpatialState {
+    fn observe(&mut self, r: &TraceRecord) {
+        let band = ((r.sector / self.band_sectors) as usize).min(self.counts.len() - 1);
+        self.counts[band] += 1;
+    }
+}
+
+impl MetricState for SpatialState {
+    /// Panics if the two states describe different disks.
+    fn merge(&mut self, other: Self) {
+        assert_eq!(self.band_sectors, other.band_sectors, "band width mismatch");
+        assert_eq!(self.counts.len(), other.counts.len(), "band count mismatch");
+        for (a, b) in self.counts.iter_mut().zip(other.counts) {
+            *a += b;
+        }
     }
 }
 

@@ -8,15 +8,18 @@
 //! swap area boundary.
 //!
 //! Per-sector counting over a million-sector disk and hundreds of thousands
-//! of requests is the one genuinely data-heavy analysis, so the count map is
-//! built with a rayon fold/reduce over record chunks.
+//! of requests is the one genuinely data-heavy analysis; [`TemporalState`]
+//! merges exactly, so [`TemporalLocality::compute`] counts record chunks in
+//! parallel and merges the per-chunk maps.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
-use rayon::prelude::*;
 use serde::Serialize;
 
+use super::{fold_records, MetricState};
 use crate::record::TraceRecord;
+use crate::sink::RecordSink;
 use essio_sim::SimTime;
 
 /// A frequently-revisited sector.
@@ -56,90 +59,7 @@ impl TemporalLocality {
     /// transfer touches 32 sectors), matching what driver-level tracing
     /// observes physically moving under the head.
     pub fn compute(records: &[TraceRecord], duration: SimTime) -> Self {
-        // Parallel per-sector access counting.
-        let counts: HashMap<u32, u64> = records
-            .par_chunks(16 * 1024)
-            .fold(HashMap::new, |mut acc: HashMap<u32, u64>, chunk| {
-                for r in chunk {
-                    for s in r.sector..r.end_sector() {
-                        *acc.entry(s).or_insert(0) += 1;
-                    }
-                }
-                acc
-            })
-            .reduce(HashMap::new, |mut a, b| {
-                if a.len() < b.len() {
-                    return Self::merge(b, a);
-                }
-                a = Self::merge(a, b);
-                a
-            });
-
-        // Mean inter-access time, keyed on the starting sector of each
-        // request (the address the paper's record carries). For a sector
-        // accessed at times t₁ ≤ … ≤ tₙ the consecutive gaps telescope:
-        // Σ(tᵢ₊₁ − tᵢ) = tₙ − t₁, so only {first, last, count} per sector is
-        // needed — integer state that merges exactly, which is what lets the
-        // streaming path reproduce this number bit-for-bit.
-        let mut spans: HashMap<u32, (SimTime, SimTime, u64)> = HashMap::new();
-        for r in records {
-            let e = spans.entry(r.sector).or_insert((r.ts, r.ts, 0));
-            e.0 = e.0.min(r.ts);
-            e.1 = e.1.max(r.ts);
-            e.2 += 1;
-        }
-        let (gap_sum_us, gap_n) = gaps_from_spans(spans.values().copied());
-
-        Self::from_parts(counts, gap_sum_us, gap_n, duration)
-    }
-
-    /// Assemble the summary from pre-accumulated state: per-sector access
-    /// counts plus the telescoped inter-access gap total in integer µs.
-    ///
-    /// Both `compute` and the incremental `TemporalState` in `essio-stream`
-    /// finalize through this constructor, so batch and streaming agree
-    /// exactly (the single integer→float conversion happens here).
-    pub fn from_parts(
-        counts: HashMap<u32, u64>,
-        gap_sum_us: u128,
-        gap_n: u64,
-        duration: SimTime,
-    ) -> Self {
-        let duration_s = (essio_sim::time::as_secs_f64(duration)).max(1e-9);
-        let distinct_sectors = counts.len() as u64;
-        let revisited_sectors = counts.values().filter(|&&c| c >= 2).count() as u64;
-        let mean_interaccess_s = if gap_n == 0 {
-            0.0
-        } else {
-            gap_sum_us as f64 / essio_sim::time::MICROS_PER_SEC as f64 / gap_n as f64
-        };
-
-        let mut hot: Vec<HotSpot> = counts
-            .into_iter()
-            .map(|(sector, accesses)| HotSpot {
-                sector,
-                accesses,
-                freq_per_sec: accesses as f64 / duration_s,
-            })
-            .collect();
-        hot.sort_unstable_by(|a, b| b.accesses.cmp(&a.accesses).then(a.sector.cmp(&b.sector)));
-        hot.truncate(Self::MAX_HOT);
-
-        Self {
-            duration_s,
-            hot_spots: hot,
-            distinct_sectors,
-            revisited_sectors,
-            mean_interaccess_s,
-        }
-    }
-
-    /// Internal count-map merge used by the rayon reduce.
-    fn merge(mut into: HashMap<u32, u64>, from: HashMap<u32, u64>) -> HashMap<u32, u64> {
-        for (k, v) in from {
-            *into.entry(k).or_insert(0) += v;
-        }
-        into
+        fold_records(records, TemporalState::default).finalize(duration)
     }
 
     /// The single hottest sector, if any I/O occurred.
@@ -175,21 +95,119 @@ impl TemporalLocality {
     }
 }
 
-/// Telescoped inter-access gaps from per-sector `(first, last, count)`
-/// spans: a sector visited `n ≥ 2` times over `[first, last]` contributes
-/// `last − first` µs across `n − 1` gaps. Exact integer arithmetic — the
-/// same fold runs over batch span maps here and over merged streaming
-/// shards in `essio-stream`.
-pub fn gaps_from_spans(spans: impl IntoIterator<Item = (SimTime, SimTime, u64)>) -> (u128, u64) {
-    let mut gap_sum_us = 0u128;
-    let mut gap_n = 0u64;
-    for (first, last, count) in spans {
-        if count >= 2 {
-            gap_sum_us += (last - first) as u128;
-            gap_n += count - 1;
+/// Per-sector access-time span: first/last timestamps and visit count.
+///
+/// For a sector accessed at times t₁ ≤ … ≤ tₙ the consecutive gaps
+/// telescope: Σ(tᵢ₊₁ − tᵢ) = tₙ − t₁. So `{first, last, count}` is all the
+/// state the §3.6 mean-inter-access metric needs, and it merges exactly as
+/// `{min, max, sum}`.
+#[derive(Debug, Clone, Copy)]
+pub struct SectorSpan {
+    /// Earliest access, µs.
+    pub first: SimTime,
+    /// Latest access, µs.
+    pub last: SimTime,
+    /// Number of accesses.
+    pub count: u64,
+}
+
+/// Incremental temporal locality: the per-sector state behind
+/// [`TemporalLocality`].
+#[derive(Debug, Clone, Default)]
+pub struct TemporalState {
+    /// Accesses per covered sector (a 16 KB transfer touches 32 sectors).
+    pub counts: HashMap<u32, u64>,
+    /// Access-time span per *starting* sector (the paper's record address).
+    pub spans: HashMap<u32, SectorSpan>,
+}
+
+impl TemporalState {
+    /// The temporal locality of every record folded in, averaged over a
+    /// run of `duration`.
+    pub fn finalize(&self, duration: SimTime) -> TemporalLocality {
+        let duration_s = (essio_sim::time::as_secs_f64(duration)).max(1e-9);
+        // A sector visited n ≥ 2 times over [first, last] contributes
+        // last − first µs across n − 1 gaps; the one integer→float
+        // conversion happens after the exact integer sum.
+        let (mut gap_sum_us, mut gap_n) = (0u128, 0u64);
+        for span in self.spans.values().filter(|s| s.count >= 2) {
+            gap_sum_us += (span.last - span.first) as u128;
+            gap_n += span.count - 1;
+        }
+        let mean_interaccess_s = if gap_n == 0 {
+            0.0
+        } else {
+            gap_sum_us as f64 / essio_sim::time::MICROS_PER_SEC as f64 / gap_n as f64
+        };
+
+        let mut hot: Vec<HotSpot> = self
+            .counts
+            .iter()
+            .map(|(&sector, &accesses)| HotSpot {
+                sector,
+                accesses,
+                freq_per_sec: accesses as f64 / duration_s,
+            })
+            .collect();
+        // Busiest first, ties by sector: a total order, so selecting the
+        // top MAX_HOT before sorting them gives the same list as a full sort.
+        let by_heat =
+            |a: &HotSpot, b: &HotSpot| b.accesses.cmp(&a.accesses).then(a.sector.cmp(&b.sector));
+        if hot.len() > TemporalLocality::MAX_HOT {
+            hot.select_nth_unstable_by(TemporalLocality::MAX_HOT, by_heat);
+            hot.truncate(TemporalLocality::MAX_HOT);
+        }
+        hot.sort_unstable_by(by_heat);
+
+        TemporalLocality {
+            duration_s,
+            hot_spots: hot,
+            distinct_sectors: self.counts.len() as u64,
+            revisited_sectors: self.counts.values().filter(|&&c| c >= 2).count() as u64,
+            mean_interaccess_s,
         }
     }
-    (gap_sum_us, gap_n)
+}
+
+impl RecordSink for TemporalState {
+    fn observe(&mut self, r: &TraceRecord) {
+        for s in r.sector..r.end_sector() {
+            *self.counts.entry(s).or_insert(0) += 1;
+        }
+        let span = self.spans.entry(r.sector).or_insert(SectorSpan {
+            first: r.ts,
+            last: r.ts,
+            count: 0,
+        });
+        span.first = span.first.min(r.ts);
+        span.last = span.last.max(r.ts);
+        span.count += 1;
+    }
+}
+
+impl MetricState for TemporalState {
+    fn merge(&mut self, mut other: Self) {
+        // Merge is commutative, so fold the smaller state into the larger.
+        if self.counts.len() < other.counts.len() {
+            std::mem::swap(self, &mut other);
+        }
+        for (sector, n) in other.counts {
+            *self.counts.entry(sector).or_insert(0) += n;
+        }
+        for (sector, s) in other.spans {
+            match self.spans.entry(sector) {
+                Entry::Occupied(mut e) => {
+                    let span = e.get_mut();
+                    span.first = span.first.min(s.first);
+                    span.last = span.last.max(s.last);
+                    span.count += s.count;
+                }
+                Entry::Vacant(e) => {
+                    e.insert(s);
+                }
+            }
+        }
+    }
 }
 
 #[cfg(test)]

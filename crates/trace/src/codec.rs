@@ -385,6 +385,12 @@ fn decode_columnar_frame(
     frame_at: u64,
 ) -> Result<(), DecodeError> {
     let corrupt = || DecodeError::Corrupt { at: frame_at };
+    // Every record costs at least 6 body bytes (ts, sector, nsectors and
+    // pending varints, node and origin bytes), so a larger count cannot fit;
+    // rejecting it first bounds the reservation by the input length.
+    if n > body.len() / 6 {
+        return Err(corrupt());
+    }
     let base = out.len();
     out.reserve(n);
     let mut c = ColCursor::new(body);
@@ -615,19 +621,22 @@ impl<R: Read> ChunkedDecoder<R> {
         };
         let body_len = self
             .read_varint(frame_at)?
-            .ok_or(DecodeError::Truncated { at: frame_at })? as usize;
+            .ok_or(DecodeError::Truncated { at: frame_at })?;
         if n == 0 {
             return Err(DecodeError::Corrupt { at: frame_at });
         }
-        if self.buf.len() < body_len {
-            self.buf.resize(body_len, 0);
-        }
-        let got = Self::read_full(&mut self.src, &mut self.buf[..body_len])?;
-        if got < body_len {
+        // Read through `take` so the buffer grows only with bytes actually
+        // read, never to an unchecked `body_len` up front.
+        self.buf.clear();
+        let got = (&mut self.src)
+            .take(body_len)
+            .read_to_end(&mut self.buf)
+            .map_err(|e| DecodeError::Io(e.kind()))?;
+        if (got as u64) < body_len {
             return Err(DecodeError::Truncated { at: frame_at });
         }
-        self.consumed += body_len as u64;
-        decode_columnar_frame(&self.buf[..body_len], n as usize, out, frame_at)?;
+        self.consumed += body_len;
+        decode_columnar_frame(&self.buf, n as usize, out, frame_at)?;
         Ok(n as usize)
     }
 }
@@ -1070,6 +1079,34 @@ mod tests {
         bad.extend_from_slice(&[0u8; 9]);
         let at = encoded.len() as u64;
         assert_eq!(decode(&bad), Err(DecodeError::Corrupt { at }));
+    }
+
+    #[test]
+    fn columnar_record_count_beyond_body_is_corrupt_not_a_panic() {
+        // n = 2⁶³ − 1 records claimed for a 1-byte body.
+        let mut bad = MAGIC_COLUMNAR.to_vec();
+        bad.extend_from_slice(&[0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f]);
+        bad.push(0x01); // body_len = 1
+        bad.push(0x00);
+        assert_eq!(bad.len(), 15);
+        let at = MAGIC_COLUMNAR.len() as u64;
+        assert_eq!(decode(&bad), Err(DecodeError::Corrupt { at }));
+        assert_eq!(
+            decode_chunked(&bad[..], 4, &mut Vec::new()),
+            Err(DecodeError::Corrupt { at })
+        );
+
+        // A 2⁴⁰-byte body claimed by a short input is truncated, and the
+        // streaming decoder never sizes a buffer to the claim.
+        let mut bad = MAGIC_COLUMNAR.to_vec();
+        bad.push(0x01); // n = 1
+        bad.extend_from_slice(&[0x80, 0x80, 0x80, 0x80, 0x80, 0x20]); // body_len = 2⁴⁰
+        bad.extend_from_slice(&[0u8; 6]);
+        assert_eq!(decode(&bad), Err(DecodeError::Truncated { at }));
+        assert_eq!(
+            decode_chunked(&bad[..], 4, &mut Vec::new()),
+            Err(DecodeError::Truncated { at })
+        );
     }
 
     #[test]

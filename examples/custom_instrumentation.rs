@@ -15,8 +15,12 @@ fn main() {
     let mut cfg = BeowulfConfig {
         nodes: 1,
         seed: 42,
-        // Exercise the driver's retry path: every 50th command faults.
-        disk_fault_every: Some(50),
+        // Exercise the drive's slow-command path: 1 in 50 commands is
+        // served slowly (drive-internal retries).
+        faults: FaultPlan::none().disk(DiskFaultConfig {
+            slow_every: 50,
+            ..Default::default()
+        }),
         ..Default::default()
     };
     cfg.spool_trace = false; // keep the trace free of its own spooling I/O
@@ -52,8 +56,8 @@ fn main() {
     let trace = bw.take_trace();
     println!("captured {} driver-level records", trace.len());
     println!(
-        "injected disk faults survived: {}",
-        bw.kernel(0).driver_stats().faults
+        "injected slow disk commands survived: {}",
+        bw.kernel(0).driver_stats().slow_commands
     );
 
     // Round-trip the trace through the binary codec — what the study's

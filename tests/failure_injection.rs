@@ -12,7 +12,11 @@ fn disk_fault_injection_slows_but_completes() {
     let faulty = Experiment::nbody()
         .quick()
         .seed(61)
-        .disk_fault_every(Some(10)) // every 10th command retries
+        // 1 in 10 commands is served slowly (drive-internal retries).
+        .faults(FaultPlan::none().disk(DiskFaultConfig {
+            slow_every: 10,
+            ..Default::default()
+        }))
         .run();
 
     assert!(clean.all_clean() && faulty.all_clean());
