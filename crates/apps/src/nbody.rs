@@ -251,9 +251,22 @@ pub mod tree {
         /// Barnes–Hut acceleration on `body` with opening angle `theta`.
         /// Returns the acceleration and the number of interactions used.
         pub fn accel(&self, body: &Body, bodies: &[Body], theta: f64) -> ([f64; 3], u64) {
+            self.accel_with(body, bodies, theta, &mut Vec::new())
+        }
+
+        /// [`Octree::accel`] walking on the caller's traversal `stack`, so a
+        /// force pass over many bodies reuses one allocation.
+        fn accel_with(
+            &self,
+            body: &Body,
+            bodies: &[Body],
+            theta: f64,
+            stack: &mut Vec<usize>,
+        ) -> ([f64; 3], u64) {
             let mut acc = [0.0; 3];
             let mut interactions = 0;
-            let mut stack = vec![self.root];
+            stack.clear();
+            stack.push(self.root);
             while let Some(node) = stack.pop() {
                 let n = &self.nodes[node];
                 if n.mass == 0.0 {
@@ -314,35 +327,33 @@ pub mod tree {
         acc
     }
 
+    /// Build the tree over `bodies` and write each body's acceleration into
+    /// `accels`. Returns interactions performed.
+    fn forces(bodies: &[Body], theta: f64, stack: &mut Vec<usize>, accels: &mut [[f64; 3]]) -> u64 {
+        let tree = Octree::build(bodies);
+        let mut interactions = 0;
+        for (b, a) in bodies.iter().zip(accels.iter_mut()) {
+            let (acc, n) = tree.accel_with(b, bodies, theta, stack);
+            *a = acc;
+            interactions += n;
+        }
+        interactions
+    }
+
     /// One leapfrog (kick-drift-kick) step. Returns interactions performed.
     #[allow(clippy::needless_range_loop)]
     pub fn leapfrog_step(bodies: &mut [Body], dt: f64, theta: f64) -> u64 {
-        let tree = Octree::build(bodies);
-        let mut interactions = 0;
-        let accels: Vec<[f64; 3]> = bodies
-            .iter()
-            .map(|b| {
-                let (a, n) = tree.accel(b, bodies, theta);
-                interactions += n;
-                a
-            })
-            .collect();
+        let mut stack = Vec::new();
+        let mut accels = vec![[0.0; 3]; bodies.len()];
+        let mut interactions = forces(bodies, theta, &mut stack, &mut accels);
         for (b, a) in bodies.iter_mut().zip(&accels) {
             for k in 0..3 {
                 b.vel[k] += 0.5 * dt * a[k];
                 b.pos[k] += dt * b.vel[k];
             }
         }
-        let tree = Octree::build(bodies);
-        let accels2: Vec<[f64; 3]> = bodies
-            .iter()
-            .map(|b| {
-                let (a, n) = tree.accel(b, bodies, theta);
-                interactions += n;
-                a
-            })
-            .collect();
-        for (b, a) in bodies.iter_mut().zip(&accels2) {
+        interactions += forces(bodies, theta, &mut stack, &mut accels);
+        for (b, a) in bodies.iter_mut().zip(&accels) {
             for k in 0..3 {
                 b.vel[k] += 0.5 * dt * a[k];
             }
@@ -660,6 +671,29 @@ mod tests {
             "energy drift {} → {}",
             e0,
             e1
+        );
+    }
+
+    #[test]
+    fn leapfrog_output_is_bit_pinned() {
+        // Plummer 256, seed 42, 40 steps at the workload's dt and θ: FNV-1a
+        // 64 over every body's position and velocity bits, then the total
+        // interaction count. Any change to traversal or summation order
+        // moves it.
+        let mut b = sample(256, 42);
+        let mut interactions = 0;
+        for _ in 0..40 {
+            interactions += leapfrog_step(&mut b, 0.01, 0.6);
+        }
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for x in &b {
+            for v in x.pos.into_iter().chain(x.vel) {
+                h = (h ^ v.to_bits()).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        assert_eq!(
+            (format!("{h:016x}"), interactions),
+            ("523916e50df93da0".to_string(), 2_516_225)
         );
     }
 

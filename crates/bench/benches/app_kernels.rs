@@ -1,5 +1,5 @@
 //! The three numerical kernels: PPM step, 2-D wavelet analysis, Barnes-Hut
-//! tree build + force evaluation.
+//! tree build, force evaluation and one leapfrog step.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use essio_apps::nbody::tree;
@@ -53,6 +53,14 @@ fn bench(c: &mut Criterion) {
                 acc += a[0];
             }
             black_box(acc)
+        })
+    });
+
+    g.bench_function("nbody_leapfrog_step_256", |b| {
+        let bodies = tree::plummer(256, &mut SimRng::new(42));
+        b.iter(|| {
+            let mut bs = bodies.clone();
+            black_box(tree::leapfrog_step(&mut bs, 0.01, 0.6))
         })
     });
 

@@ -253,8 +253,12 @@ fn record_section(gates: &[Gate], best: &[f64], rounds: usize, samples: usize) -
 }
 
 /// Replace (or insert, as the first section) the `bench_gate` object in the
-/// baseline file, leaving every other byte untouched.
-fn upsert_bench_gate(raw: &str, section: &str) -> String {
+/// baseline file, leaving every other byte untouched. The file must be a
+/// pretty-printed JSON object (top-level keys indented two spaces), the
+/// layout `--record` writes; anything else is an `Err`, as is an edit that
+/// would not re-parse.
+fn upsert_bench_gate(raw: &str, section: &str) -> Result<String, String> {
+    let not_pretty = || "baseline is not a pretty-printed JSON object".to_string();
     let mut out = raw.to_string();
     if let Some(start) = out.find("  \"bench_gate\": {") {
         // Nested objects are indented deeper, so the first `\n  }` after
@@ -264,16 +268,21 @@ fn upsert_bench_gate(raw: &str, section: &str) -> String {
             .find("\n  },")
             .map(|i| i + "\n  },".len())
             .or_else(|| rest.find("\n  }").map(|i| i + "\n  }".len()))
-            .expect("bench_gate section is brace-balanced");
+            .ok_or_else(not_pretty)?;
         let mut end = start + close;
         if out[end..].starts_with('\n') {
             end += 1;
         }
         out.replace_range(start..end, "");
     }
-    let insert_at = out.find("{\n").expect("baseline is a JSON object") + 2;
-    out.insert_str(insert_at, section);
-    out
+    let body = out.trim_start();
+    if !body.starts_with("{\n") {
+        return Err(not_pretty());
+    }
+    out.insert_str(out.len() - body.len() + 2, section);
+    serde_json::from_str::<serde::Value>(&out)
+        .map_err(|e| format!("recorded baseline would not re-parse: {e}"))?;
+    Ok(out)
 }
 
 fn die(msg: String) -> ! {
@@ -323,8 +332,18 @@ fn main() {
         .unwrap_or_else(|e| die(format!("cannot read {baseline_path}: {e}")));
     let doc: serde::Value =
         serde_json::from_str(&raw).unwrap_or_else(|e| die(format!("bad baseline JSON: {e}")));
+    if doc.as_object().is_none() {
+        die(format!("{baseline_path}: baseline is not a JSON object"));
+    }
 
     let gates = gates();
+    if record {
+        // Fail on a file `--record` cannot edit before spending the rounds.
+        let placeholder = record_section(&gates, &vec![0.0; gates.len()], rounds, samples);
+        if let Err(e) = upsert_bench_gate(&raw, &placeholder) {
+            die(format!("{baseline_path}: {e}"));
+        }
+    }
     // Interleave rounds across all benches so a transient host stall hits
     // every bench's round equally, then keep each bench's best round.
     let mut best: Vec<f64> = vec![f64::INFINITY; gates.len()];
@@ -339,9 +358,8 @@ fn main() {
     }
 
     if record {
-        let updated = upsert_bench_gate(&raw, &record_section(&gates, &best, rounds, samples));
-        serde_json::from_str::<serde::Value>(&updated)
-            .unwrap_or_else(|e| die(format!("recorded baseline failed to re-parse: {e}")));
+        let updated = upsert_bench_gate(&raw, &record_section(&gates, &best, rounds, samples))
+            .unwrap_or_else(|e| die(format!("{baseline_path}: {e}")));
         std::fs::write(&baseline_path, &updated)
             .unwrap_or_else(|e| die(format!("cannot write {baseline_path}: {e}")));
         println!(
@@ -391,5 +409,29 @@ fn main() {
 
     if regressions > 0 {
         std::process::exit(3);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::upsert_bench_gate;
+
+    const SECTION: &str =
+        "  \"bench_gate\": {\n    \"medians_us\": {\n      \"x\": 1\n    }\n  },\n";
+
+    #[test]
+    fn upsert_inserts_then_replaces_leaving_other_bytes_alone() {
+        let raw = "{\n  \"schema\": \"s\",\n  \"study\": {\n    \"a\": 1\n  }\n}\n";
+        let inserted = upsert_bench_gate(raw, SECTION).unwrap();
+        assert_eq!(inserted, format!("{{\n{SECTION}{}", &raw[2..]));
+        let replaced = upsert_bench_gate(&inserted, &SECTION.replace('1', "2")).unwrap();
+        assert_eq!(replaced, inserted.replace("\"x\": 1", "\"x\": 2"));
+    }
+
+    #[test]
+    fn upsert_rejects_what_it_cannot_edit_instead_of_panicking() {
+        for raw in ["{\"a\":1}\n", "[1, 2]\n", "\"text\"", "7", "{\n}\n"] {
+            assert!(upsert_bench_gate(raw, SECTION).is_err(), "{raw:?}");
+        }
     }
 }
