@@ -14,9 +14,11 @@
 //! characteristic-traced averages — still sharp on shocks and conservative
 //! to round-off, which is what the tests pin down.
 //!
-//! [`run`] wires the solver to the simulated node: demand-paged program
-//! text, a paper-scale data footprint swept in step order, ring halo
-//! exchange over PVM each step, and the I/O behaviour the paper reports for
+//! [`Trajectory`] steps one grid through a run; every grid of a fleet
+//! shares it, since all start from the same Sod state. [`run`] replays it
+//! on the simulated node, once per grid: demand-paged program text, a
+//! paper-scale data footprint swept in step order, ring halo exchange over
+//! PVM each step, and the I/O behaviour the paper reports for
 //! PPM — *"simulations with no input data, and only short statistical
 //! summaries being written"* (§4.2, Table 1: 4 % reads).
 
@@ -484,53 +486,96 @@ impl Default for PpmConfig {
 /// Message tag for halo exchange.
 pub const TAG_HALO: i32 = 101;
 
-/// Run the PPM workload to completion on the calling simulated process.
-/// Returns the final grids (for validation).
-pub fn run(cfg: &PpmConfig, ctx: &mut AppCtx) -> Vec<solver::Grid> {
+/// One grid's run, computed once per fleet and replayed by every rank.
+///
+/// Sharing is sound because every grid in a fleet starts from the same
+/// `Grid::sod(nx, ny)`, takes the same CFL steps with the same reflective
+/// boundary, and never folds a received halo back into its state: each
+/// grid's trajectory is the same one. If grids ever start differently or
+/// couple through their halos, the trajectory must become per rank.
+#[derive(Debug)]
+pub struct Trajectory {
+    /// Per step, the top-row density bytes sent as halo, taken before the
+    /// step (`nx * 8` bytes each, back to back).
+    halos: Vec<u8>,
+    /// `(mass·dx², energy·dx², rho_min)` of the initial state, then after
+    /// each step.
+    stats: Vec<[f64; 3]>,
+}
+
+impl Trajectory {
+    /// Step one Sod grid through `cfg.steps` CFL steps, recording what
+    /// [`run`] sends and writes.
+    pub fn compute(cfg: &PpmConfig) -> Trajectory {
+        let mut grid = solver::Grid::sod(cfg.nx, cfg.ny);
+        let mut halos = Vec::with_capacity(cfg.steps * cfg.nx * 8);
+        let mut stats = Vec::with_capacity(cfg.steps + 1);
+        stats.push(grid_stats(&grid));
+        for _ in 0..cfg.steps {
+            halos.extend((0..grid.nx).flat_map(|i| grid.at(i, grid.ny - 1).rho.to_le_bytes()));
+            let dt = grid.cfl_dt();
+            grid.step(dt, solver::Boundary::Reflective);
+            stats.push(grid_stats(&grid));
+        }
+        Trajectory { halos, stats }
+    }
+}
+
+/// `(mass·dx², energy·dx², rho_min)` of a grid, as the stats lines print it.
+fn grid_stats(g: &solver::Grid) -> [f64; 3] {
+    [
+        g.total_mass() * g.dx * g.dx,
+        g.total_energy() * g.dx * g.dx,
+        g.min_density(),
+    ]
+}
+
+/// Run the PPM workload to completion on the calling simulated process,
+/// replaying `traj` (computed from a config with this one's grid and step
+/// count) for every grid.
+pub fn run(cfg: &PpmConfig, traj: &Trajectory, ctx: &mut AppCtx) {
+    let row = cfg.nx * 8;
+    assert_eq!(
+        traj.halos.len(),
+        cfg.steps * row,
+        "trajectory computed for another grid or step count"
+    );
     // Startup: demand-page program text, then allocate and initialize the
     // data footprint (the paper notes PPM has no input data).
     load_program(ctx, &cfg.text_path);
     let region = PagedRegion::map(ctx, cfg.footprint_pages);
-    let mut grids: Vec<solver::Grid> = (0..cfg.grids_per_node)
-        .map(|g| {
-            // Initialization touches each grid's slice of the footprint.
-            let frac0 = g as f64 / cfg.grids_per_node as f64;
-            let frac1 = (g + 1) as f64 / cfg.grids_per_node as f64;
-            region.touch_fraction(ctx, frac0, frac1);
-            cost::flops(ctx, (cfg.nx * cfg.ny * 20) as f64);
-            solver::Grid::sod(cfg.nx, cfg.ny)
-        })
-        .collect();
+    for g in 0..cfg.grids_per_node {
+        // Initialization touches each grid's slice of the footprint.
+        let frac0 = g as f64 / cfg.grids_per_node as f64;
+        let frac1 = (g + 1) as f64 / cfg.grids_per_node as f64;
+        region.touch_fraction(ctx, frac0, frac1);
+        cost::flops(ctx, (cfg.nx * cfg.ny * 20) as f64);
+    }
 
     let mut out = SimFile::open(ctx, &cfg.out_path, true, Placement::User);
     let step_us = (cfg.duration_s * 1e6 / cfg.steps as f64) as u64;
 
     for step in 0..cfg.steps {
-        for (g, grid) in grids.iter_mut().enumerate() {
+        for g in 0..cfg.grids_per_node {
             // Halo exchange: trade boundary pencils around the ring before
             // the sweep (real data, so the transfer sizes are real).
             if cfg.ntasks > 1 {
                 let next = cfg.task_base + (cfg.rank + 1) % cfg.ntasks;
                 let prev = cfg.task_base + (cfg.rank + cfg.ntasks - 1) % cfg.ntasks;
-                let boundary: Vec<u8> = (0..grid.nx)
-                    .flat_map(|i| grid.at(i, grid.ny - 1).rho.to_le_bytes())
-                    .collect();
                 ctx.net(NetOp::Send {
                     to: next,
                     tag: TAG_HALO,
-                    data: boundary,
+                    data: traj.halos[step * row..(step + 1) * row].to_vec(),
                 });
                 match ctx.net(NetOp::Recv {
                     from: Some(prev),
                     tag: Some(TAG_HALO),
                 }) {
-                    NetResult::Message(m) => {
-                        // Fold the neighbour's boundary density into our
-                        // ghost row source (weak coupling keeps grids
-                        // independent numerically while making the network
-                        // dependency real).
-                        debug_assert_eq!(m.data.len(), grid.nx * 8);
-                    }
+                    // The neighbour's boundary is not folded back, which
+                    // keeps grids numerically independent (see
+                    // `Trajectory`) while making the network dependency
+                    // real.
+                    NetResult::Message(m) => debug_assert_eq!(m.data.len(), row),
                     other => panic!("halo recv: {other:?}"),
                 }
             }
@@ -542,39 +587,27 @@ pub fn run(cfg: &PpmConfig, ctx: &mut AppCtx) -> Vec<solver::Grid> {
             let frac0 = g as f64 / cfg.grids_per_node as f64;
             let frac1 = (g + 1) as f64 / cfg.grids_per_node as f64;
             region.touch_fraction_dir(ctx, frac0, frac1, true);
-            let dt = grid.cfl_dt();
-            grid.step(dt, solver::Boundary::Reflective);
             region.touch_fraction_dir(ctx, frac0, frac1, false);
             ctx.compute(step_us / cfg.grids_per_node as u64);
         }
         if (step + 1) % cfg.stats_every == 0 || step + 1 == cfg.steps {
-            let line = stats_line(step + 1, &grids);
+            let line = stats_line(step + 1, traj.stats[step + 1], cfg.grids_per_node);
             out.append(ctx, line.into_bytes());
         }
     }
     // Final summary + make it durable (the paper's "explicit I/O is due to
     // writing the final simulation results into output files", §5).
-    let final_line = format!("final {}\n", stats_line(cfg.steps, &grids));
-    out.append(ctx, final_line.into_bytes());
+    let last = stats_line(cfg.steps, traj.stats[cfg.steps], cfg.grids_per_node);
+    out.append(ctx, format!("final {last}\n").into_bytes());
     out.fsync(ctx);
     out.close(ctx);
-    grids
 }
 
-fn stats_line(step: usize, grids: &[solver::Grid]) -> String {
-    use std::fmt::Write as _;
-    let mut s = format!("step {step}");
-    for g in grids {
-        let _ = write!(
-            s,
-            " mass={:.6} energy={:.6} rho_min={:.6}",
-            g.total_mass() * g.dx * g.dx,
-            g.total_energy() * g.dx * g.dx,
-            g.min_density()
-        );
-    }
-    s.push('\n');
-    s
+/// One stats line: the step, then the `(mass, energy, rho_min)` triple once
+/// per grid.
+fn stats_line(step: usize, [mass, energy, rho_min]: [f64; 3], grids: usize) -> String {
+    let grid = format!(" mass={mass:.6} energy={energy:.6} rho_min={rho_min:.6}");
+    format!("step {step}{}\n", grid.repeat(grids))
 }
 
 #[cfg(test)]
@@ -745,6 +778,35 @@ mod tests {
             ),
             "8938282de7a5d930"
         );
+    }
+
+    #[test]
+    fn trajectory_replays_the_stepped_grid() {
+        use super::{grid_stats, PpmConfig, Trajectory};
+        let cfg = PpmConfig {
+            nx: 24,
+            ny: 32,
+            steps: 5,
+            ..PpmConfig::default()
+        };
+        let traj = Trajectory::compute(&cfg);
+        let mut g = Grid::sod(cfg.nx, cfg.ny);
+        assert_eq!(traj.stats[0], grid_stats(&g));
+        for step in 0..cfg.steps {
+            let row: Vec<u8> = (0..g.nx)
+                .flat_map(|i| g.at(i, g.ny - 1).rho.to_le_bytes())
+                .collect();
+            assert_eq!(traj.halos[step * row.len()..][..row.len()], row[..]);
+            let dt = g.cfl_dt();
+            g.step(dt, Boundary::Reflective);
+            assert_eq!(traj.stats[step + 1], grid_stats(&g), "after step {step}");
+        }
+        assert_eq!(traj.halos.len(), cfg.steps * cfg.nx * 8);
+
+        // No steps: the final line reports the initial state.
+        let none = Trajectory::compute(&PpmConfig { steps: 0, ..cfg });
+        assert_eq!(none.stats, [traj.stats[0]]);
+        assert!(none.halos.is_empty());
     }
 
     #[test]

@@ -16,7 +16,11 @@
 //! functions start one rank of the given application per node, wiring PVM
 //! task ids.
 
-use essio_apps::{nbody::NbodyConfig, ppm::PpmConfig, wavelet::WaveletConfig};
+use std::sync::Arc;
+
+use essio_apps::nbody::NbodyConfig;
+use essio_apps::ppm::{PpmConfig, Trajectory};
+use essio_apps::wavelet::WaveletConfig;
 use essio_kernel::Placement;
 use essio_sim::{SimRng, SimTime};
 
@@ -78,16 +82,21 @@ pub fn install_assets(bw: &mut Beowulf, seed: u64) {
 }
 
 /// Spawn one PPM rank per node. Returns the rank-0 task id.
+///
+/// The fleet's one [`Trajectory`] is computed here, once per call, and
+/// every rank replays it (see [`Trajectory`] for why that is sound).
 pub fn spawn_ppm_fleet(bw: &mut Beowulf, template: &PpmConfig, start: SimTime) -> u32 {
     let nodes = bw.nodes();
     let task_base = bw.next_task();
+    let trajectory = Arc::new(Trajectory::compute(template));
     for n in 0..nodes {
         let mut cfg = template.clone();
         cfg.rank = n as u32;
         cfg.ntasks = nodes as u32;
         cfg.task_base = task_base;
+        let trajectory = Arc::clone(&trajectory);
         bw.spawn(n, "ppm", start, move |ctx| {
-            essio_apps::ppm::run(&cfg, ctx);
+            essio_apps::ppm::run(&cfg, &trajectory, ctx);
             0
         });
     }

@@ -227,3 +227,73 @@ proptest! {
         prop_assert_eq!(max_in, max_out, "decimation must keep the peak");
     }
 }
+
+/// Feed `data` to every decoder, the chunked one at chunk sizes 1 and
+/// 4096. Each must return `Ok` or `Err`; a panic fails the property.
+fn decode_every_way(data: &[u8]) {
+    let _ = codec::decode(data);
+    let _ = codec::decode_columnar(data);
+    for chunk in [1, 4096] {
+        let _ = codec::decode_chunked(data, chunk, &mut Vec::<TraceRecord>::new());
+    }
+}
+
+/// 1–4 edits `(kind, position, byte)` for [`mutate`].
+fn edits() -> impl Strategy<Value = Vec<(u8, u32, u8)>> {
+    prop::collection::vec((0u8..3, any::<u32>(), 1u8..=255), 1..=4)
+}
+
+/// Apply `edits` in order: kind 0 flips the bits of `byte` at the
+/// position, 1 overwrites it with `byte`, 2 truncates there.
+fn mutate(mut data: Vec<u8>, edits: &[(u8, u32, u8)]) -> Vec<u8> {
+    for &(kind, at, byte) in edits {
+        if data.is_empty() {
+            break;
+        }
+        let i = at as usize % data.len();
+        match kind {
+            0 => data[i] ^= byte,
+            1 => data[i] = byte,
+            _ => data.truncate(i),
+        }
+    }
+    data
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn decoders_never_panic_on_arbitrary_bytes(
+        bytes in prop::collection::vec(any::<u8>(), 0..512),
+    ) {
+        decode_every_way(&bytes);
+    }
+
+    #[test]
+    fn decoders_never_panic_after_either_magic(
+        columnar in any::<bool>(),
+        bytes in prop::collection::vec(any::<u8>(), 0..512),
+    ) {
+        let magic = if columnar { codec::MAGIC_COLUMNAR } else { codec::MAGIC };
+        decode_every_way(&[&magic[..], &bytes].concat());
+    }
+
+    #[test]
+    fn decoders_never_panic_on_a_mutated_fixed_trace(t in trace(100), e in edits()) {
+        decode_every_way(&mutate(codec::encode(&t).to_vec(), &e));
+    }
+
+    #[test]
+    fn decoders_never_panic_on_a_mutated_columnar_trace(
+        t in prop::collection::vec(wild_record(), 0..100),
+        frame in 1usize..40,
+        e in edits(),
+    ) {
+        let mut enc = codec::ColumnarEncoder::with_frame_records(frame);
+        for r in &t {
+            enc.push(*r);
+        }
+        decode_every_way(&mutate(enc.finish().to_vec(), &e));
+    }
+}
