@@ -327,37 +327,100 @@ pub mod tree {
         acc
     }
 
-    /// Build the tree over `bodies` and write each body's acceleration into
-    /// `accels`. Returns interactions performed.
-    fn forces(bodies: &[Body], theta: f64, stack: &mut Vec<usize>, accels: &mut [[f64; 3]]) -> u64 {
-        let tree = Octree::build(bodies);
-        let mut interactions = 0;
-        for (b, a) in bodies.iter().zip(accels.iter_mut()) {
-            let (acc, n) = tree.accel_with(b, bodies, theta, stack);
-            *a = acc;
-            interactions += n;
-        }
-        interactions
+    /// A leapfrog (kick-drift-kick) integrator that carries each step's
+    /// closing force pass into the next step's opening kick.
+    ///
+    /// The tree and the accelerations depend only on positions and masses,
+    /// and the closing half-kick changes velocities only. So the forces the
+    /// closing pass computes are exactly the forces the next step opens
+    /// with: caching them (and the root summary of the tree they came from)
+    /// gives one tree build and one force walk per step, bit-identical to
+    /// building and walking twice.
+    #[derive(Debug)]
+    pub struct Leapfrog {
+        bodies: Vec<Body>,
+        theta: f64,
+        accels: Vec<[f64; 3]>,
+        stack: Vec<usize>,
+        /// Interactions of the last force pass.
+        interactions: u64,
+        /// Root summary of the tree the last force pass built.
+        root: (f64, [f64; 3]),
     }
 
-    /// One leapfrog (kick-drift-kick) step. Returns interactions performed.
-    #[allow(clippy::needless_range_loop)]
+    impl Leapfrog {
+        /// Take ownership of `bodies` and run the initial force pass with
+        /// opening angle `theta`.
+        pub fn new(bodies: Vec<Body>, theta: f64) -> Leapfrog {
+            let mut lf = Leapfrog {
+                accels: vec![[0.0; 3]; bodies.len()],
+                bodies,
+                theta,
+                stack: Vec::new(),
+                interactions: 0,
+                root: (0.0, [0.0; 3]),
+            };
+            lf.force_pass();
+            lf
+        }
+
+        /// Build the tree over the current positions and cache each body's
+        /// acceleration, the interaction count and the root summary.
+        fn force_pass(&mut self) {
+            let tree = Octree::build(&self.bodies);
+            self.root = tree.root_summary();
+            self.interactions = 0;
+            for (b, a) in self.bodies.iter().zip(self.accels.iter_mut()) {
+                let (acc, n) = tree.accel_with(b, &self.bodies, self.theta, &mut self.stack);
+                *a = acc;
+                self.interactions += n;
+            }
+        }
+
+        /// One step: half-kick with the cached accelerations, drift, force
+        /// pass over the new positions, half-kick. Returns the interactions
+        /// of both force passes the step uses (the cached one and the new).
+        #[allow(clippy::needless_range_loop)]
+        pub fn step(&mut self, dt: f64) -> u64 {
+            let opening = self.interactions;
+            for (b, a) in self.bodies.iter_mut().zip(&self.accels) {
+                for k in 0..3 {
+                    b.vel[k] += 0.5 * dt * a[k];
+                    b.pos[k] += dt * b.vel[k];
+                }
+            }
+            self.force_pass();
+            for (b, a) in self.bodies.iter_mut().zip(&self.accels) {
+                for k in 0..3 {
+                    b.vel[k] += 0.5 * dt * a[k];
+                }
+            }
+            opening + self.interactions
+        }
+
+        /// Root-cell summary of the tree over the current positions (the
+        /// quantity exchanged between nodes).
+        pub fn root_summary(&self) -> (f64, [f64; 3]) {
+            self.root
+        }
+
+        /// The bodies as of the last step.
+        pub fn bodies(&self) -> &[Body] {
+            &self.bodies
+        }
+
+        /// Give the bodies back.
+        pub fn into_bodies(self) -> Vec<Body> {
+            self.bodies
+        }
+    }
+
+    /// One leapfrog (kick-drift-kick) step with no forces carried over:
+    /// a fresh [`Leapfrog`] stepped once. Returns interactions performed.
     pub fn leapfrog_step(bodies: &mut [Body], dt: f64, theta: f64) -> u64 {
-        let mut stack = Vec::new();
-        let mut accels = vec![[0.0; 3]; bodies.len()];
-        let mut interactions = forces(bodies, theta, &mut stack, &mut accels);
-        for (b, a) in bodies.iter_mut().zip(&accels) {
-            for k in 0..3 {
-                b.vel[k] += 0.5 * dt * a[k];
-                b.pos[k] += dt * b.vel[k];
-            }
-        }
-        interactions += forces(bodies, theta, &mut stack, &mut accels);
-        for (b, a) in bodies.iter_mut().zip(&accels) {
-            for k in 0..3 {
-                b.vel[k] += 0.5 * dt * a[k];
-            }
-        }
+        let mut lf = Leapfrog::new(bodies.to_vec(), theta);
+        let interactions = lf.step(dt);
+        bodies.copy_from_slice(lf.bodies());
         interactions
     }
 
@@ -466,7 +529,7 @@ pub fn run(cfg: &NbodyConfig, ctx: &mut AppCtx) -> (u64, Vec<tree::Body>) {
     let mut rng = SimRng::new(cfg.seed ^ (cfg.rank as u64) << 32);
     // Initialization sweeps the particle arrays once.
     region.touch_fraction(ctx, 0.0, 0.3);
-    let mut bodies = tree::plummer(cfg.particles, &mut rng);
+    let mut sim = tree::Leapfrog::new(tree::plummer(cfg.particles, &mut rng), cfg.theta);
     cost::flops(ctx, (cfg.particles * 50) as f64);
 
     let mut out = SimFile::open(ctx, &cfg.out_path, true, Placement::User);
@@ -477,8 +540,7 @@ pub fn run(cfg: &NbodyConfig, ctx: &mut AppCtx) -> (u64, Vec<tree::Body>) {
         // Exchange top-cell summaries with every other node (the "locally
         // essential tree" handshake, collapsed to the root level).
         if cfg.ntasks > 1 {
-            let t = tree::Octree::build(&bodies);
-            let (m, com) = t.root_summary();
+            let (m, com) = sim.root_summary();
             let mut payload = Vec::with_capacity(32);
             payload.extend_from_slice(&m.to_le_bytes());
             for c in com {
@@ -509,11 +571,11 @@ pub fn run(cfg: &NbodyConfig, ctx: &mut AppCtx) -> (u64, Vec<tree::Body>) {
         region.touch_fraction(ctx, 0.0, 0.3);
         let w0 = 0.3 + 0.7 * ((step % 7) as f64 / 7.0) * 0.6;
         region.touch_fraction(ctx, w0, (w0 + 0.35).min(1.0));
-        total_interactions += tree::leapfrog_step(&mut bodies, cfg.dt, cfg.theta);
+        total_interactions += sim.step(cfg.dt);
         ctx.compute(step_us);
 
         if (step + 1) % cfg.stats_every == 0 {
-            let p = tree::momentum(&bodies);
+            let p = tree::momentum(sim.bodies());
             let line = format!(
                 "step {:>4} interactions {:>12} |p| {:.3e}\n",
                 step + 1,
@@ -526,7 +588,7 @@ pub fn run(cfg: &NbodyConfig, ctx: &mut AppCtx) -> (u64, Vec<tree::Body>) {
             // Particle-subset snapshot (restart seed): positions of the
             // first k bodies, padded to the configured dump size.
             let mut snap = Vec::with_capacity(cfg.snap_bytes);
-            'fill: for b in &bodies {
+            'fill: for b in sim.bodies() {
                 for c in b.pos {
                     snap.extend_from_slice(&c.to_le_bytes());
                     if snap.len() >= cfg.snap_bytes {
@@ -545,7 +607,7 @@ pub fn run(cfg: &NbodyConfig, ctx: &mut AppCtx) -> (u64, Vec<tree::Body>) {
     out.append(ctx, line.into_bytes());
     out.fsync(ctx);
     out.close(ctx);
-    (total_interactions, bodies)
+    (total_interactions, sim.into_bodies())
 }
 
 #[cfg(test)]
@@ -694,6 +756,35 @@ mod tests {
         assert_eq!(
             (format!("{h:016x}"), interactions),
             ("523916e50df93da0".to_string(), 2_516_225)
+        );
+    }
+
+    #[test]
+    fn stepper_equals_fresh_steps_and_tracks_the_root() {
+        // Carrying forces from one step to the next must change nothing:
+        // k steps of one stepper equal k fresh single steps, and the
+        // cached root summary is the one a fresh tree over the current
+        // positions reports.
+        let mut fresh = sample(200, 11);
+        let mut sim = Leapfrog::new(fresh.clone(), 0.6);
+        for step in 0..12 {
+            assert_eq!(
+                sim.root_summary(),
+                Octree::build(sim.bodies()).root_summary(),
+                "step {step}"
+            );
+            let a = sim.step(0.01);
+            let b = leapfrog_step(&mut fresh, 0.01, 0.6);
+            assert_eq!(a, b, "interactions, step {step}");
+            for (x, y) in sim.bodies().iter().zip(&fresh) {
+                for (u, v) in x.pos.iter().chain(&x.vel).zip(y.pos.iter().chain(&y.vel)) {
+                    assert_eq!(u.to_bits(), v.to_bits(), "step {step}");
+                }
+            }
+        }
+        assert_eq!(
+            sim.root_summary(),
+            Octree::build(sim.bodies()).root_summary()
         );
     }
 

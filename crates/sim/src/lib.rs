@@ -14,9 +14,12 @@
 //!   world loop in the `essio` crate turns those into queued events. This
 //!   keeps every subsystem trivially unit-testable with a bare clock.
 //! * [`process::ProcessHost`] runs application code on a dedicated thread,
-//!   synchronized with the engine through zero-capacity rendezvous channels.
-//!   Exactly one side is ever runnable, so execution is deterministic:
-//!   the simulation behaves as a single logical thread of control.
+//!   synchronized with the engine through one shared handoff slot per
+//!   process: each side posts its message and parks until the other
+//!   answers, the engine after a short time-bounded spin (off on a single
+//!   CPU). Exactly one side is ever runnable, so execution is
+//!   deterministic: the simulation behaves as a single logical thread of
+//!   control.
 //! * [`rng::SimRng`] is a small, self-contained PCG32 generator so traces are
 //!   reproducible bit-for-bit across runs and platforms, independent of any
 //!   external crate's stream stability guarantees.

@@ -6,29 +6,55 @@
 //! classic way to square that is co-routine style execution:
 //!
 //! * Application code runs on its own OS thread, but is *only* runnable while
-//!   the engine has explicitly resumed it. Both directions use zero-capacity
-//!   rendezvous channels, so at any instant exactly one logical thread of
-//!   control exists — the simulation is deterministic despite real threads.
+//!   the engine has explicitly resumed it. Engine and process hand control
+//!   back and forth through one shared slot per process: the engine posts a
+//!   resume and waits, the process runs to its next yield, posts it and
+//!   waits. At most one message is ever in flight, so at any instant exactly
+//!   one logical thread of control exists — the simulation is deterministic
+//!   despite real threads.
+//! * A waiting side parks its thread (`thread::park`) and the posting side
+//!   unparks it. The engine first polls the slot for a short, time-bounded
+//!   spin (`ENGINE_SPIN`, 50 µs) before it parks, because most bodies yield
+//!   within microseconds and a park/wake round trip costs more than that.
+//!   The spin is off on a single CPU, where it would only delay the process
+//!   it waits for. The process side never spins: on a small host a spinning
+//!   process would hold the core the next resumed process needs.
 //! * The process communicates in three verbs: **compute** (burn virtual CPU
 //!   time), **request** (a syscall routed to the simulated kernel), and
 //!   **exit**. Memory references are batched as page *touches* piggybacked on
-//!   the next verb, which keeps rendezvous frequency low (thousands of page
-//!   touches cost one channel round-trip) while still letting the VM
-//!   subsystem fault pages on the exact access order the algorithm produced.
+//!   the next verb, which keeps handoff frequency low (thousands of page
+//!   touches cost one round trip) while still letting the VM subsystem fault
+//!   pages on the exact access order the algorithm produced.
 //!
 //! The request/response types are generic: this crate knows nothing about
 //! disks or files. `essio-kernel` instantiates `Req = Syscall`,
 //! `Resp = SysResult`.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::thread::JoinHandle;
-
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::thread::{self, JoinHandle, Thread};
+use std::time::{Duration, Instant};
 
 use crate::time::SimTime;
 
 /// A virtual page number in a process address space.
 pub type Vpn = u64;
+
+/// How long the engine polls a process's slot for its reply before it
+/// parks. A park/unpark round trip costs a futex wait plus the scheduler's
+/// wake-up latency, more than most bodies take to yield. The bound keeps a
+/// slow body from costing more than this in engine CPU, so engines sharing
+/// a host (`campaign`, `conform`) cannot starve each other's process
+/// threads for long.
+const ENGINE_SPIN: Duration = Duration::from_micros(50);
+
+/// Whether the engine spins at all: not on a single CPU, where the process
+/// it waits for cannot run while it spins.
+fn engine_spins() -> bool {
+    static SPINS: OnceLock<bool> = OnceLock::new();
+    *SPINS.get_or_init(|| thread::available_parallelism().is_ok_and(|n| n.get() > 1))
+}
 
 /// What a process reports back to the engine when it yields.
 #[derive(Debug)]
@@ -62,6 +88,136 @@ struct Resume<Resp> {
     resp: Option<Resp>,
 }
 
+/// The message in flight between the engine and a process, if any.
+enum Letter<Req, Resp> {
+    Empty,
+    Resume(Resume<Resp>),
+    Yield(ProcMsg<Req>),
+}
+
+struct SlotState<Req, Resp> {
+    letter: Letter<Req, Resp>,
+    /// The thread that last resumed the process: the one its reply wakes.
+    /// Recorded at every resume, since a host may be driven from any thread.
+    engine: Option<Thread>,
+    /// The host was dropped: a waiting process unwinds.
+    engine_gone: bool,
+    /// The process thread ended: a waiting engine gets no more letters.
+    proc_gone: bool,
+}
+
+/// The one handoff slot a host and its process thread share.
+struct Slot<Req, Resp> {
+    state: Mutex<SlotState<Req, Resp>>,
+    /// Set when a `Yield` lands, so the engine's spin polls without the
+    /// lock. The process stores it with `Release` after writing the letter
+    /// and the spin loads it with `Acquire`; the engine then takes the
+    /// letter under the lock, which clears the flag.
+    yielded: AtomicBool,
+}
+
+impl<Req, Resp> Slot<Req, Resp> {
+    fn new() -> Self {
+        Self {
+            state: Mutex::new(SlotState {
+                letter: Letter::Empty,
+                engine: None,
+                engine_gone: false,
+                proc_gone: false,
+            }),
+            yielded: AtomicBool::new(false),
+        }
+    }
+
+    /// Nothing that can panic runs under the lock and every update is a
+    /// single field write, so a poisoned state is still consistent; taking
+    /// it anyway keeps the `Drop` impls that close the slot panic-free.
+    fn lock(&self) -> MutexGuard<'_, SlotState<Req, Resp>> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Engine side: post `resume` for the `process` thread and wake it.
+    fn post_resume(&self, resume: Resume<Resp>, process: &Thread) {
+        {
+            let mut s = self.lock();
+            s.letter = Letter::Resume(resume);
+            s.engine = Some(thread::current());
+        }
+        process.unpark();
+    }
+
+    /// Engine side: wait for the process's next message. `None` when the
+    /// process thread ended without posting one.
+    fn wait_yield(&self) -> Option<ProcMsg<Req>> {
+        if engine_spins() {
+            let deadline = Instant::now() + ENGINE_SPIN;
+            let mut polls = 0u32;
+            while !self.yielded.load(Ordering::Acquire) {
+                std::hint::spin_loop();
+                polls += 1;
+                if polls.is_multiple_of(64) && Instant::now() >= deadline {
+                    break;
+                }
+            }
+        }
+        loop {
+            {
+                let mut s = self.lock();
+                // The letter is checked before `proc_gone`, under one lock:
+                // an `Exit` posted just before the process thread ended is
+                // delivered, never mistaken for a death.
+                match std::mem::replace(&mut s.letter, Letter::Empty) {
+                    Letter::Yield(msg) => {
+                        self.yielded.store(false, Ordering::Relaxed);
+                        return Some(msg);
+                    }
+                    other => s.letter = other,
+                }
+                if s.proc_gone {
+                    return None;
+                }
+            }
+            thread::park();
+        }
+    }
+
+    /// Process side: post `msg` to the engine and wake it. `false` when the
+    /// host is gone.
+    fn post_yield(&self, msg: ProcMsg<Req>) -> bool {
+        let engine = {
+            let mut s = self.lock();
+            if s.engine_gone {
+                return false;
+            }
+            s.letter = Letter::Yield(msg);
+            self.yielded.store(true, Ordering::Release);
+            s.engine.clone()
+        };
+        if let Some(engine) = engine {
+            engine.unpark();
+        }
+        true
+    }
+
+    /// Process side: park until the engine resumes us. `None` when the host
+    /// is gone.
+    fn wait_resume(&self) -> Option<Resume<Resp>> {
+        loop {
+            {
+                let mut s = self.lock();
+                match std::mem::replace(&mut s.letter, Letter::Empty) {
+                    Letter::Resume(r) => return Some(r),
+                    other => s.letter = other,
+                }
+                if s.engine_gone {
+                    return None;
+                }
+            }
+            thread::park();
+        }
+    }
+}
+
 /// Tuning knobs for how often a process rendezvouses with the engine.
 #[derive(Debug, Clone, Copy)]
 pub struct ProcConfig {
@@ -84,12 +240,25 @@ impl Default for ProcConfig {
 
 /// The process side of the rendezvous: passed to the workload body.
 pub struct ProcCtx<Req, Resp> {
-    to_engine: SyncSender<ProcMsg<Req>>,
-    from_engine: Receiver<Resume<Resp>>,
+    slot: Arc<Slot<Req, Resp>>,
     now: SimTime,
     pending_compute: u64,
     touches: Vec<Vpn>,
     cfg: ProcConfig,
+}
+
+/// However the process thread ends, a waiting engine must learn of it.
+impl<Req, Resp> Drop for ProcCtx<Req, Resp> {
+    fn drop(&mut self) {
+        let engine = {
+            let mut s = self.slot.lock();
+            s.proc_gone = true;
+            s.engine.clone()
+        };
+        if let Some(engine) = engine {
+            engine.unpark();
+        }
+    }
 }
 
 /// Raised (as a panic payload) when the engine side disappears while the
@@ -180,15 +349,15 @@ impl<Req, Resp> ProcCtx<Req, Resp> {
     }
 
     fn yield_msg(&mut self, msg: ProcMsg<Req>) -> Option<Resp> {
-        if self.to_engine.send(msg).is_err() {
+        if !self.slot.post_yield(msg) {
             std::panic::panic_any(SimulationTornDown);
         }
-        match self.from_engine.recv() {
-            Ok(Resume { now, resp }) => {
+        match self.slot.wait_resume() {
+            Some(Resume { now, resp }) => {
                 self.now = now;
                 resp
             }
-            Err(_) => std::panic::panic_any(SimulationTornDown),
+            None => std::panic::panic_any(SimulationTornDown),
         }
     }
 }
@@ -196,8 +365,7 @@ impl<Req, Resp> ProcCtx<Req, Resp> {
 /// Engine-side handle to a hosted process thread.
 pub struct ProcessHost<Req, Resp> {
     name: String,
-    to_proc: Option<SyncSender<Resume<Resp>>>,
-    from_proc: Receiver<ProcMsg<Req>>,
+    slot: Arc<Slot<Req, Resp>>,
     handle: Option<JoinHandle<()>>,
     finished: bool,
 }
@@ -211,20 +379,18 @@ impl<Req: Send + 'static, Resp: Send + 'static> ProcessHost<Req, Resp> {
     {
         install_teardown_hook();
         let name = name.into();
-        let (to_proc, from_engine) = sync_channel::<Resume<Resp>>(0);
-        let (to_engine, from_proc) = sync_channel::<ProcMsg<Req>>(0);
+        let slot = Arc::new(Slot::new());
+        let proc_slot = Arc::clone(&slot);
         let thread_name = format!("sim-proc-{name}");
-        let handle = std::thread::Builder::new()
+        let handle = thread::Builder::new()
             .name(thread_name)
             .spawn(move || {
                 // Park until the engine starts us.
-                let first = match from_engine.recv() {
-                    Ok(r) => r,
-                    Err(_) => return,
+                let Some(first) = proc_slot.wait_resume() else {
+                    return;
                 };
                 let mut ctx = ProcCtx {
-                    to_engine,
-                    from_engine,
+                    slot: proc_slot,
                     now: first.now,
                     pending_compute: 0,
                     touches: Vec::with_capacity(cfg.touch_flush),
@@ -245,23 +411,19 @@ impl<Req: Send + 'static, Resp: Send + 'static> ProcessHost<Req, Resp> {
                 // Flush any trailing compute so totals balance, then exit.
                 let micros = std::mem::take(&mut ctx.pending_compute);
                 if micros > 0
-                    && ctx
-                        .to_engine
-                        .send(ProcMsg::Compute {
-                            micros,
-                            touches: Vec::new(),
-                        })
-                        .is_ok()
+                    && ctx.slot.post_yield(ProcMsg::Compute {
+                        micros,
+                        touches: Vec::new(),
+                    })
                 {
-                    let _ = ctx.from_engine.recv();
+                    let _ = ctx.slot.wait_resume();
                 }
-                let _ = ctx.to_engine.send(ProcMsg::Exit { code, touches });
+                ctx.slot.post_yield(ProcMsg::Exit { code, touches });
             })
             .expect("spawning a simulation process thread");
         Self {
             name,
-            to_proc: Some(to_proc),
-            from_proc,
+            slot,
             handle: Some(handle),
             finished: false,
         }
@@ -296,20 +458,18 @@ impl<Req: Send + 'static, Resp: Send + 'static> ProcessHost<Req, Resp> {
 
     fn resume_inner(&mut self, now: SimTime, resp: Option<Resp>) -> ProcMsg<Req> {
         assert!(!self.finished, "resuming a finished process: {}", self.name);
-        let to_proc = self.to_proc.as_ref().expect("process channel alive");
-        to_proc
-            .send(Resume { now, resp })
-            .expect("process thread alive");
-        match self.from_proc.recv() {
-            Ok(msg) => {
+        let process = self.handle.as_ref().expect("process thread").thread();
+        self.slot.post_resume(Resume { now, resp }, process);
+        match self.slot.wait_yield() {
+            Some(msg) => {
                 if matches!(msg, ProcMsg::Exit { .. }) {
                     self.finished = true;
                 }
                 msg
             }
-            Err(_) => {
-                // Thread terminated without an Exit message (can only happen
-                // if the body thread was killed externally). Synthesize one.
+            None => {
+                // The thread ended without an Exit message (only a torn-down
+                // or externally killed body does that). Synthesize one.
                 self.finished = true;
                 ProcMsg::Exit {
                     code: 102,
@@ -322,10 +482,11 @@ impl<Req: Send + 'static, Resp: Send + 'static> ProcessHost<Req, Resp> {
 
 impl<Req, Resp> Drop for ProcessHost<Req, Resp> {
     fn drop(&mut self) {
-        // Closing the resume channel makes a blocked process thread unwind
-        // with `SimulationTornDown`; then the join is prompt.
-        self.to_proc = None;
+        // Closing the slot makes a blocked process thread unwind with
+        // `SimulationTornDown`; then the join is prompt.
+        self.slot.lock().engine_gone = true;
         if let Some(handle) = self.handle.take() {
+            handle.thread().unpark();
             let _ = handle.join();
         }
     }
@@ -501,5 +662,77 @@ mod tests {
         });
         let _ = host.start(0);
         drop(host); // must join cleanly, not deadlock
+    }
+
+    #[test]
+    fn exit_racing_thread_end_reports_the_real_code() {
+        // The process thread posts `Exit` and ends right after; the engine
+        // must deliver the letter, not read the ended thread as a death
+        // (102). Repeat to give the race many chances.
+        for i in 0..2_000 {
+            let mut host = Host::spawn("t", ProcConfig::default(), move |_ctx| i % 100);
+            let msg = host.start(0);
+            let ProcMsg::Exit { code, .. } = msg else {
+                panic!("expected exit, got {msg:?}")
+            };
+            assert_eq!(code, i % 100, "iteration {i}");
+        }
+    }
+
+    #[test]
+    fn thread_ending_without_exit_reports_102() {
+        // A body torn down without the engine going away ends its thread
+        // with no `Exit` letter: the engine synthesizes code 102.
+        let mut host = Host::spawn("t", ProcConfig::default(), |_ctx| {
+            std::panic::panic_any(SimulationTornDown)
+        });
+        let msg = host.start(0);
+        assert!(matches!(msg, ProcMsg::Exit { code: 102, .. }), "{msg:?}");
+        assert!(host.finished());
+    }
+
+    #[test]
+    fn dropping_host_before_start_or_mid_compute_does_not_hang() {
+        drop(Host::spawn("t", ProcConfig::default(), |_ctx| 0));
+        for _ in 0..200 {
+            // A body that never stops computing: dropped right after a
+            // yield, while its thread may still be on the way to parking.
+            let mut host = Host::spawn(
+                "t",
+                ProcConfig {
+                    compute_flush_us: 1,
+                    touch_flush: 64,
+                },
+                |ctx| loop {
+                    ctx.compute(1);
+                },
+            );
+            assert!(matches!(host.start(0), ProcMsg::Compute { .. }));
+            assert!(matches!(host.resume_compute(1), ProcMsg::Compute { .. }));
+            drop(host);
+        }
+    }
+
+    #[test]
+    fn resumes_from_threads_other_than_the_spawner() {
+        let mut host = Host::spawn("t", ProcConfig::default(), |ctx| {
+            let mut sum = 0;
+            for i in 0..10 {
+                sum += ctx.request(i);
+            }
+            sum as i32
+        });
+        // Start on a second thread, then alternate the driving thread.
+        let mut msg = std::thread::scope(|s| s.spawn(|| host.start(0)).join().unwrap());
+        let mut now = 0;
+        while let ProcMsg::Request { call, .. } = msg {
+            now += 1;
+            msg = if now % 2 == 0 {
+                host.resume(now, call * 2)
+            } else {
+                std::thread::scope(|s| s.spawn(|| host.resume(now, call * 2)).join().unwrap())
+            };
+        }
+        assert!(matches!(msg, ProcMsg::Exit { code: 90, .. }), "{msg:?}");
     }
 }

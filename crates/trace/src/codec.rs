@@ -51,11 +51,15 @@ pub enum DecodeError {
     },
     /// A record carried an invalid op flag.
     BadOp(u8),
-    /// A columnar frame did not decode cleanly (varint overflow, column
-    /// overrun, or an impossible header). `at` is the byte offset of the
-    /// frame's first byte.
+    /// A record or columnar frame holds bytes the encoder never writes: a
+    /// nonzero pad byte, an origin above 7, an overlong or overflowing
+    /// varint, a sector delta outside `i32`, set bits past the last op, a
+    /// column overrun, or an impossible header. Every accepted encoding is
+    /// therefore the one the encoder writes for its records. `at` is the
+    /// byte offset of the record's (fixed format) or the frame's (columnar)
+    /// first byte.
     Corrupt {
-        /// Offset of the corrupt frame.
+        /// Offset of the corrupt record or frame.
         at: u64,
     },
     /// The underlying reader failed (streaming decode only).
@@ -71,7 +75,7 @@ impl std::fmt::Display for DecodeError {
             }
             DecodeError::BadOp(v) => write!(f, "invalid op flag {v}"),
             DecodeError::Corrupt { at } => {
-                write!(f, "corrupt columnar frame at byte {at}")
+                write!(f, "corrupt trace record or frame at byte {at}")
             }
             DecodeError::Io(kind) => write!(f, "trace read failed: {kind}"),
         }
@@ -120,9 +124,9 @@ pub fn canonical_bytes(records: &[TraceRecord]) -> Bytes {
     encode(records)
 }
 
-/// Decode one 20-byte wire record. Shared by the whole-buffer [`decode`]
-/// and the streaming [`ChunkedDecoder`].
-fn decode_record(mut b: &[u8]) -> Result<TraceRecord, DecodeError> {
+/// Decode one 20-byte wire record starting at stream offset `at`. Shared by
+/// the whole-buffer [`decode`] and the streaming [`ChunkedDecoder`].
+fn decode_record(mut b: &[u8], at: u64) -> Result<TraceRecord, DecodeError> {
     debug_assert_eq!(b.len(), RECORD_BYTES);
     let ts = b.get_u64_le();
     let sector = b.get_u32_le();
@@ -134,8 +138,10 @@ fn decode_record(mut b: &[u8]) -> Result<TraceRecord, DecodeError> {
         1 => Op::Write,
         v => return Err(DecodeError::BadOp(v)),
     };
-    let origin = Origin::from_u8(b.get_u8());
-    let _pad = b.get_u8();
+    let origin = Origin::try_from_u8(b.get_u8()).ok_or(DecodeError::Corrupt { at })?;
+    if b.get_u8() != 0 {
+        return Err(DecodeError::Corrupt { at });
+    }
     Ok(TraceRecord {
         ts,
         sector,
@@ -169,8 +175,8 @@ fn decode_fixed(mut data: &[u8]) -> Result<Vec<TraceRecord>, DecodeError> {
         });
     }
     let mut out = Vec::with_capacity(data.len() / RECORD_BYTES);
-    for rec in data.chunks_exact(RECORD_BYTES) {
-        out.push(decode_record(rec)?);
+    for (i, rec) in data.chunks_exact(RECORD_BYTES).enumerate() {
+        out.push(decode_record(rec, (MAGIC.len() + i * RECORD_BYTES) as u64)?);
     }
     Ok(out)
 }
@@ -245,7 +251,9 @@ impl<'a> ColCursor<'a> {
             }
             v |= ((byte & 0x7F) as u64) << shift;
             if byte & 0x80 == 0 {
-                return Some(v);
+                // A zero final byte after the first is overlong: the
+                // encoder never writes one.
+                return (byte != 0 || shift == 0).then_some(v);
             }
             shift += 7;
         }
@@ -409,8 +417,8 @@ fn decode_columnar_frame(
     }
     let mut sector = 0u32;
     for r in &mut out[base..] {
-        let delta = unzigzag(c.varint().ok_or_else(corrupt)?);
-        sector = sector.wrapping_add(delta as i32 as u32);
+        let delta = i32::try_from(unzigzag(c.varint().ok_or_else(corrupt)?));
+        sector = sector.wrapping_add(delta.map_err(|_| corrupt())? as u32);
         r.sector = sector;
     }
     for r in &mut out[base..] {
@@ -435,8 +443,12 @@ fn decode_columnar_frame(
             Op::Read
         };
     }
+    if !n.is_multiple_of(8) && bits >> (n % 8) != 0 {
+        return Err(corrupt()); // bits set past the last record
+    }
     for r in &mut out[base..] {
-        r.origin = Origin::from_u8(c.u8().ok_or_else(corrupt)?);
+        let v = c.u8().ok_or_else(corrupt)?;
+        r.origin = Origin::try_from_u8(v).ok_or_else(corrupt)?;
     }
     if c.pos != body.len() {
         return Err(corrupt());
@@ -559,6 +571,9 @@ impl<R: Read> ChunkedDecoder<R> {
             }
             v |= ((byte[0] & 0x7F) as u64) << shift;
             if byte[0] & 0x80 == 0 {
+                if byte[0] == 0 && shift > 0 {
+                    return Err(DecodeError::Corrupt { at: frame_at }); // overlong
+                }
                 return Ok(Some(v));
             }
             shift += 7;
@@ -606,10 +621,13 @@ impl<R: Read> ChunkedDecoder<R> {
                 at: self.consumed + valid as u64,
             });
         }
-        self.consumed += n as u64;
-        for rec in self.buf[..n].chunks_exact(RECORD_BYTES) {
-            out.push(decode_record(rec)?);
+        for (i, rec) in self.buf[..n].chunks_exact(RECORD_BYTES).enumerate() {
+            out.push(decode_record(
+                rec,
+                self.consumed + (i * RECORD_BYTES) as u64,
+            )?);
         }
+        self.consumed += n as u64;
         Ok(n / RECORD_BYTES)
     }
 
@@ -753,7 +771,7 @@ mod tests {
         assert_eq!(canonical_bytes(&recs).as_ref(), &manual[..]);
         // Per-record bytes roundtrip through the shared record decoder.
         for r in &recs {
-            assert_eq!(decode_record(&canonical_record_bytes(r)).unwrap(), *r);
+            assert_eq!(decode_record(&canonical_record_bytes(r), 0).unwrap(), *r);
         }
     }
 
@@ -1107,6 +1125,71 @@ mod tests {
             decode_chunked(&bad[..], 4, &mut Vec::new()),
             Err(DecodeError::Truncated { at })
         );
+    }
+
+    #[test]
+    fn fixed_pad_and_origin_bytes_must_be_canonical() {
+        // Record 1 starts at 4 + 20 = 24; byte 18 is origin, 19 the pad.
+        for (offset, byte) in [(19, 1), (19, 0x80), (18, 8), (18, 0xff)] {
+            let mut bad = encode(&sample()).to_vec();
+            bad[MAGIC.len() + RECORD_BYTES + offset] = byte;
+            let want = DecodeError::Corrupt { at: 24 };
+            assert_eq!(
+                decode(&bad),
+                Err(want.clone()),
+                "offset {offset}, {byte:#x}"
+            );
+            assert_eq!(
+                drain_chunked(&bad, 1),
+                Err(want),
+                "offset {offset}, {byte:#x}"
+            );
+        }
+    }
+
+    #[test]
+    fn columnar_bytes_must_be_canonical() {
+        // One-record frames written by hand. Columns: ts, sector,
+        // nsectors, pending, node, op bitmap, origin.
+        let frame = |body: &[u8]| {
+            let mut f = MAGIC_COLUMNAR.to_vec();
+            f.extend_from_slice(&[1, body.len() as u8]);
+            f.extend_from_slice(body);
+            f
+        };
+        let good = frame(&[0, 0, 2, 0, 0, 0, 0]);
+        assert_eq!(
+            decode(&good).unwrap(),
+            vec![TraceRecord {
+                ts: 0,
+                sector: 0,
+                nsectors: 2,
+                pending: 0,
+                node: 0,
+                op: Op::Read,
+                origin: Origin::Unknown,
+            }]
+        );
+        for body in [
+            // Sector delta 2³² (zigzag 2³³): outside i32, once truncated to 0.
+            &[0, 0x80, 0x80, 0x80, 0x80, 0x20, 2, 0, 0, 0, 0][..],
+            // A set op bit past the only record.
+            &[0, 0, 2, 0, 0, 0b10, 0],
+            // Origin 8.
+            &[0, 0, 2, 0, 0, 0, 8],
+            // Overlong ts varint: 0 in two bytes.
+            &[0x80, 0, 0, 2, 0, 0, 0, 0],
+        ] {
+            let bad = frame(body);
+            let want = DecodeError::Corrupt { at: 4 };
+            assert_eq!(decode(&bad), Err(want.clone()), "{body:?}");
+            assert_eq!(drain_chunked(&bad, 4), Err(want), "{body:?}");
+        }
+        // An overlong frame header (n = 1 in two bytes) is an error too.
+        let mut bad = MAGIC_COLUMNAR.to_vec();
+        bad.extend_from_slice(&[0x81, 0, 7, 0, 0, 2, 0, 0, 0, 0]);
+        assert!(decode(&bad).is_err());
+        assert_eq!(drain_chunked(&bad, 4), Err(DecodeError::Corrupt { at: 4 }));
     }
 
     #[test]

@@ -94,6 +94,12 @@ impl Origin {
             _ => Origin::Unknown,
         }
     }
+
+    /// Decode from the wire byte, rejecting values no origin encodes. The
+    /// trace decoders use this so that every decoded byte is canonical.
+    pub fn try_from_u8(v: u8) -> Option<Origin> {
+        Origin::ALL.get(usize::from(v)).copied()
+    }
 }
 
 /// One entry per physical request dispatched to the (simulated) disk.
@@ -187,6 +193,16 @@ mod tests {
             assert_eq!(Origin::from_u8(o as u8), o);
         }
         assert_eq!(Origin::from_u8(255), Origin::Unknown);
+    }
+
+    #[test]
+    fn checked_origin_decoding_rejects_unused_bytes() {
+        for o in Origin::ALL {
+            assert_eq!(Origin::try_from_u8(o as u8), Some(o));
+        }
+        for v in 8..=u8::MAX {
+            assert_eq!(Origin::try_from_u8(v), None, "{v}");
+        }
     }
 
     #[test]

@@ -4,10 +4,11 @@
 //! records, and the analyses must conserve mass (every request counted
 //! exactly once in every view).
 
+use essio_conform::fingerprint::TraceHasher;
 use essio_trace::analysis::{
     rw::RwStats, series, size::ClassBreakdown, spatial, temporal::TemporalLocality,
 };
-use essio_trace::{codec, Op, Origin, TraceRecord};
+use essio_trace::{codec, Op, Origin, RecordSink, TraceRecord};
 use proptest::prelude::*;
 
 fn record() -> impl Strategy<Value = TraceRecord> {
@@ -295,5 +296,70 @@ proptest! {
             enc.push(*r);
         }
         decode_every_way(&mutate(enc.finish().to_vec(), &e));
+    }
+}
+
+/// The `TraceHasher` fingerprint, `(hash, records)`, of what each decoder
+/// reads from `data`: batch `decode`, then `decode_chunked` at chunks of 1
+/// and of 64 records (more than any trace here holds). `None` where the
+/// decoder returns `Err`.
+fn fingerprints(data: &[u8]) -> [Option<(u64, u64)>; 3] {
+    let batch = codec::decode(data).ok().map(|recs| {
+        let mut h = TraceHasher::new();
+        h.observe_all(&recs);
+        (h.value(), h.records())
+    });
+    let chunked = |chunk| {
+        let mut h = TraceHasher::new();
+        codec::decode_chunked(data, chunk, &mut h)
+            .ok()
+            .map(|_| (h.value(), h.records()))
+    };
+    [batch, chunked(1), chunked(64)]
+}
+
+/// Every single-byte flip (each position XOR each nonzero mask) and every
+/// truncation of `encoded` must decode to `Err` or to another fingerprint:
+/// no damaged byte goes unnoticed.
+fn damage_is_never_silent(encoded: &[u8]) -> Result<(), TestCaseError> {
+    let clean = fingerprints(encoded)[0];
+    prop_assert!(clean.is_some(), "the undamaged encoding must decode");
+    for at in 0..encoded.len() {
+        for mask in 1..=u8::MAX {
+            let mut damaged = encoded.to_vec();
+            damaged[at] ^= mask;
+            for fp in fingerprints(&damaged) {
+                prop_assert!(fp != clean, "byte {at} ^ {mask:#04x} decodes unchanged");
+            }
+        }
+        for fp in fingerprints(&encoded[..at]) {
+            prop_assert!(fp != clean, "truncation to {at} bytes decodes unchanged");
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    // Non-empty traces: the two empty encodings are each other's magic with
+    // one byte flipped, and both are the empty trace.
+    #[test]
+    fn damaging_one_byte_of_a_fixed_trace_is_detected(
+        t in prop::collection::vec(wild_record(), 1..5),
+    ) {
+        damage_is_never_silent(&codec::encode(&t))?;
+    }
+
+    #[test]
+    fn damaging_one_byte_of_a_columnar_trace_is_detected(
+        t in prop::collection::vec(wild_record(), 1..5),
+        frame in 1usize..4,
+    ) {
+        let mut enc = codec::ColumnarEncoder::with_frame_records(frame);
+        for r in &t {
+            enc.push(*r);
+        }
+        damage_is_never_silent(&enc.finish())?;
     }
 }
