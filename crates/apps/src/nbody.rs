@@ -523,16 +523,16 @@ impl Default for NbodyConfig {
 pub const TAG_CELLS: i32 = 301;
 
 /// Run the N-body workload. Returns (total interactions, final bodies).
-pub fn run(cfg: &NbodyConfig, ctx: &mut AppCtx) -> (u64, Vec<tree::Body>) {
-    load_program(ctx, &cfg.text_path);
-    let region = PagedRegion::map(ctx, cfg.footprint_pages);
+pub async fn run(cfg: &NbodyConfig, ctx: &mut AppCtx) -> (u64, Vec<tree::Body>) {
+    load_program(ctx, &cfg.text_path).await;
+    let region = PagedRegion::map(ctx, cfg.footprint_pages).await;
     let mut rng = SimRng::new(cfg.seed ^ (cfg.rank as u64) << 32);
     // Initialization sweeps the particle arrays once.
-    region.touch_fraction(ctx, 0.0, 0.3);
+    region.touch_fraction(ctx, 0.0, 0.3).await;
     let mut sim = tree::Leapfrog::new(tree::plummer(cfg.particles, &mut rng), cfg.theta);
-    cost::flops(ctx, (cfg.particles * 50) as f64);
+    cost::flops(ctx, (cfg.particles * 50) as f64).await;
 
-    let mut out = SimFile::open(ctx, &cfg.out_path, true, Placement::User);
+    let mut out = SimFile::open(ctx, &cfg.out_path, true, Placement::User).await;
     let step_us = (cfg.duration_s * 1e6 / cfg.steps as f64) as u64;
     let mut total_interactions = 0u64;
 
@@ -552,14 +552,18 @@ pub fn run(cfg: &NbodyConfig, ctx: &mut AppCtx) -> (u64, Vec<tree::Body>) {
                         to: cfg.task_base + r,
                         tag: TAG_CELLS,
                         data: payload.clone(),
-                    });
+                    })
+                    .await;
                 }
             }
             for _ in 1..cfg.ntasks {
-                match ctx.net(NetOp::Recv {
-                    from: None,
-                    tag: Some(TAG_CELLS),
-                }) {
+                match ctx
+                    .net(NetOp::Recv {
+                        from: None,
+                        tag: Some(TAG_CELLS),
+                    })
+                    .await
+                {
                     NetResult::Message(_) => {}
                     other => panic!("cell recv: {other:?}"),
                 }
@@ -568,11 +572,11 @@ pub fn run(cfg: &NbodyConfig, ctx: &mut AppCtx) -> (u64, Vec<tree::Body>) {
         // Tree build + force walk churn the footprint: particles (lower
         // third) every step, tree arena (upper two thirds) rebuilt with a
         // moving window — the modest-but-steady fault source of Figure 4.
-        region.touch_fraction(ctx, 0.0, 0.3);
+        region.touch_fraction(ctx, 0.0, 0.3).await;
         let w0 = 0.3 + 0.7 * ((step % 7) as f64 / 7.0) * 0.6;
-        region.touch_fraction(ctx, w0, (w0 + 0.35).min(1.0));
+        region.touch_fraction(ctx, w0, (w0 + 0.35).min(1.0)).await;
         total_interactions += sim.step(cfg.dt);
-        ctx.compute(step_us);
+        ctx.compute(step_us).await;
 
         if (step + 1) % cfg.stats_every == 0 {
             let p = tree::momentum(sim.bodies());
@@ -582,7 +586,7 @@ pub fn run(cfg: &NbodyConfig, ctx: &mut AppCtx) -> (u64, Vec<tree::Body>) {
                 total_interactions,
                 (p[0] * p[0] + p[1] * p[1] + p[2] * p[2]).sqrt()
             );
-            out.append(ctx, line.into_bytes());
+            out.append(ctx, line.into_bytes()).await;
         }
         if cfg.snap_every > 0 && (step + 1) % cfg.snap_every == 0 {
             // Particle-subset snapshot (restart seed): positions of the
@@ -597,16 +601,16 @@ pub fn run(cfg: &NbodyConfig, ctx: &mut AppCtx) -> (u64, Vec<tree::Body>) {
                 }
             }
             snap.resize(cfg.snap_bytes, 0);
-            out.append(ctx, snap);
+            out.append(ctx, snap).await;
         }
     }
     let line = format!(
         "final particles {} interactions {}\n",
         cfg.particles, total_interactions
     );
-    out.append(ctx, line.into_bytes());
-    out.fsync(ctx);
-    out.close(ctx);
+    out.append(ctx, line.into_bytes()).await;
+    out.fsync(ctx).await;
+    out.close(ctx).await;
     (total_interactions, sim.into_bodies())
 }
 

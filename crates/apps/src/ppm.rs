@@ -533,7 +533,7 @@ fn grid_stats(g: &solver::Grid) -> [f64; 3] {
 /// Run the PPM workload to completion on the calling simulated process,
 /// replaying `traj` (computed from a config with this one's grid and step
 /// count) for every grid.
-pub fn run(cfg: &PpmConfig, traj: &Trajectory, ctx: &mut AppCtx) {
+pub async fn run(cfg: &PpmConfig, traj: &Trajectory, ctx: &mut AppCtx) {
     let row = cfg.nx * 8;
     assert_eq!(
         traj.halos.len(),
@@ -542,17 +542,17 @@ pub fn run(cfg: &PpmConfig, traj: &Trajectory, ctx: &mut AppCtx) {
     );
     // Startup: demand-page program text, then allocate and initialize the
     // data footprint (the paper notes PPM has no input data).
-    load_program(ctx, &cfg.text_path);
-    let region = PagedRegion::map(ctx, cfg.footprint_pages);
+    load_program(ctx, &cfg.text_path).await;
+    let region = PagedRegion::map(ctx, cfg.footprint_pages).await;
     for g in 0..cfg.grids_per_node {
         // Initialization touches each grid's slice of the footprint.
         let frac0 = g as f64 / cfg.grids_per_node as f64;
         let frac1 = (g + 1) as f64 / cfg.grids_per_node as f64;
-        region.touch_fraction(ctx, frac0, frac1);
-        cost::flops(ctx, (cfg.nx * cfg.ny * 20) as f64);
+        region.touch_fraction(ctx, frac0, frac1).await;
+        cost::flops(ctx, (cfg.nx * cfg.ny * 20) as f64).await;
     }
 
-    let mut out = SimFile::open(ctx, &cfg.out_path, true, Placement::User);
+    let mut out = SimFile::open(ctx, &cfg.out_path, true, Placement::User).await;
     let step_us = (cfg.duration_s * 1e6 / cfg.steps as f64) as u64;
 
     for step in 0..cfg.steps {
@@ -566,11 +566,15 @@ pub fn run(cfg: &PpmConfig, traj: &Trajectory, ctx: &mut AppCtx) {
                     to: next,
                     tag: TAG_HALO,
                     data: traj.halos[step * row..(step + 1) * row].to_vec(),
-                });
-                match ctx.net(NetOp::Recv {
-                    from: Some(prev),
-                    tag: Some(TAG_HALO),
-                }) {
+                })
+                .await;
+                match ctx
+                    .net(NetOp::Recv {
+                        from: Some(prev),
+                        tag: Some(TAG_HALO),
+                    })
+                    .await
+                {
                     // The neighbour's boundary is not folded back, which
                     // keeps grids numerically independent (see
                     // `Trajectory`) while making the network dependency
@@ -586,21 +590,22 @@ pub fn run(cfg: &PpmConfig, traj: &Trajectory, ctx: &mut AppCtx) {
             // shortfall instead of the whole slice).
             let frac0 = g as f64 / cfg.grids_per_node as f64;
             let frac1 = (g + 1) as f64 / cfg.grids_per_node as f64;
-            region.touch_fraction_dir(ctx, frac0, frac1, true);
-            region.touch_fraction_dir(ctx, frac0, frac1, false);
-            ctx.compute(step_us / cfg.grids_per_node as u64);
+            region.touch_fraction_dir(ctx, frac0, frac1, true).await;
+            region.touch_fraction_dir(ctx, frac0, frac1, false).await;
+            ctx.compute(step_us / cfg.grids_per_node as u64).await;
         }
         if (step + 1) % cfg.stats_every == 0 || step + 1 == cfg.steps {
             let line = stats_line(step + 1, traj.stats[step + 1], cfg.grids_per_node);
-            out.append(ctx, line.into_bytes());
+            out.append(ctx, line.into_bytes()).await;
         }
     }
     // Final summary + make it durable (the paper's "explicit I/O is due to
     // writing the final simulation results into output files", §5).
     let last = stats_line(cfg.steps, traj.stats[cfg.steps], cfg.grids_per_node);
-    out.append(ctx, format!("final {last}\n").into_bytes());
-    out.fsync(ctx);
-    out.close(ctx);
+    out.append(ctx, format!("final {last}\n").into_bytes())
+        .await;
+    out.fsync(ctx).await;
+    out.close(ctx).await;
 }
 
 /// One stats line: the step, then the `(mass, energy, rho_min)` triple once

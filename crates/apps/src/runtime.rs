@@ -13,6 +13,8 @@
 //!   producing the page-in burst the paper observes while "the working set
 //!   of the code" builds (§5).
 
+use std::future::Future;
+
 use essio_kernel::{SysResult, Syscall};
 use essio_net::{NetOp, NetResult};
 use essio_sim::{ProcCtx, Vpn};
@@ -41,21 +43,21 @@ pub type AppCtx = ProcCtx<AppCall, AppReply>;
 /// Typed request helpers over the raw context.
 pub trait CtxExt {
     /// Issue a syscall and unwrap the syscall reply.
-    fn sys(&mut self, call: Syscall) -> SysResult;
+    fn sys(&mut self, call: Syscall) -> impl Future<Output = SysResult>;
     /// Issue a network operation and unwrap the network reply.
-    fn net(&mut self, op: NetOp) -> NetResult;
+    fn net(&mut self, op: NetOp) -> impl Future<Output = NetResult>;
 }
 
 impl CtxExt for AppCtx {
-    fn sys(&mut self, call: Syscall) -> SysResult {
-        match self.request(AppCall::Sys(call)) {
+    async fn sys(&mut self, call: Syscall) -> SysResult {
+        match self.request(AppCall::Sys(call)).await {
             AppReply::Sys(r) => r,
             AppReply::Net(n) => panic!("kernel call answered with network reply {n:?}"),
         }
     }
 
-    fn net(&mut self, op: NetOp) -> NetResult {
-        match self.request(AppCall::Net(op)) {
+    async fn net(&mut self, op: NetOp) -> NetResult {
+        match self.request(AppCall::Net(op)).await {
             AppReply::Net(r) => r,
             AppReply::Sys(s) => panic!("network call answered with syscall reply {s:?}"),
         }
@@ -71,7 +73,7 @@ pub struct SimFile {
 
 impl SimFile {
     /// Open (optionally create) a file.
-    pub fn open(
+    pub async fn open(
         ctx: &mut AppCtx,
         path: &str,
         create: bool,
@@ -83,31 +85,36 @@ impl SimFile {
                 create,
                 placement,
             })
+            .await
             .fd();
         SimFile { fd, offset: 0 }
     }
 
     /// Sequential read of up to `len` bytes (advances the cursor).
-    pub fn read(&mut self, ctx: &mut AppCtx, len: u32) -> Vec<u8> {
+    pub async fn read(&mut self, ctx: &mut AppCtx, len: u32) -> Vec<u8> {
         let data = ctx
             .sys(Syscall::ReadAt {
                 fd: self.fd,
                 offset: self.offset,
                 len,
             })
+            .await
             .data();
         self.offset += data.len() as u64;
         data
     }
 
     /// Sequential write (advances the cursor).
-    pub fn write(&mut self, ctx: &mut AppCtx, data: Vec<u8>) {
+    pub async fn write(&mut self, ctx: &mut AppCtx, data: Vec<u8>) {
         let n = data.len() as u64;
-        match ctx.sys(Syscall::WriteAt {
-            fd: self.fd,
-            offset: self.offset,
-            data,
-        }) {
+        match ctx
+            .sys(Syscall::WriteAt {
+                fd: self.fd,
+                offset: self.offset,
+                data,
+            })
+            .await
+        {
             SysResult::Written(_) => {}
             other => panic!("write failed: {other:?}"),
         }
@@ -115,24 +122,24 @@ impl SimFile {
     }
 
     /// Append at end-of-file (does not move the cursor).
-    pub fn append(&mut self, ctx: &mut AppCtx, data: Vec<u8>) {
-        match ctx.sys(Syscall::Append { fd: self.fd, data }) {
+    pub async fn append(&mut self, ctx: &mut AppCtx, data: Vec<u8>) {
+        match ctx.sys(Syscall::Append { fd: self.fd, data }).await {
             SysResult::Written(_) => {}
             other => panic!("append failed: {other:?}"),
         }
     }
 
     /// Block until this file's dirty blocks are on disk.
-    pub fn fsync(&mut self, ctx: &mut AppCtx) {
-        match ctx.sys(Syscall::Fsync { fd: self.fd }) {
+    pub async fn fsync(&mut self, ctx: &mut AppCtx) {
+        match ctx.sys(Syscall::Fsync { fd: self.fd }).await {
             SysResult::Unit => {}
             other => panic!("fsync failed: {other:?}"),
         }
     }
 
     /// Close the descriptor.
-    pub fn close(self, ctx: &mut AppCtx) {
-        ctx.sys(Syscall::Close { fd: self.fd });
+    pub async fn close(self, ctx: &mut AppCtx) {
+        ctx.sys(Syscall::Close { fd: self.fd }).await;
     }
 
     /// Reposition the cursor.
@@ -155,8 +162,8 @@ pub struct PagedRegion {
 
 impl PagedRegion {
     /// Map `pages` anonymous pages.
-    pub fn map(ctx: &mut AppCtx, pages: u32) -> PagedRegion {
-        let (base, got) = ctx.sys(Syscall::MapAnon { pages }).mapped();
+    pub async fn map(ctx: &mut AppCtx, pages: u32) -> PagedRegion {
+        let (base, got) = ctx.sys(Syscall::MapAnon { pages }).await.mapped();
         debug_assert_eq!(got, pages);
         PagedRegion { base, pages }
     }
@@ -167,27 +174,26 @@ impl PagedRegion {
     }
 
     /// Touch the page containing byte `off`.
-    #[inline]
-    pub fn touch_byte(&self, ctx: &mut AppCtx, off: u64) {
+    pub async fn touch_byte(&self, ctx: &mut AppCtx, off: u64) {
         let page = (off / 4096).min(self.pages as u64 - 1);
-        ctx.touch(self.base + page);
+        ctx.touch(self.base + page).await;
     }
 
     /// Touch every page overlapping `[off, off+len)`.
-    pub fn touch_bytes(&self, ctx: &mut AppCtx, off: u64, len: u64) {
+    pub async fn touch_bytes(&self, ctx: &mut AppCtx, off: u64, len: u64) {
         if len == 0 || self.pages == 0 {
             return;
         }
         let first = (off / 4096).min(self.pages as u64 - 1);
         let last = ((off + len - 1) / 4096).min(self.pages as u64 - 1);
-        ctx.touch_range(self.base + first, last - first + 1);
+        ctx.touch_range(self.base + first, last - first + 1).await;
     }
 
     /// Touch the slice of the region from `from` to `to` (fractions in
     /// `[0, 1]`) — how a scaled-down computation reports paper-scale
     /// progress through its arrays.
-    pub fn touch_fraction(&self, ctx: &mut AppCtx, from: f64, to: f64) {
-        self.touch_fraction_dir(ctx, from, to, true);
+    pub async fn touch_fraction(&self, ctx: &mut AppCtx, from: f64, to: f64) {
+        self.touch_fraction_dir(ctx, from, to, true).await;
     }
 
     /// [`PagedRegion::touch_fraction`] with an explicit sweep direction.
@@ -196,7 +202,7 @@ impl PagedRegion {
     /// same-direction rescan of a region larger than the frame pool faults
     /// on *every* page under clock replacement, while a reversed sweep
     /// refaults only the excess.
-    pub fn touch_fraction_dir(&self, ctx: &mut AppCtx, from: f64, to: f64, forward: bool) {
+    pub async fn touch_fraction_dir(&self, ctx: &mut AppCtx, from: f64, to: f64, forward: bool) {
         debug_assert!((0.0..=1.0).contains(&from) && from <= to && to <= 1.0);
         let first = (from * self.pages as f64) as u64;
         let last = ((to * self.pages as f64).ceil() as u64).min(self.pages as u64);
@@ -204,11 +210,11 @@ impl PagedRegion {
             return;
         }
         if forward {
-            ctx.touch_range(self.base + first, last - first);
+            ctx.touch_range(self.base + first, last - first).await;
         } else {
-            for p in (first..last).rev() {
-                ctx.touch(self.base + p);
-            }
+            let base = self.base;
+            ctx.touch_pages((first..last).rev().map(move |p| base + p), 0)
+                .await;
         }
     }
 }
@@ -216,16 +222,15 @@ impl PagedRegion {
 /// Demand-page a program's text: map it and walk every page with a little
 /// compute in between (loader + relocation + init), generating the startup
 /// page-in burst. Returns the text mapping base.
-pub fn load_program(ctx: &mut AppCtx, path: &str) -> (Vpn, u32) {
+pub async fn load_program(ctx: &mut AppCtx, path: &str) -> (Vpn, u32) {
     let (base, pages) = ctx
         .sys(Syscall::MapText {
             path: path.to_string(),
         })
+        .await
         .mapped();
-    for p in 0..pages {
-        ctx.touch(base + p as Vpn);
-        ctx.compute(120); // relocate/init per page on a 486
-    }
+    // Relocate/init: 120 µs per page on a 486.
+    ctx.touch_pages(base..base + pages as Vpn, 120).await;
     (base, pages)
 }
 
@@ -236,9 +241,8 @@ pub mod cost {
     pub const FLOP_US: f64 = 0.2;
 
     /// Bill `flops` floating-point operations to the context.
-    #[inline]
-    pub fn flops(ctx: &mut super::AppCtx, flops: f64) {
-        ctx.compute((flops * FLOP_US) as u64);
+    pub async fn flops(ctx: &mut super::AppCtx, flops: f64) {
+        ctx.compute((flops * FLOP_US) as u64).await;
     }
 }
 
@@ -251,14 +255,16 @@ mod tests {
 
     #[test]
     fn ctxext_routes_and_unwraps() {
-        let mut host = Host::spawn("t", ProcConfig::default(), |ctx| {
-            let r = ctx.sys(Syscall::Stat { path: "/x".into() });
+        let mut host = Host::spawn("t", ProcConfig::default(), |mut ctx| async move {
+            let r = ctx.sys(Syscall::Stat { path: "/x".into() }).await;
             assert!(matches!(r, SysResult::Stat { size: 7 }));
-            let r = ctx.net(NetOp::Send {
-                to: 1,
-                tag: 0,
-                data: vec![],
-            });
+            let r = ctx
+                .net(NetOp::Send {
+                    to: 1,
+                    tag: 0,
+                    data: vec![],
+                })
+                .await;
             assert!(matches!(r, NetResult::Sent));
             0
         });
@@ -278,8 +284,8 @@ mod tests {
 
     #[test]
     fn mismatched_reply_kind_panics_the_process() {
-        let mut host = Host::spawn("t", ProcConfig::default(), |ctx| {
-            ctx.sys(Syscall::Stat { path: "/x".into() });
+        let mut host = Host::spawn("t", ProcConfig::default(), |mut ctx| async move {
+            ctx.sys(Syscall::Stat { path: "/x".into() }).await;
             0
         });
         let _ = host.start(0);
@@ -296,25 +302,27 @@ mod tests {
                 compute_flush_us: u64::MAX,
                 touch_flush: 1 << 20,
             },
-            |ctx| {
+            |mut ctx| async move {
                 let region = PagedRegion {
                     base: 100,
                     pages: 10,
                 };
-                region.touch_fraction(ctx, 0.0, 0.5);
+                region.touch_fraction(&mut ctx, 0.0, 0.5).await;
                 ctx.request(AppCall::Net(NetOp::Send {
                     to: 0,
                     tag: 0,
                     data: vec![],
-                }));
-                region.touch_fraction(ctx, 0.5, 1.0);
-                region.touch_byte(ctx, 0);
-                region.touch_bytes(ctx, 4096, 8192);
+                }))
+                .await;
+                region.touch_fraction(&mut ctx, 0.5, 1.0).await;
+                region.touch_byte(&mut ctx, 0).await;
+                region.touch_bytes(&mut ctx, 4096, 8192).await;
                 ctx.request(AppCall::Net(NetOp::Send {
                     to: 0,
                     tag: 0,
                     data: vec![],
-                }));
+                }))
+                .await;
                 0
             },
         );
@@ -341,13 +349,14 @@ mod tests {
                 compute_flush_us: u64::MAX,
                 touch_flush: 1 << 20,
             },
-            |ctx| {
-                cost::flops(ctx, 1_000_000.0); // 0.2 s of 486 time
+            |mut ctx| async move {
+                cost::flops(&mut ctx, 1_000_000.0).await; // 0.2 s of 486 time
                 ctx.request(AppCall::Net(NetOp::Send {
                     to: 0,
                     tag: 0,
                     data: vec![],
-                }));
+                }))
+                .await;
                 0
             },
         );

@@ -267,12 +267,12 @@ pub const TAG_REDUCE: i32 = 201;
 
 /// Run the wavelet workload. Returns (energy before, energy after,
 /// sparsity) for validation.
-pub fn run(cfg: &WaveletConfig, ctx: &mut AppCtx) -> (f64, f64, f64) {
+pub async fn run(cfg: &WaveletConfig, ctx: &mut AppCtx) -> (f64, f64, f64) {
     // Phase 1 — startup: big text image + work-buffer initialization.
     // Two passes over a footprint that exceeds what stays resident under
     // load → sustained 4 KB paging (Figure 3's opening burst).
-    load_program(ctx, &cfg.text_path);
-    let region = PagedRegion::map(ctx, cfg.footprint_pages);
+    load_program(ctx, &cfg.text_path).await;
+    let region = PagedRegion::map(ctx, cfg.footprint_pages).await;
     let setup_us = (cfg.setup_s * 1e6) as u64;
     let init_slices = 24;
     // Pass 1 builds every buffer (zero-fill, forward); pass 2 re-walks the
@@ -289,25 +289,27 @@ pub fn run(cfg: &WaveletConfig, ctx: &mut AppCtx) -> (f64, f64, f64) {
         for s in order {
             let f0 = s as f64 * upto / slices as f64;
             let f1 = (s + 1) as f64 * upto / slices as f64;
-            region.touch_fraction_dir(ctx, f0, f1, forward);
-            ctx.compute(setup_us / (2 * slices));
+            region.touch_fraction_dir(ctx, f0, f1, forward).await;
+            ctx.compute(setup_us / (2 * slices)).await;
         }
     }
 
     // Phase 2 — stream the image from disk (the ~50 s read spike).
-    let mut img_file = SimFile::open(ctx, &cfg.image_path, false, Placement::User);
+    let mut img_file = SimFile::open(ctx, &cfg.image_path, false, Placement::User).await;
     let mut raw = Vec::with_capacity(cfg.image_bytes as usize);
     while raw.len() < cfg.image_bytes as usize {
-        let chunk = img_file.read(ctx, cfg.read_chunk);
+        let chunk = img_file.read(ctx, cfg.read_chunk).await;
         if chunk.is_empty() {
             break;
         }
         // Copying into the working buffer touches its pages.
-        region.touch_bytes(ctx, raw.len() as u64, chunk.len() as u64);
-        ctx.compute(60); // per-chunk copy + byte→float conversion
+        region
+            .touch_bytes(ctx, raw.len() as u64, chunk.len() as u64)
+            .await;
+        ctx.compute(60).await; // per-chunk copy + byte→float conversion
         raw.extend_from_slice(&chunk);
     }
-    img_file.close(ctx);
+    img_file.close(ctx).await;
     assert!(
         raw.len() >= cfg.size * cfg.size,
         "image file too small: {} < {}",
@@ -327,9 +329,11 @@ pub fn run(cfg: &WaveletConfig, ctx: &mut AppCtx) -> (f64, f64, f64) {
         // lull: "system memory maintaining the working set").
         size /= 2;
         let active = (size * size) as f64 / (cfg.size * cfg.size) as f64;
-        region.touch_fraction(ctx, 0.0, active.clamp(1.0 / region.pages() as f64, 1.0));
-        cost::flops(ctx, (size * size * 32) as f64);
-        ctx.compute(phase_us / cfg.levels as u64);
+        region
+            .touch_fraction(ctx, 0.0, active.clamp(1.0 / region.pages() as f64, 1.0))
+            .await;
+        cost::flops(ctx, (size * size * 32) as f64).await;
+        ctx.compute(phase_us / cfg.levels as u64).await;
     }
     transform::analyze_2d(&mut img, cfg.levels, cfg.filter);
     let e_after = img.energy();
@@ -341,28 +345,32 @@ pub fn run(cfg: &WaveletConfig, ctx: &mut AppCtx) -> (f64, f64, f64) {
         if cfg.rank == 0 {
             let mut total = e_after;
             for _ in 1..cfg.ntasks {
-                match ctx.net(NetOp::Recv {
-                    from: None,
-                    tag: Some(TAG_REDUCE),
-                }) {
+                match ctx
+                    .net(NetOp::Recv {
+                        from: None,
+                        tag: Some(TAG_REDUCE),
+                    })
+                    .await
+                {
                     NetResult::Message(m) => {
                         total += f64::from_le_bytes(m.data[..8].try_into().expect("8-byte energy"));
                     }
                     other => panic!("reduce recv: {other:?}"),
                 }
             }
-            ctx.compute(100);
+            ctx.compute(100).await;
             let _ = total;
         } else {
             ctx.net(NetOp::Send {
                 to: cfg.task_base,
                 tag: TAG_REDUCE,
                 data: e_after.to_le_bytes().to_vec(),
-            });
+            })
+            .await;
         }
     }
 
-    let mut out = SimFile::open(ctx, &cfg.out_path, true, Placement::User);
+    let mut out = SimFile::open(ctx, &cfg.out_path, true, Placement::User).await;
     // Coefficient plane: one byte per pixel at paper scale (the transform
     // is in-place, so the output file matches the input's 256 KB).
     let out_bytes = cfg.image_bytes as usize;
@@ -375,17 +383,18 @@ pub fn run(cfg: &WaveletConfig, ctx: &mut AppCtx) -> (f64, f64, f64) {
                 (c.abs() as u64 & 0xFF) as u8
             })
             .collect();
-        out.write(ctx, chunk);
-        region.touch_bytes(ctx, written as u64, n as u64);
-        ctx.compute(300);
+        out.write(ctx, chunk).await;
+        region.touch_bytes(ctx, written as u64, n as u64).await;
+        ctx.compute(300).await;
         written += n;
     }
     out.append(
         ctx,
         format!("energy {e_before:.3} -> {e_after:.3} sparsity {sparsity:.4}\n").into_bytes(),
-    );
-    out.fsync(ctx);
-    out.close(ctx);
+    )
+    .await;
+    out.fsync(ctx).await;
+    out.close(ctx).await;
     (e_before, e_after, sparsity)
 }
 

@@ -69,7 +69,9 @@ fn main() {
     let e = if full { e } else { e.quick() };
     let e = e.obs(obs_dir.is_some());
     let t0 = std::time::Instant::now();
+    let ledger = essio_sim::BodyLedger::current();
     let r = e.run();
+    let bodies = essio_sim::BodyLedger::current().since(ledger);
     eprintln!("host time: {:.2?}", t0.elapsed());
     eprintln!(
         "virtual duration: {:.1}s  records: {}  clean exits: {}",
@@ -78,11 +80,13 @@ fn main() {
         r.all_clean()
     );
     eprintln!(
-        "throughput: {} events ({:.0}/s)  {} records ({:.0}/s)",
+        "throughput: {} events ({:.0}/s)  {} records ({:.0}/s)  bodies: {} polls, {:.3}s",
         r.perf.events,
         r.perf.events_per_sec(),
         r.perf.records,
-        r.perf.records_per_sec()
+        r.perf.records_per_sec(),
+        bodies.polls,
+        bodies.body_secs
     );
     if let Some(dir) = &obs_dir {
         if let Err(e) = std::fs::create_dir_all(dir) {

@@ -7,14 +7,15 @@
 //!   reports a completion deadline when the drive goes idle → busy; every
 //!   `Some(deadline)` is scheduled exactly once, and each completion either
 //!   reports the next deadline or the drive is idle.
-//! * **One runnable logical thread.** Hosted process threads only run
-//!   between `resume()` and the next yield; the loop is otherwise single-
-//!   threaded, so identical seeds give bit-identical traces.
+//! * **One thread of control.** Process bodies are futures the loop polls
+//!   on its own thread, from `resume()` to the next yield, so identical
+//!   seeds give bit-identical traces.
 //! * **Processes park in exactly one place**: the kernel (disk waits), the
 //!   PVM layer (receive/barrier waits), or the loop's own `pending` map
 //!   (touch streams mid-fault with their continuation message).
 
 use std::collections::HashMap;
+use std::future::Future;
 
 use essio_apps::{AppCall, AppReply};
 use essio_faults::{FaultPlan, NetFaultState};
@@ -445,11 +446,14 @@ impl Beowulf {
         }
     }
 
-    /// Spawn an application process on `node`, to start at `start`.
-    /// Returns its PVM task id (assigned in spawn order).
-    pub fn spawn<F>(&mut self, node: u8, name: &str, start: SimTime, body: F) -> TaskId
+    /// Spawn an application process on `node`, to start at `start`:
+    /// `body` takes the process context and returns the future the loop
+    /// polls; none of it runs before `start`. Returns its PVM task id
+    /// (assigned in spawn order).
+    pub fn spawn<F, Fut>(&mut self, node: u8, name: &str, start: SimTime, body: F) -> TaskId
     where
-        F: FnOnce(&mut essio_apps::AppCtx) -> i32 + Send + 'static,
+        F: FnOnce(essio_apps::AppCtx) -> Fut + 'static,
+        Fut: Future<Output = i32> + 'static,
     {
         let pid = self.next_pid;
         self.next_pid += 1;
@@ -1059,7 +1063,7 @@ impl Beowulf {
     fn teardown(&mut self, node: u8, pid: Pid) {
         let ns = &mut self.nodes[node as usize];
         ns.kernel.process_exit(pid);
-        ns.hosts.remove(&pid); // Drop joins the thread
+        ns.hosts.remove(&pid); // drops the body, wherever it was suspended
         ns.started.remove(&pid);
         ns.pending.remove(&pid);
         if let Some(task) = self.task_of.remove(&(node, pid)) {
@@ -1101,15 +1105,16 @@ mod tests {
     fn single_process_lifecycle_with_file_io() {
         let mut bw = small_cluster(1);
         bw.install_file(0, "/data/in", Placement::User, &vec![7u8; 8192]);
-        bw.spawn(0, "copier", 0, |ctx| {
-            let mut input = essio_apps::SimFile::open(ctx, "/data/in", false, Placement::User);
-            let data = input.read(ctx, 8192);
+        bw.spawn(0, "copier", 0, |mut ctx| async move {
+            let mut input =
+                essio_apps::SimFile::open(&mut ctx, "/data/in", false, Placement::User).await;
+            let data = input.read(&mut ctx, 8192).await;
             assert_eq!(data.len(), 8192);
-            input.close(ctx);
-            let mut out = essio_apps::SimFile::open(ctx, "/out", true, Placement::User);
-            out.write(ctx, data);
-            out.fsync(ctx);
-            out.close(ctx);
+            input.close(&mut ctx).await;
+            let mut out = essio_apps::SimFile::open(&mut ctx, "/out", true, Placement::User).await;
+            out.write(&mut ctx, data).await;
+            out.fsync(&mut ctx).await;
+            out.close(&mut ctx).await;
             0
         });
         bw.run_apps(12_000_000);
@@ -1133,33 +1138,41 @@ mod tests {
     fn two_processes_exchange_messages() {
         let mut bw = small_cluster(2);
         // Tasks get ids 1 and 2 in spawn order.
-        bw.spawn(0, "sender", 0, |ctx| {
-            match ctx.net(NetOp::Recv {
-                from: None,
-                tag: Some(5),
-            }) {
+        bw.spawn(0, "sender", 0, |mut ctx| async move {
+            match ctx
+                .net(NetOp::Recv {
+                    from: None,
+                    tag: Some(5),
+                })
+                .await
+            {
                 NetResult::Message(m) => {
                     assert_eq!(m.data, vec![9, 9]);
                     ctx.net(NetOp::Send {
                         to: m.from,
                         tag: 6,
                         data: vec![1],
-                    });
+                    })
+                    .await;
                     0
                 }
                 other => panic!("{other:?}"),
             }
         });
-        bw.spawn(1, "replier", 0, |ctx| {
+        bw.spawn(1, "replier", 0, |mut ctx| async move {
             ctx.net(NetOp::Send {
                 to: 1,
                 tag: 5,
                 data: vec![9, 9],
-            });
-            match ctx.net(NetOp::Recv {
-                from: Some(1),
-                tag: Some(6),
-            }) {
+            })
+            .await;
+            match ctx
+                .net(NetOp::Recv {
+                    from: Some(1),
+                    tag: Some(6),
+                })
+                .await
+            {
                 NetResult::Message(_) => 0,
                 other => panic!("{other:?}"),
             }
@@ -1175,13 +1188,18 @@ mod tests {
     fn barrier_synchronizes_all_tasks() {
         let mut bw = small_cluster(4);
         for n in 0..4u8 {
-            bw.spawn(n, "member", (n as u64) * 10_000, move |ctx| {
-                ctx.compute(5_000);
-                match ctx.net(NetOp::Barrier { group: 1, n: 4 }) {
-                    NetResult::BarrierDone => 0,
-                    other => panic!("{other:?}"),
-                }
-            });
+            bw.spawn(
+                n,
+                "member",
+                (n as u64) * 10_000,
+                move |mut ctx| async move {
+                    ctx.compute(5_000).await;
+                    match ctx.net(NetOp::Barrier { group: 1, n: 4 }).await {
+                        NetResult::BarrierDone => 0,
+                        other => panic!("{other:?}"),
+                    }
+                },
+            );
         }
         bw.run_apps(1_000_000);
         assert_eq!(bw.exits().len(), 4);
@@ -1194,9 +1212,9 @@ mod tests {
     #[test]
     fn wild_pointer_process_is_killed_not_wedged() {
         let mut bw = small_cluster(1);
-        bw.spawn(0, "crasher", 0, |ctx| {
-            ctx.touch(0xDEAD_BEEF);
-            ctx.request(AppCall::Sys(Syscall::Sync)); // forces the touch flush
+        bw.spawn(0, "crasher", 0, |mut ctx| async move {
+            ctx.touch(0xDEAD_BEEF).await;
+            ctx.request(AppCall::Sys(Syscall::Sync)).await; // forces the touch flush
             0
         });
         bw.run_apps(1_000_000);
@@ -1210,13 +1228,14 @@ mod tests {
         let run = || {
             let mut bw = small_cluster(2);
             bw.install_file(0, "/in", Placement::User, &vec![3u8; 16 * 1024]);
-            bw.spawn(0, "reader", 0, |ctx| {
-                let mut f = essio_apps::SimFile::open(ctx, "/in", false, Placement::User);
+            bw.spawn(0, "reader", 0, |mut ctx| async move {
+                let mut f =
+                    essio_apps::SimFile::open(&mut ctx, "/in", false, Placement::User).await;
                 for _ in 0..16 {
-                    f.read(ctx, 1024);
-                    ctx.compute(20_000);
+                    f.read(&mut ctx, 1024).await;
+                    ctx.compute(20_000).await;
                 }
-                f.close(ctx);
+                f.close(&mut ctx).await;
                 0
             });
             bw.run_apps(12_000_000);
@@ -1231,7 +1250,7 @@ mod tests {
     #[test]
     fn late_spawn_starts_at_requested_time() {
         let mut bw = small_cluster(1);
-        bw.spawn(0, "late", 30_000_000, |ctx| {
+        bw.spawn(0, "late", 30_000_000, |ctx| async move {
             assert!(ctx.now() >= 30_000_000);
             0
         });
@@ -1250,13 +1269,14 @@ mod tests {
             };
             let mut bw = Beowulf::new(cfg);
             bw.install_file(0, "/in", Placement::User, &vec![3u8; 16 * 1024]);
-            bw.spawn(0, "reader", 0, |ctx| {
-                let mut f = essio_apps::SimFile::open(ctx, "/in", false, Placement::User);
+            bw.spawn(0, "reader", 0, |mut ctx| async move {
+                let mut f =
+                    essio_apps::SimFile::open(&mut ctx, "/in", false, Placement::User).await;
                 for _ in 0..16 {
-                    f.read(ctx, 1024);
-                    ctx.compute(20_000);
+                    f.read(&mut ctx, 1024).await;
+                    ctx.compute(20_000).await;
                 }
-                f.close(ctx);
+                f.close(&mut ctx).await;
                 0
             });
             bw.run_apps(12_000_000);
@@ -1284,12 +1304,12 @@ mod tests {
         };
         let mut bw = Beowulf::new(cfg);
         bw.install_file(0, "/in", Placement::User, &vec![1u8; 64 * 1024]);
-        bw.spawn(0, "reader", 0, |ctx| {
-            let mut f = essio_apps::SimFile::open(ctx, "/in", false, Placement::User);
+        bw.spawn(0, "reader", 0, |mut ctx| async move {
+            let mut f = essio_apps::SimFile::open(&mut ctx, "/in", false, Placement::User).await;
             for _ in 0..64 {
-                f.read(ctx, 1024);
+                f.read(&mut ctx, 1024).await;
             }
-            f.close(ctx);
+            f.close(&mut ctx).await;
             0
         });
         bw.run_apps(12_000_000);
@@ -1312,9 +1332,9 @@ mod tests {
         let mut bw = Beowulf::new(cfg);
         // Node 0: long but self-contained work. Node 1: dies mid-run.
         for n in 0..2u8 {
-            bw.spawn(n, "worker", 0, move |ctx| {
+            bw.spawn(n, "worker", 0, move |mut ctx| async move {
                 for _ in 0..40 {
-                    ctx.compute(500_000);
+                    ctx.compute(500_000).await;
                 }
                 0
             });
@@ -1364,18 +1384,21 @@ mod tests {
         };
         let mut bw = Beowulf::new(cfg);
         // Task 1 (node 0) waits for a message its dead peer never sends.
-        bw.spawn(0, "waiter", 0, |ctx| {
-            match ctx.net(NetOp::Recv {
-                from: None,
-                tag: None,
-            }) {
+        bw.spawn(0, "waiter", 0, |mut ctx| async move {
+            match ctx
+                .net(NetOp::Recv {
+                    from: None,
+                    tag: None,
+                })
+                .await
+            {
                 NetResult::Message(_) => 0,
                 other => panic!("{other:?}"),
             }
         });
-        bw.spawn(1, "mute", 0, move |ctx| {
+        bw.spawn(1, "mute", 0, move |mut ctx| async move {
             for _ in 0..100 {
-                ctx.compute(1_000_000);
+                ctx.compute(1_000_000).await;
             }
             0
         });
@@ -1409,11 +1432,11 @@ mod tests {
             ..Default::default()
         };
         let mut bw = Beowulf::new(cfg);
-        bw.spawn(0, "writer", 0, |ctx| {
-            let mut f = essio_apps::SimFile::open(ctx, "/o", true, Placement::User);
-            f.write(ctx, vec![1u8; 4096]);
-            f.fsync(ctx);
-            f.close(ctx);
+        bw.spawn(0, "writer", 0, |mut ctx| async move {
+            let mut f = essio_apps::SimFile::open(&mut ctx, "/o", true, Placement::User).await;
+            f.write(&mut ctx, vec![1u8; 4096]).await;
+            f.fsync(&mut ctx).await;
+            f.close(&mut ctx).await;
             0
         });
         bw.run_apps(12_000_000);
@@ -1423,5 +1446,140 @@ mod tests {
             bw.kernel(0).driver_stats().dispatched > 0,
             "the disk still worked"
         );
+    }
+
+    /// Sets its flag when dropped: observes a process body being dropped.
+    struct DropGuard(std::rc::Rc<std::cell::Cell<bool>>);
+
+    impl Drop for DropGuard {
+        fn drop(&mut self) {
+            self.0.set(true);
+        }
+    }
+
+    fn drop_flag() -> (std::rc::Rc<std::cell::Cell<bool>>, DropGuard) {
+        let flag = std::rc::Rc::new(std::cell::Cell::new(false));
+        let guard = DropGuard(std::rc::Rc::clone(&flag));
+        (flag, guard)
+    }
+
+    #[test]
+    fn panic_mid_run_exits_101_and_siblings_finish_cleanly() {
+        let mut bw = small_cluster(2);
+        bw.install_file(0, "/in", Placement::User, &vec![3u8; 8192]);
+        bw.spawn(0, "crasher", 0, |mut ctx| async move {
+            let mut f = essio_apps::SimFile::open(&mut ctx, "/in", false, Placement::User).await;
+            f.read(&mut ctx, 4096).await;
+            ctx.compute(30_000).await;
+            panic!("numerical blow-up mid-run");
+        });
+        for node in 0..2 {
+            bw.spawn(node, "sibling", 0, |mut ctx| async move {
+                let mut f =
+                    essio_apps::SimFile::open(&mut ctx, "/sib", true, Placement::User).await;
+                for _ in 0..8 {
+                    ctx.compute(20_000).await;
+                    f.write(&mut ctx, vec![1u8; 1024]).await;
+                }
+                f.fsync(&mut ctx).await;
+                f.close(&mut ctx).await;
+                0
+            });
+        }
+        bw.run_apps(1_000_000);
+        let mut codes: Vec<(String, i32)> = bw
+            .exits()
+            .iter()
+            .map(|e| (e.name.clone(), e.code))
+            .collect();
+        codes.sort();
+        assert_eq!(
+            codes,
+            [
+                ("crasher".into(), 101),
+                ("sibling".into(), 0),
+                ("sibling".into(), 0)
+            ]
+        );
+        let crash = bw.exits().iter().find(|e| e.code == 101).unwrap();
+        assert!(crash.at >= 30_000, "the body ran before it panicked");
+    }
+
+    #[test]
+    fn a_process_killed_mid_request_has_its_body_dropped() {
+        // Wild pointer: the fatal touch rides on the request, so the body
+        // is suspended in `request` when the kernel kills it.
+        let mut bw = small_cluster(1);
+        let (wild_dropped, guard) = drop_flag();
+        bw.spawn(0, "wild", 0, move |mut ctx| async move {
+            let _guard = guard;
+            ctx.touch(0xDEAD_BEEF).await;
+            ctx.request(AppCall::Sys(Syscall::Sync)).await;
+            unreachable!("killed before the reply");
+        });
+        bw.run_apps(1_000_000);
+        assert_eq!(bw.exits()[0].code, 139);
+        assert!(wild_dropped.get(), "a killed body must be dropped");
+
+        // Node crash: the body is blocked in a receive nobody answers.
+        let mut bw = Beowulf::new(BeowulfConfig {
+            nodes: 2,
+            drain_every_us: 1_000_000,
+            faults: FaultPlan::none().crash(1, 2_000_000),
+            ..Default::default()
+        });
+        let (crashed_dropped, guard) = drop_flag();
+        bw.spawn(1, "victim", 0, move |mut ctx| async move {
+            let _guard = guard;
+            ctx.net(NetOp::Recv {
+                from: None,
+                tag: Some(77),
+            })
+            .await;
+            unreachable!("the node crashes first");
+        });
+        bw.spawn(0, "survivor", 0, |mut ctx| async move {
+            ctx.compute(3_000_000).await;
+            0
+        });
+        bw.run_apps(1_000_000);
+        let codes: Vec<(u8, i32)> = bw.exits().iter().map(|e| (e.node, e.code)).collect();
+        assert!(codes.contains(&(1, CRASHED_EXIT_CODE)), "{codes:?}");
+        assert!(codes.contains(&(0, 0)), "{codes:?}");
+        assert!(
+            crashed_dropped.get(),
+            "a crashed node's body must be dropped"
+        );
+    }
+
+    #[test]
+    fn dropping_a_cluster_drops_its_bodies_before_start_mid_compute_or_mid_request() {
+        let (unstarted, g0) = drop_flag();
+        let (computing, g1) = drop_flag();
+        let (requesting, g2) = drop_flag();
+        let mut bw = small_cluster(2);
+        bw.spawn(0, "late", 60_000_000, move |_ctx| async move {
+            let _guard = g0;
+            0
+        });
+        bw.spawn(0, "spinner", 0, move |mut ctx| async move {
+            let _guard = g1;
+            loop {
+                ctx.compute(1_000).await;
+            }
+        });
+        bw.spawn(1, "waiter", 0, move |mut ctx| async move {
+            let _guard = g2;
+            ctx.net(NetOp::Recv {
+                from: None,
+                tag: None,
+            })
+            .await;
+            0
+        });
+        bw.run_until(2_000_000);
+        assert!(!unstarted.get() && !computing.get() && !requesting.get());
+        drop(bw);
+        assert!(unstarted.get() && computing.get() && requesting.get());
     }
 }

@@ -18,6 +18,8 @@
 //! instrumentation observes coordinated parallel I/O spread over all
 //! member disks — the extension figure in `EXPERIMENTS.md`.
 
+use std::collections::hash_map::{Entry, HashMap};
+
 use essio_apps::{AppCtx, CtxExt, SimFile};
 use essio_kernel::Placement;
 use essio_net::{NetOp, NetResult, TaskId};
@@ -75,29 +77,34 @@ pub fn spawn_service(bw: &mut Beowulf) -> Service {
 }
 
 /// Tell the whole service to exit (call from exactly one client when done).
-pub fn shutdown(ctx: &mut AppCtx, svc: &Service) {
+pub async fn shutdown(ctx: &mut AppCtx, svc: &Service) {
     for &s in &svc.servers {
         ctx.net(NetOp::Send {
             to: s,
             tag: TAG_DOWN,
             data: Vec::new(),
-        });
+        })
+        .await;
     }
     ctx.net(NetOp::Send {
         to: svc.coord,
         tag: TAG_DOWN,
         data: Vec::new(),
-    });
+    })
+    .await;
 }
 
 /// Data server main loop: serve segment reads/writes until shutdown.
-fn server_body(ctx: &mut AppCtx) -> i32 {
-    let mut files: std::collections::HashMap<String, SimFile> = Default::default();
+async fn server_body(mut ctx: AppCtx) -> i32 {
+    let mut files: HashMap<String, SimFile> = Default::default();
     loop {
-        let msg = match ctx.net(NetOp::Recv {
-            from: None,
-            tag: None,
-        }) {
+        let msg = match ctx
+            .net(NetOp::Recv {
+                from: None,
+                tag: None,
+            })
+            .await
+        {
             NetResult::Message(m) => m,
             other => panic!("server recv: {other:?}"),
         };
@@ -108,15 +115,19 @@ fn server_body(ctx: &mut AppCtx) -> i32 {
                 let (path, rest) = get_str(&msg.data[1..]);
                 let offset = u64::from_le_bytes(rest[..8].try_into().expect("offset"));
                 let rest = &rest[8..];
-                let file = files
-                    .entry(path.clone())
-                    .or_insert_with_key(|p| SimFile::open(ctx, p, true, Placement::User));
+                let file = match files.entry(path) {
+                    Entry::Occupied(e) => e.into_mut(),
+                    Entry::Vacant(e) => {
+                        let file = SimFile::open(&mut ctx, e.key(), true, Placement::User).await;
+                        e.insert(file)
+                    }
+                };
                 let mut resp = Vec::new();
                 match op {
                     OP_READ => {
                         let len = u32::from_le_bytes(rest[..4].try_into().expect("len"));
                         file.seek(offset);
-                        let mut data = file.read(ctx, len);
+                        let mut data = file.read(&mut ctx, len).await;
                         // Segment files are sparse-extended by writers; a
                         // read past the current end returns zeros, like a
                         // freshly-created PIOUS segment.
@@ -125,16 +136,17 @@ fn server_body(ctx: &mut AppCtx) -> i32 {
                     }
                     OP_WRITE => {
                         file.seek(offset);
-                        file.write(ctx, rest.to_vec());
+                        file.write(&mut ctx, rest.to_vec()).await;
                     }
                     other => panic!("bad pfs op {other}"),
                 }
-                ctx.compute(150); // request parsing + reply marshalling
+                ctx.compute(150).await; // request parsing + reply marshalling
                 ctx.net(NetOp::Send {
                     to: msg.from,
                     tag: TAG_RESP,
                     data: resp,
-                });
+                })
+                .await;
             }
             other => panic!("server got unexpected tag {other}"),
         }
@@ -142,14 +154,17 @@ fn server_body(ctx: &mut AppCtx) -> i32 {
 }
 
 /// Coordinator main loop: per-parafile sequential admission.
-fn coordinator_body(ctx: &mut AppCtx) -> i32 {
+async fn coordinator_body(mut ctx: AppCtx) -> i32 {
     let mut coord = Coordinator::new();
     let mut task_of_op: std::collections::HashMap<u64, TaskId> = Default::default();
     loop {
-        let msg = match ctx.net(NetOp::Recv {
-            from: None,
-            tag: None,
-        }) {
+        let msg = match ctx
+            .net(NetOp::Recv {
+                from: None,
+                tag: None,
+            })
+            .await
+        {
             NetResult::Message(m) => m,
             other => panic!("coordinator recv: {other:?}"),
         };
@@ -159,7 +174,7 @@ fn coordinator_body(ctx: &mut AppCtx) -> i32 {
                 let verb = msg.data[0];
                 let op_id = u64::from_le_bytes(msg.data[1..9].try_into().expect("op id"));
                 let (file, _) = get_str(&msg.data[9..]);
-                ctx.compute(80);
+                ctx.compute(80).await;
                 match verb {
                     COORD_BEGIN => {
                         task_of_op.insert(op_id, msg.from);
@@ -168,7 +183,8 @@ fn coordinator_body(ctx: &mut AppCtx) -> i32 {
                                 to: msg.from,
                                 tag: TAG_GRANT,
                                 data: Vec::new(),
-                            });
+                            })
+                            .await;
                         }
                     }
                     COORD_END => {
@@ -179,7 +195,8 @@ fn coordinator_body(ctx: &mut AppCtx) -> i32 {
                                 to,
                                 tag: TAG_GRANT,
                                 data: Vec::new(),
-                            });
+                            })
+                            .await;
                         }
                     }
                     other => panic!("bad coord verb {other}"),
@@ -221,7 +238,7 @@ impl ParaFile {
         }
     }
 
-    fn begin(&mut self, ctx: &mut AppCtx) -> u64 {
+    async fn begin(&mut self, ctx: &mut AppCtx) -> u64 {
         let op_id = (self.my_task as u64) << 32 | self.op_seq;
         self.op_seq += 1;
         let mut data = vec![COORD_BEGIN];
@@ -231,17 +248,21 @@ impl ParaFile {
             to: self.svc.coord,
             tag: TAG_COORD,
             data,
-        });
-        match ctx.net(NetOp::Recv {
-            from: Some(self.svc.coord),
-            tag: Some(TAG_GRANT),
-        }) {
+        })
+        .await;
+        match ctx
+            .net(NetOp::Recv {
+                from: Some(self.svc.coord),
+                tag: Some(TAG_GRANT),
+            })
+            .await
+        {
             NetResult::Message(_) => op_id,
             other => panic!("grant: {other:?}"),
         }
     }
 
-    fn end(&self, ctx: &mut AppCtx, op_id: u64) {
+    async fn end(&self, ctx: &mut AppCtx, op_id: u64) {
         let mut data = vec![COORD_END];
         data.extend_from_slice(&op_id.to_le_bytes());
         put_str(&mut data, &self.name);
@@ -249,12 +270,13 @@ impl ParaFile {
             to: self.svc.coord,
             tag: TAG_COORD,
             data,
-        });
+        })
+        .await;
     }
 
     /// Coordinated write of `data` at parafile offset `offset`.
-    pub fn write(&mut self, ctx: &mut AppCtx, offset: u64, data: &[u8]) {
-        let op_id = self.begin(ctx);
+    pub async fn write(&mut self, ctx: &mut AppCtx, offset: u64, data: &[u8]) {
+        let op_id = self.begin(ctx).await;
         let plan = plan_io(&self.spec, offset, data.len() as u32);
         let mut consumed = 0usize;
         // Issue every segment write, then collect the acks.
@@ -268,23 +290,27 @@ impl ParaFile {
                 to: self.svc.servers[seg.server as usize],
                 tag: TAG_REQ,
                 data: req,
-            });
+            })
+            .await;
         }
         for seg in &plan {
-            match ctx.net(NetOp::Recv {
-                from: Some(self.svc.servers[seg.server as usize]),
-                tag: Some(TAG_RESP),
-            }) {
+            match ctx
+                .net(NetOp::Recv {
+                    from: Some(self.svc.servers[seg.server as usize]),
+                    tag: Some(TAG_RESP),
+                })
+                .await
+            {
                 NetResult::Message(_) => {}
                 other => panic!("write ack: {other:?}"),
             }
         }
-        self.end(ctx, op_id);
+        self.end(ctx, op_id).await;
     }
 
     /// Coordinated read of `len` bytes at parafile offset `offset`.
-    pub fn read(&mut self, ctx: &mut AppCtx, offset: u64, len: u32) -> Vec<u8> {
-        let op_id = self.begin(ctx);
+    pub async fn read(&mut self, ctx: &mut AppCtx, offset: u64, len: u32) -> Vec<u8> {
+        let op_id = self.begin(ctx).await;
         let plan = plan_io(&self.spec, offset, len);
         for seg in &plan {
             let mut req = vec![OP_READ];
@@ -295,19 +321,23 @@ impl ParaFile {
                 to: self.svc.servers[seg.server as usize],
                 tag: TAG_REQ,
                 data: req,
-            });
+            })
+            .await;
         }
         let mut out = Vec::with_capacity(len as usize);
         for seg in &plan {
-            match ctx.net(NetOp::Recv {
-                from: Some(self.svc.servers[seg.server as usize]),
-                tag: Some(TAG_RESP),
-            }) {
+            match ctx
+                .net(NetOp::Recv {
+                    from: Some(self.svc.servers[seg.server as usize]),
+                    tag: Some(TAG_RESP),
+                })
+                .await
+            {
                 NetResult::Message(m) => out.extend_from_slice(&m.data),
                 other => panic!("read resp: {other:?}"),
             }
         }
-        self.end(ctx, op_id);
+        self.end(ctx, op_id).await;
         out
     }
 }
@@ -327,17 +357,17 @@ mod tests {
         let svc = spawn_service(&mut bw);
         let my_task = bw.next_task();
         let svc2 = svc.clone();
-        bw.spawn(0, "client", 1_000, move |ctx| {
+        bw.spawn(0, "client", 1_000, move |mut ctx| async move {
             let spec = StripeSpec::new(1024, vec![0, 1]);
             let mut pf = ParaFile::open("matrix", spec, &svc2, my_task);
             let payload: Vec<u8> = (0..8192u32).map(|i| (i % 251) as u8).collect();
-            pf.write(ctx, 0, &payload);
-            let back = pf.read(ctx, 0, 8192);
+            pf.write(&mut ctx, 0, &payload).await;
+            let back = pf.read(&mut ctx, 0, 8192).await;
             assert_eq!(back, payload, "declustered roundtrip");
             // Unaligned sub-range.
-            let mid = pf.read(ctx, 1500, 3000);
+            let mid = pf.read(&mut ctx, 1500, 3000).await;
             assert_eq!(mid, payload[1500..4500], "unaligned read");
-            shutdown(ctx, &svc2);
+            shutdown(&mut ctx, &svc2).await;
             0
         });
         bw.run_apps(12_000_000);
@@ -366,21 +396,21 @@ mod tests {
         for c in 0..2u8 {
             let svc_c = svc.clone();
             let my_task = bw.next_task();
-            bw.spawn(c, "client", 1_000, move |ctx| {
+            bw.spawn(c, "client", 1_000, move |mut ctx| async move {
                 let spec = StripeSpec::new(512, vec![0, 1]);
                 let mut pf = ParaFile::open("shared", spec, &svc_c, my_task);
                 let fill = vec![0x10 + c; 4096];
                 for _ in 0..4 {
-                    pf.write(ctx, 0, &fill);
-                    let got = pf.read(ctx, 0, 4096);
+                    pf.write(&mut ctx, 0, &fill).await;
+                    let got = pf.read(&mut ctx, 0, 4096).await;
                     let first = got[0];
                     assert!(got.iter().all(|&b| b == first), "torn read: {got:?}");
                     assert!(first == 0x10 || first == 0x11);
                 }
                 if c == 0 {
                     // Give the other client time, then shut down.
-                    ctx.compute(2_000_000);
-                    shutdown(ctx, &svc_c);
+                    ctx.compute(2_000_000).await;
+                    shutdown(&mut ctx, &svc_c).await;
                 }
                 0
             });

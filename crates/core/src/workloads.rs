@@ -95,8 +95,8 @@ pub fn spawn_ppm_fleet(bw: &mut Beowulf, template: &PpmConfig, start: SimTime) -
         cfg.ntasks = nodes as u32;
         cfg.task_base = task_base;
         let trajectory = Arc::clone(&trajectory);
-        bw.spawn(n, "ppm", start, move |ctx| {
-            essio_apps::ppm::run(&cfg, &trajectory, ctx);
+        bw.spawn(n, "ppm", start, move |mut ctx| async move {
+            essio_apps::ppm::run(&cfg, &trajectory, &mut ctx).await;
             0
         });
     }
@@ -112,8 +112,8 @@ pub fn spawn_wavelet_fleet(bw: &mut Beowulf, template: &WaveletConfig, start: Si
         cfg.rank = n as u32;
         cfg.ntasks = nodes as u32;
         cfg.task_base = task_base;
-        bw.spawn(n, "wavelet", start, move |ctx| {
-            let (e_before, _e_after, _sparsity) = essio_apps::wavelet::run(&cfg, ctx);
+        bw.spawn(n, "wavelet", start, move |mut ctx| async move {
+            let (e_before, _e_after, _sparsity) = essio_apps::wavelet::run(&cfg, &mut ctx).await;
             // Sanity: a real image has nonzero energy.
             assert!(e_before > 0.0);
             0
@@ -132,8 +132,8 @@ pub fn spawn_nbody_fleet(bw: &mut Beowulf, template: &NbodyConfig, start: SimTim
         cfg.ntasks = nodes as u32;
         cfg.task_base = task_base;
         cfg.seed = template.seed.wrapping_add(n as u64 * 0x9E37);
-        bw.spawn(n, "nbody", start, move |ctx| {
-            let (interactions, _) = essio_apps::nbody::run(&cfg, ctx);
+        bw.spawn(n, "nbody", start, move |mut ctx| async move {
+            let (interactions, _) = essio_apps::nbody::run(&cfg, &mut ctx).await;
             assert!(interactions > 0);
             0
         });

@@ -3,8 +3,8 @@
 //! This crate is the substrate under the whole ESS I/O reproduction: a
 //! virtual clock, a time-ordered event queue, a deterministic pseudo-random
 //! number generator, and a *lock-step process host* that lets workload code
-//! be written as ordinary imperative Rust (running on a real OS thread)
-//! while the simulation retains full control of virtual time.
+//! be written as ordinary imperative (`async`) Rust while the simulation
+//! retains full control of virtual time.
 //!
 //! ## Design
 //!
@@ -13,13 +13,12 @@
 //!   *effects* ("this request completes at t + 13.4 ms") and the top-level
 //!   world loop in the `essio` crate turns those into queued events. This
 //!   keeps every subsystem trivially unit-testable with a bare clock.
-//! * [`process::ProcessHost`] runs application code on a dedicated thread,
-//!   synchronized with the engine through one shared handoff slot per
-//!   process: each side posts its message and parks until the other
-//!   answers, the engine after a short time-bounded spin (off on a single
-//!   CPU). Exactly one side is ever runnable, so execution is
-//!   deterministic: the simulation behaves as a single logical thread of
-//!   control.
+//! * [`process::ProcessHost`] holds application code as a future that the
+//!   engine polls on its own thread. A body runs until it suspends in a
+//!   [`process::ProcCtx`] call, which posts one message (compute, request or
+//!   exit) to the process's mailbox; the next poll resumes it with the
+//!   reply. No process ever blocks a thread and there is one thread of
+//!   control, so execution is deterministic.
 //! * [`rng::SimRng`] is a small, self-contained PCG32 generator so traces are
 //!   reproducible bit-for-bit across runs and platforms, independent of any
 //!   external crate's stream stability guarantees.
@@ -45,6 +44,6 @@ pub mod rng;
 pub mod time;
 
 pub use engine::{Engine, EventId};
-pub use process::{ProcConfig, ProcCtx, ProcMsg, ProcessHost, Vpn};
+pub use process::{BodyLedger, ProcConfig, ProcCtx, ProcMsg, ProcessHost, Vpn};
 pub use rng::SimRng;
 pub use time::{SimTime, MICROS_PER_MILLI, MICROS_PER_SEC};

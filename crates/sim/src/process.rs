@@ -3,58 +3,42 @@
 //! The NASA workloads are real programs (a PPM solver, a wavelet transform,
 //! a Barnes–Hut tree code). We want to write them as ordinary Rust, yet the
 //! simulation must control when they run and what every syscall costs. The
-//! classic way to square that is co-routine style execution:
+//! classic way to square that is co-routine style execution, which Rust
+//! spells `async`:
 //!
-//! * Application code runs on its own OS thread, but is *only* runnable while
-//!   the engine has explicitly resumed it. Engine and process hand control
-//!   back and forth through one shared slot per process: the engine posts a
-//!   resume and waits, the process runs to its next yield, posts it and
-//!   waits. At most one message is ever in flight, so at any instant exactly
-//!   one logical thread of control exists — the simulation is deterministic
-//!   despite real threads.
-//! * A waiting side parks its thread (`thread::park`) and the posting side
-//!   unparks it. The engine first polls the slot for a short, time-bounded
-//!   spin (`ENGINE_SPIN`, 50 µs) before it parks, because most bodies yield
-//!   within microseconds and a park/wake round trip costs more than that.
-//!   The spin is off on a single CPU, where it would only delay the process
-//!   it waits for. The process side never spins: on a small host a spinning
-//!   process would hold the core the next resumed process needs.
+//! * A process body is a future. [`ProcessHost`] holds it and polls it on
+//!   the engine's own thread with a no-op waker; the body runs until it
+//!   suspends in a [`ProcCtx`] call, which first posts a message to the
+//!   process's mailbox. The host returns that message to the engine, and
+//!   the next poll resumes the body where it stopped. There is one thread
+//!   of control: the engine owns every transfer, no node ever blocks, and
+//!   the simulation is deterministic.
 //! * The process communicates in three verbs: **compute** (burn virtual CPU
 //!   time), **request** (a syscall routed to the simulated kernel), and
 //!   **exit**. Memory references are batched as page *touches* piggybacked on
-//!   the next verb, which keeps handoff frequency low (thousands of page
-//!   touches cost one round trip) while still letting the VM subsystem fault
-//!   pages on the exact access order the algorithm produced.
+//!   the next verb, which keeps suspensions rare (thousands of page touches
+//!   cost one) while still letting the VM subsystem fault pages on the exact
+//!   access order the algorithm produced.
+//! * A body that panics is reported as exit code 101, as a real program
+//!   dying with SIGABRT would be. Dropping a host drops its body, whatever
+//!   it was waiting for.
 //!
 //! The request/response types are generic: this crate knows nothing about
 //! disks or files. `essio-kernel` instantiates `Req = Syscall`,
 //! `Resp = SysResult`.
 
+use std::cell::{Cell, RefCell};
+use std::future::{poll_fn, Future};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
-use std::thread::{self, JoinHandle, Thread};
-use std::time::{Duration, Instant};
+use std::pin::Pin;
+use std::rc::Rc;
+use std::task::{Context, Poll, Waker};
+use std::time::Instant;
 
 use crate::time::SimTime;
 
 /// A virtual page number in a process address space.
 pub type Vpn = u64;
-
-/// How long the engine polls a process's slot for its reply before it
-/// parks. A park/unpark round trip costs a futex wait plus the scheduler's
-/// wake-up latency, more than most bodies take to yield. The bound keeps a
-/// slow body from costing more than this in engine CPU, so engines sharing
-/// a host (`campaign`, `conform`) cannot starve each other's process
-/// threads for long.
-const ENGINE_SPIN: Duration = Duration::from_micros(50);
-
-/// Whether the engine spins at all: not on a single CPU, where the process
-/// it waits for cannot run while it spins.
-fn engine_spins() -> bool {
-    static SPINS: OnceLock<bool> = OnceLock::new();
-    *SPINS.get_or_init(|| thread::available_parallelism().is_ok_and(|n| n.get() > 1))
-}
 
 /// What a process reports back to the engine when it yields.
 #[derive(Debug)]
@@ -83,141 +67,6 @@ pub enum ProcMsg<Req> {
     },
 }
 
-struct Resume<Resp> {
-    now: SimTime,
-    resp: Option<Resp>,
-}
-
-/// The message in flight between the engine and a process, if any.
-enum Letter<Req, Resp> {
-    Empty,
-    Resume(Resume<Resp>),
-    Yield(ProcMsg<Req>),
-}
-
-struct SlotState<Req, Resp> {
-    letter: Letter<Req, Resp>,
-    /// The thread that last resumed the process: the one its reply wakes.
-    /// Recorded at every resume, since a host may be driven from any thread.
-    engine: Option<Thread>,
-    /// The host was dropped: a waiting process unwinds.
-    engine_gone: bool,
-    /// The process thread ended: a waiting engine gets no more letters.
-    proc_gone: bool,
-}
-
-/// The one handoff slot a host and its process thread share.
-struct Slot<Req, Resp> {
-    state: Mutex<SlotState<Req, Resp>>,
-    /// Set when a `Yield` lands, so the engine's spin polls without the
-    /// lock. The process stores it with `Release` after writing the letter
-    /// and the spin loads it with `Acquire`; the engine then takes the
-    /// letter under the lock, which clears the flag.
-    yielded: AtomicBool,
-}
-
-impl<Req, Resp> Slot<Req, Resp> {
-    fn new() -> Self {
-        Self {
-            state: Mutex::new(SlotState {
-                letter: Letter::Empty,
-                engine: None,
-                engine_gone: false,
-                proc_gone: false,
-            }),
-            yielded: AtomicBool::new(false),
-        }
-    }
-
-    /// Nothing that can panic runs under the lock and every update is a
-    /// single field write, so a poisoned state is still consistent; taking
-    /// it anyway keeps the `Drop` impls that close the slot panic-free.
-    fn lock(&self) -> MutexGuard<'_, SlotState<Req, Resp>> {
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Engine side: post `resume` for the `process` thread and wake it.
-    fn post_resume(&self, resume: Resume<Resp>, process: &Thread) {
-        {
-            let mut s = self.lock();
-            s.letter = Letter::Resume(resume);
-            s.engine = Some(thread::current());
-        }
-        process.unpark();
-    }
-
-    /// Engine side: wait for the process's next message. `None` when the
-    /// process thread ended without posting one.
-    fn wait_yield(&self) -> Option<ProcMsg<Req>> {
-        if engine_spins() {
-            let deadline = Instant::now() + ENGINE_SPIN;
-            let mut polls = 0u32;
-            while !self.yielded.load(Ordering::Acquire) {
-                std::hint::spin_loop();
-                polls += 1;
-                if polls.is_multiple_of(64) && Instant::now() >= deadline {
-                    break;
-                }
-            }
-        }
-        loop {
-            {
-                let mut s = self.lock();
-                // The letter is checked before `proc_gone`, under one lock:
-                // an `Exit` posted just before the process thread ended is
-                // delivered, never mistaken for a death.
-                match std::mem::replace(&mut s.letter, Letter::Empty) {
-                    Letter::Yield(msg) => {
-                        self.yielded.store(false, Ordering::Relaxed);
-                        return Some(msg);
-                    }
-                    other => s.letter = other,
-                }
-                if s.proc_gone {
-                    return None;
-                }
-            }
-            thread::park();
-        }
-    }
-
-    /// Process side: post `msg` to the engine and wake it. `false` when the
-    /// host is gone.
-    fn post_yield(&self, msg: ProcMsg<Req>) -> bool {
-        let engine = {
-            let mut s = self.lock();
-            if s.engine_gone {
-                return false;
-            }
-            s.letter = Letter::Yield(msg);
-            self.yielded.store(true, Ordering::Release);
-            s.engine.clone()
-        };
-        if let Some(engine) = engine {
-            engine.unpark();
-        }
-        true
-    }
-
-    /// Process side: park until the engine resumes us. `None` when the host
-    /// is gone.
-    fn wait_resume(&self) -> Option<Resume<Resp>> {
-        loop {
-            {
-                let mut s = self.lock();
-                match std::mem::replace(&mut s.letter, Letter::Empty) {
-                    Letter::Resume(r) => return Some(r),
-                    other => s.letter = other,
-                }
-                if s.engine_gone {
-                    return None;
-                }
-            }
-            thread::park();
-        }
-    }
-}
-
 /// Tuning knobs for how often a process rendezvouses with the engine.
 #[derive(Debug, Clone, Copy)]
 pub struct ProcConfig {
@@ -238,52 +87,102 @@ impl Default for ProcConfig {
     }
 }
 
-/// The process side of the rendezvous: passed to the workload body.
-pub struct ProcCtx<Req, Resp> {
-    slot: Arc<Slot<Req, Resp>>,
-    now: SimTime,
-    pending_compute: u64,
-    touches: Vec<Vpn>,
-    cfg: ProcConfig,
+/// Host time spent inside process bodies on one thread: how many times a
+/// body was polled and the wall seconds those polls took. Bodies run on the
+/// thread that drives their hosts, so this is the app-numerics share of
+/// that thread's time.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct BodyLedger {
+    /// Body polls: one per start or resume.
+    pub polls: u64,
+    /// Host wall seconds spent inside those polls.
+    pub body_secs: f64,
 }
 
-/// However the process thread ends, a waiting engine must learn of it.
-impl<Req, Resp> Drop for ProcCtx<Req, Resp> {
-    fn drop(&mut self) {
-        let engine = {
-            let mut s = self.slot.lock();
-            s.proc_gone = true;
-            s.engine.clone()
-        };
-        if let Some(engine) = engine {
-            engine.unpark();
+thread_local! {
+    static LEDGER: Cell<BodyLedger> = const {
+        Cell::new(BodyLedger {
+            polls: 0,
+            body_secs: 0.0,
+        })
+    };
+}
+
+impl BodyLedger {
+    /// Totals for every body polled on the calling thread so far.
+    pub fn current() -> Self {
+        LEDGER.with(Cell::get)
+    }
+
+    /// What accumulated between an `earlier` reading and this one.
+    pub fn since(self, earlier: Self) -> Self {
+        Self {
+            polls: self.polls - earlier.polls,
+            body_secs: self.body_secs - earlier.body_secs,
         }
     }
 }
 
-/// Raised (as a panic payload) when the engine side disappears while the
-/// process is blocked; the host thread wrapper swallows it.
-struct SimulationTornDown;
+/// The state a body's context shares with its host.
+struct Mailbox<Req, Resp> {
+    cfg: ProcConfig,
+    /// Virtual time of the last resume.
+    now: SimTime,
+    pending_compute: u64,
+    touches: Vec<Vpn>,
+    /// The message the body posted before it last suspended.
+    out: Option<ProcMsg<Req>>,
+    /// The response delivered with the last resume.
+    reply: Option<Resp>,
+}
 
-/// The default panic hook prints a message (and backtrace) for *every*
-/// unwind, including the [`SimulationTornDown`] one used to tear down
-/// hosted process threads — which floods stderr with host thread IDs
-/// whenever a process is killed mid-run. Silence exactly that payload;
-/// everything else still reaches the previous hook.
-fn install_teardown_hook() {
-    static ONCE: std::sync::Once = std::sync::Once::new();
-    ONCE.call_once(|| {
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            if info
-                .payload()
-                .downcast_ref::<SimulationTornDown>()
-                .is_none()
-            {
-                prev(info);
+impl<Req, Resp> Mailbox<Req, Resp> {
+    /// Record `pages` in order, billing `micros_per_page` after each, until
+    /// a flush threshold fires (`true`: flush, then call again with the
+    /// rest) or the pages run out. `owed` carries a page's compute across a
+    /// touch-triggered flush, so it is billed after the flush as it would
+    /// have been after a single-page touch.
+    fn record(
+        &mut self,
+        pages: &mut impl Iterator<Item = Vpn>,
+        micros_per_page: u64,
+        owed: &mut bool,
+    ) -> bool {
+        loop {
+            if std::mem::take(owed) {
+                self.pending_compute += micros_per_page;
+                if self.pending_compute >= self.cfg.compute_flush_us {
+                    return true;
+                }
             }
-        }));
-    });
+            let Some(vpn) = pages.next() else {
+                return false;
+            };
+            *owed = micros_per_page > 0;
+            // Consecutive duplicate touches collapse: a loop walking one
+            // page does not flood the VM.
+            if self.touches.last() != Some(&vpn) {
+                self.touches.push(vpn);
+                if self.touches.len() >= self.cfg.touch_flush {
+                    return true;
+                }
+            }
+        }
+    }
+
+    /// Everything accumulated since the last yield, as a `Compute`
+    /// message; `None` when there is nothing to bill.
+    fn take_compute(&mut self) -> Option<ProcMsg<Req>> {
+        let micros = std::mem::take(&mut self.pending_compute);
+        let touches = std::mem::take(&mut self.touches);
+        (micros > 0 || !touches.is_empty()).then_some(ProcMsg::Compute { micros, touches })
+    }
+}
+
+/// The process side of the rendezvous: an owned handle to the process's
+/// mailbox, passed to the workload body.
+pub struct ProcCtx<Req, Resp> {
+    mb: Rc<RefCell<Mailbox<Req, Resp>>>,
 }
 
 impl<Req, Resp> ProcCtx<Req, Resp> {
@@ -291,144 +190,145 @@ impl<Req, Resp> ProcCtx<Req, Resp> {
     /// accumulated compute. Approximate between yields by construction.
     #[inline]
     pub fn now(&self) -> SimTime {
-        self.now + self.pending_compute
+        let mb = self.mb.borrow();
+        mb.now + mb.pending_compute
     }
 
     /// Consume `micros` of virtual CPU time. Cheap: accumulates locally and
-    /// only rendezvouses when the configured flush threshold is crossed.
-    #[inline]
-    pub fn compute(&mut self, micros: u64) {
-        self.pending_compute += micros;
-        if self.pending_compute >= self.cfg.compute_flush_us {
-            self.flush_compute();
+    /// only suspends when the configured flush threshold is crossed.
+    pub async fn compute(&mut self, micros: u64) {
+        let due = {
+            let mut mb = self.mb.borrow_mut();
+            mb.pending_compute += micros;
+            mb.pending_compute >= mb.cfg.compute_flush_us
+        };
+        if due {
+            self.flush().await;
         }
     }
 
     /// Record a reference to virtual page `vpn`. Consecutive duplicate
     /// touches are collapsed (a loop walking one page does not flood the VM).
-    #[inline]
-    pub fn touch(&mut self, vpn: Vpn) {
-        if self.touches.last() != Some(&vpn) {
-            self.touches.push(vpn);
-            if self.touches.len() >= self.cfg.touch_flush {
-                self.flush_compute();
+    pub async fn touch(&mut self, vpn: Vpn) {
+        self.touch_pages(std::iter::once(vpn), 0).await;
+    }
+
+    /// Touch every page in `[base_vpn, base_vpn + npages)`.
+    pub async fn touch_range(&mut self, base_vpn: Vpn, npages: u64) {
+        self.touch_pages(base_vpn..base_vpn + npages, 0).await;
+    }
+
+    /// Touch `pages` in order, billing `micros_per_page` of compute after
+    /// each — the same messages as a [`ProcCtx::touch`] (and, when
+    /// `micros_per_page > 0`, a [`ProcCtx::compute`]) per page, but the
+    /// pages are batched synchronously and the body suspends only where a
+    /// flush threshold fires.
+    pub async fn touch_pages(
+        &mut self,
+        pages: impl IntoIterator<Item = Vpn>,
+        micros_per_page: u64,
+    ) {
+        let mut pages = pages.into_iter();
+        let mut owed = false;
+        loop {
+            let due = self
+                .mb
+                .borrow_mut()
+                .record(&mut pages, micros_per_page, &mut owed);
+            if !due {
+                return;
             }
+            self.flush().await;
         }
     }
 
-    /// Touch every page overlapping `[base_vpn, base_vpn + npages)`.
-    pub fn touch_range(&mut self, base_vpn: Vpn, npages: u64) {
-        for p in base_vpn..base_vpn + npages {
-            self.touch(p);
-        }
-    }
-
-    /// Issue a syscall and block until the simulated kernel answers.
+    /// Issue a syscall and suspend until the simulated kernel answers.
     /// Any accumulated compute/touches are flushed as part of the request,
     /// so the kernel observes them *before* the call, in program order.
-    pub fn request(&mut self, call: Req) -> Resp {
-        let micros = std::mem::take(&mut self.pending_compute);
-        if micros > 0 {
+    pub async fn request(&mut self, call: Req) -> Resp {
+        let billed = {
+            let mut mb = self.mb.borrow_mut();
             // Bill outstanding compute before the syscall so its timestamp
             // lands after the work that produced it.
-            let touches = std::mem::take(&mut self.touches);
-            self.yield_msg(ProcMsg::Compute { micros, touches });
-        }
-        let touches = std::mem::take(&mut self.touches);
-        let resume = self.yield_msg(ProcMsg::Request { call, touches });
-        resume.expect("kernel must answer a Request with a response")
-    }
-
-    fn flush_compute(&mut self) {
-        let micros = std::mem::take(&mut self.pending_compute);
-        let touches = std::mem::take(&mut self.touches);
-        if micros == 0 && touches.is_empty() {
-            return;
-        }
-        self.yield_msg(ProcMsg::Compute { micros, touches });
-    }
-
-    fn yield_msg(&mut self, msg: ProcMsg<Req>) -> Option<Resp> {
-        if !self.slot.post_yield(msg) {
-            std::panic::panic_any(SimulationTornDown);
-        }
-        match self.slot.wait_resume() {
-            Some(Resume { now, resp }) => {
-                self.now = now;
-                resp
+            if mb.pending_compute > 0 {
+                mb.take_compute()
+            } else {
+                None
             }
-            None => std::panic::panic_any(SimulationTornDown),
+        };
+        if let Some(msg) = billed {
+            self.post(msg).await;
         }
+        let touches = std::mem::take(&mut self.mb.borrow_mut().touches);
+        self.post(ProcMsg::Request { call, touches }).await;
+        self.mb
+            .borrow_mut()
+            .reply
+            .take()
+            .expect("kernel must answer a Request with a response")
+    }
+
+    async fn flush(&mut self) {
+        let msg = self.mb.borrow_mut().take_compute();
+        if let Some(msg) = msg {
+            self.post(msg).await;
+        }
+    }
+
+    /// Post `msg` and suspend until the engine resumes the process.
+    async fn post(&mut self, msg: ProcMsg<Req>) {
+        self.mb.borrow_mut().out = Some(msg);
+        let mut posted = false;
+        poll_fn(|_| {
+            if std::mem::replace(&mut posted, true) {
+                Poll::Ready(())
+            } else {
+                Poll::Pending
+            }
+        })
+        .await;
     }
 }
 
-/// Engine-side handle to a hosted process thread.
+/// Engine-side handle to a hosted process body.
 pub struct ProcessHost<Req, Resp> {
     name: String,
-    slot: Arc<Slot<Req, Resp>>,
-    handle: Option<JoinHandle<()>>,
+    mb: Rc<RefCell<Mailbox<Req, Resp>>>,
+    /// The body, until it returns or panics.
+    body: Option<Pin<Box<dyn Future<Output = i32>>>>,
+    /// The exit held back while the trailing compute is delivered.
+    exit: Option<ProcMsg<Req>>,
     finished: bool,
 }
 
-impl<Req: Send + 'static, Resp: Send + 'static> ProcessHost<Req, Resp> {
-    /// Spawn `body` as a hosted process. The thread starts parked, waiting
-    /// for the first [`ProcessHost::start`].
-    pub fn spawn<F>(name: impl Into<String>, cfg: ProcConfig, body: F) -> Self
+impl<Req: 'static, Resp: 'static> ProcessHost<Req, Resp> {
+    /// Host `body` as a process. Nothing of it runs before the first
+    /// [`ProcessHost::start`].
+    pub fn spawn<F, Fut>(name: impl Into<String>, cfg: ProcConfig, body: F) -> Self
     where
-        F: FnOnce(&mut ProcCtx<Req, Resp>) -> i32 + Send + 'static,
+        F: FnOnce(ProcCtx<Req, Resp>) -> Fut + 'static,
+        Fut: Future<Output = i32> + 'static,
     {
-        install_teardown_hook();
-        let name = name.into();
-        let slot = Arc::new(Slot::new());
-        let proc_slot = Arc::clone(&slot);
-        let thread_name = format!("sim-proc-{name}");
-        let handle = thread::Builder::new()
-            .name(thread_name)
-            .spawn(move || {
-                // Park until the engine starts us.
-                let Some(first) = proc_slot.wait_resume() else {
-                    return;
-                };
-                let mut ctx = ProcCtx {
-                    slot: proc_slot,
-                    now: first.now,
-                    pending_compute: 0,
-                    touches: Vec::with_capacity(cfg.touch_flush),
-                    cfg,
-                };
-                let result = catch_unwind(AssertUnwindSafe(|| body(&mut ctx)));
-                let (code, touches) = match result {
-                    Ok(code) => (code, std::mem::take(&mut ctx.touches)),
-                    Err(payload) => {
-                        if payload.downcast_ref::<SimulationTornDown>().is_some() {
-                            return; // engine went away; exit silently
-                        }
-                        // Re-raise nothing: report a crashed process instead,
-                        // mirroring a real program dying with SIGABRT.
-                        (101, Vec::new())
-                    }
-                };
-                // Flush any trailing compute so totals balance, then exit.
-                let micros = std::mem::take(&mut ctx.pending_compute);
-                if micros > 0
-                    && ctx.slot.post_yield(ProcMsg::Compute {
-                        micros,
-                        touches: Vec::new(),
-                    })
-                {
-                    let _ = ctx.slot.wait_resume();
-                }
-                ctx.slot.post_yield(ProcMsg::Exit { code, touches });
-            })
-            .expect("spawning a simulation process thread");
+        let mb = Rc::new(RefCell::new(Mailbox {
+            cfg,
+            now: 0,
+            pending_compute: 0,
+            touches: Vec::with_capacity(cfg.touch_flush),
+            out: None,
+            reply: None,
+        }));
+        let ctx = ProcCtx { mb: Rc::clone(&mb) };
         Self {
-            name,
-            slot,
-            handle: Some(handle),
+            name: name.into(),
+            mb,
+            body: Some(Box::pin(async move { body(ctx).await })),
+            exit: None,
             finished: false,
         }
     }
+}
 
+impl<Req, Resp> ProcessHost<Req, Resp> {
     /// Process name (diagnostics).
     pub fn name(&self) -> &str {
         &self.name
@@ -458,37 +358,57 @@ impl<Req: Send + 'static, Resp: Send + 'static> ProcessHost<Req, Resp> {
 
     fn resume_inner(&mut self, now: SimTime, resp: Option<Resp>) -> ProcMsg<Req> {
         assert!(!self.finished, "resuming a finished process: {}", self.name);
-        let process = self.handle.as_ref().expect("process thread").thread();
-        self.slot.post_resume(Resume { now, resp }, process);
-        match self.slot.wait_yield() {
-            Some(msg) => {
-                if matches!(msg, ProcMsg::Exit { .. }) {
-                    self.finished = true;
-                }
-                msg
-            }
-            None => {
-                // The thread ended without an Exit message (only a torn-down
-                // or externally killed body does that). Synthesize one.
-                self.finished = true;
-                ProcMsg::Exit {
-                    code: 102,
-                    touches: Vec::new(),
-                }
-            }
+        {
+            let mut mb = self.mb.borrow_mut();
+            mb.now = now;
+            mb.reply = resp;
         }
-    }
-}
-
-impl<Req, Resp> Drop for ProcessHost<Req, Resp> {
-    fn drop(&mut self) {
-        // Closing the slot makes a blocked process thread unwind with
-        // `SimulationTornDown`; then the join is prompt.
-        self.slot.lock().engine_gone = true;
-        if let Some(handle) = self.handle.take() {
-            handle.thread().unpark();
-            let _ = handle.join();
+        if let Some(exit) = self.exit.take() {
+            self.finished = true;
+            return exit;
         }
+        let body = self
+            .body
+            .as_mut()
+            .expect("an unfinished process has a body");
+        let started = Instant::now();
+        let polled = catch_unwind(AssertUnwindSafe(|| {
+            body.as_mut().poll(&mut Context::from_waker(Waker::noop()))
+        }));
+        let secs = started.elapsed().as_secs_f64();
+        LEDGER.with(|l| {
+            let mut tally = l.get();
+            tally.polls += 1;
+            tally.body_secs += secs;
+            l.set(tally);
+        });
+        let (code, touches) = match polled {
+            Ok(Poll::Pending) => {
+                return self
+                    .mb
+                    .borrow_mut()
+                    .out
+                    .take()
+                    .expect("a process body suspends only in a ProcCtx call");
+            }
+            Ok(Poll::Ready(code)) => (code, std::mem::take(&mut self.mb.borrow_mut().touches)),
+            // Report a crashed process, as a real program dying with
+            // SIGABRT would be; its unflushed touches die with it.
+            Err(_) => (101, Vec::new()),
+        };
+        self.body = None;
+        let exit = ProcMsg::Exit { code, touches };
+        // Flush any trailing compute so totals balance, then exit.
+        let micros = std::mem::take(&mut self.mb.borrow_mut().pending_compute);
+        if micros > 0 {
+            self.exit = Some(exit);
+            return ProcMsg::Compute {
+                micros,
+                touches: Vec::new(),
+            };
+        }
+        self.finished = true;
+        exit
     }
 }
 
@@ -506,8 +426,8 @@ mod tests {
                 compute_flush_us: 100,
                 touch_flush: 64,
             },
-            |ctx| {
-                ctx.compute(250); // crosses the 100 µs threshold twice
+            |mut ctx| async move {
+                ctx.compute(250).await; // crosses the 100 µs threshold twice
                 7
             },
         );
@@ -533,9 +453,9 @@ mod tests {
 
     #[test]
     fn request_response_roundtrip() {
-        let mut host = Host::spawn("t", ProcConfig::default(), |ctx| {
-            let a = ctx.request(10);
-            let b = ctx.request(a);
+        let mut host = Host::spawn("t", ProcConfig::default(), |mut ctx| async move {
+            let a = ctx.request(10).await;
+            let b = ctx.request(a).await;
             (a + b) as i32
         });
         let msg = host.start(0);
@@ -563,9 +483,9 @@ mod tests {
                 compute_flush_us: 1_000_000,
                 touch_flush: 64,
             },
-            |ctx| {
-                ctx.compute(42);
-                ctx.request(1);
+            |mut ctx| async move {
+                ctx.compute(42).await;
+                ctx.request(1).await;
                 0
             },
         );
@@ -582,12 +502,12 @@ mod tests {
 
     #[test]
     fn touches_are_batched_and_dedup_consecutive() {
-        let mut host = Host::spawn("t", ProcConfig::default(), |ctx| {
-            ctx.touch(1);
-            ctx.touch(1); // consecutive duplicate collapses
-            ctx.touch(2);
-            ctx.touch(1); // non-consecutive repeat is kept
-            ctx.request(0);
+        let mut host = Host::spawn("t", ProcConfig::default(), |mut ctx| async move {
+            ctx.touch(1).await;
+            ctx.touch(1).await; // consecutive duplicate collapses
+            ctx.touch(2).await;
+            ctx.touch(1).await; // non-consecutive repeat is kept
+            ctx.request(0).await;
             0
         });
         let msg = host.start(0);
@@ -606,9 +526,9 @@ mod tests {
                 compute_flush_us: u64::MAX,
                 touch_flush: 8,
             },
-            |ctx| {
+            |mut ctx| async move {
                 for i in 0..20 {
-                    ctx.touch(i);
+                    ctx.touch(i).await;
                 }
                 0
             },
@@ -632,9 +552,9 @@ mod tests {
 
     #[test]
     fn now_advances_with_resumes() {
-        let mut host = Host::spawn("t", ProcConfig::default(), |ctx| {
+        let mut host = Host::spawn("t", ProcConfig::default(), |mut ctx| async move {
             assert_eq!(ctx.now(), 1000);
-            ctx.request(0);
+            ctx.request(0).await;
             assert_eq!(ctx.now(), 2500);
             0
         });
@@ -646,7 +566,9 @@ mod tests {
 
     #[test]
     fn panicking_body_reports_exit_code_101() {
-        let mut host = Host::spawn("t", ProcConfig::default(), |_ctx| panic!("app crashed"));
+        let mut host = Host::spawn("t", ProcConfig::default(), |_ctx| async move {
+            panic!("app crashed")
+        });
         let msg = host.start(0);
         let ProcMsg::Exit { code, .. } = msg else {
             panic!("expected exit")
@@ -655,56 +577,53 @@ mod tests {
     }
 
     #[test]
-    fn dropping_host_mid_request_does_not_hang() {
-        let mut host = Host::spawn("t", ProcConfig::default(), |ctx| {
-            ctx.request(1);
-            0
+    fn panic_mid_run_still_bills_its_compute() {
+        let mut host = Host::spawn("t", ProcConfig::default(), |mut ctx| async move {
+            ctx.request(1).await;
+            ctx.touch(9).await;
+            ctx.compute(30).await;
+            panic!("app crashed")
         });
-        let _ = host.start(0);
-        drop(host); // must join cleanly, not deadlock
-    }
-
-    #[test]
-    fn exit_racing_thread_end_reports_the_real_code() {
-        // The process thread posts `Exit` and ends right after; the engine
-        // must deliver the letter, not read the ended thread as a death
-        // (102). Repeat to give the race many chances.
-        for i in 0..2_000 {
-            let mut host = Host::spawn("t", ProcConfig::default(), move |_ctx| i % 100);
-            let msg = host.start(0);
-            let ProcMsg::Exit { code, .. } = msg else {
-                panic!("expected exit, got {msg:?}")
-            };
-            assert_eq!(code, i % 100, "iteration {i}");
-        }
-    }
-
-    #[test]
-    fn thread_ending_without_exit_reports_102() {
-        // A body torn down without the engine going away ends its thread
-        // with no `Exit` letter: the engine synthesizes code 102.
-        let mut host = Host::spawn("t", ProcConfig::default(), |_ctx| {
-            std::panic::panic_any(SimulationTornDown)
-        });
-        let msg = host.start(0);
-        assert!(matches!(msg, ProcMsg::Exit { code: 102, .. }), "{msg:?}");
+        assert!(matches!(host.start(0), ProcMsg::Request { call: 1, .. }));
+        let msg = host.resume(1, 0);
+        assert!(
+            matches!(msg, ProcMsg::Compute { micros: 30, ref touches } if touches.is_empty()),
+            "{msg:?}"
+        );
+        let msg = host.resume_compute(31);
+        assert!(
+            matches!(msg, ProcMsg::Exit { code: 101, ref touches } if touches.is_empty()),
+            "{msg:?}"
+        );
         assert!(host.finished());
     }
 
     #[test]
+    fn dropping_host_mid_request_does_not_hang() {
+        let mut host = Host::spawn("t", ProcConfig::default(), |mut ctx| async move {
+            ctx.request(1).await;
+            0
+        });
+        let _ = host.start(0);
+        drop(host); // must return at once, not deadlock
+    }
+
+    #[test]
     fn dropping_host_before_start_or_mid_compute_does_not_hang() {
-        drop(Host::spawn("t", ProcConfig::default(), |_ctx| 0));
+        drop(Host::spawn("t", ProcConfig::default(), |_ctx| async { 0 }));
         for _ in 0..200 {
-            // A body that never stops computing: dropped right after a
-            // yield, while its thread may still be on the way to parking.
+            // A body that never stops computing, dropped right after a
+            // yield.
             let mut host = Host::spawn(
                 "t",
                 ProcConfig {
                     compute_flush_us: 1,
                     touch_flush: 64,
                 },
-                |ctx| loop {
-                    ctx.compute(1);
+                |mut ctx| async move {
+                    loop {
+                        ctx.compute(1).await;
+                    }
                 },
             );
             assert!(matches!(host.start(0), ProcMsg::Compute { .. }));
@@ -713,26 +632,56 @@ mod tests {
         }
     }
 
-    #[test]
-    fn resumes_from_threads_other_than_the_spawner() {
-        let mut host = Host::spawn("t", ProcConfig::default(), |ctx| {
-            let mut sum = 0;
-            for i in 0..10 {
-                sum += ctx.request(i);
-            }
-            sum as i32
-        });
-        // Start on a second thread, then alternate the driving thread.
-        let mut msg = std::thread::scope(|s| s.spawn(|| host.start(0)).join().unwrap());
-        let mut now = 0;
-        while let ProcMsg::Request { call, .. } = msg {
-            now += 1;
-            msg = if now % 2 == 0 {
-                host.resume(now, call * 2)
-            } else {
-                std::thread::scope(|s| s.spawn(|| host.resume(now, call * 2)).join().unwrap())
-            };
+    /// Sets its flag when dropped: observes a body being dropped.
+    struct DropGuard(Rc<Cell<bool>>);
+
+    impl Drop for DropGuard {
+        fn drop(&mut self) {
+            self.0.set(true);
         }
-        assert!(matches!(msg, ProcMsg::Exit { code: 90, .. }), "{msg:?}");
+    }
+
+    #[test]
+    fn dropping_a_host_drops_its_suspended_body() {
+        let dropped = Rc::new(Cell::new(false));
+        let flag = Rc::clone(&dropped);
+        let mut host = Host::spawn("t", ProcConfig::default(), |mut ctx| async move {
+            let _guard = DropGuard(flag);
+            ctx.request(1).await;
+            unreachable!("the host is dropped mid-request");
+        });
+        assert!(matches!(host.start(0), ProcMsg::Request { call: 1, .. }));
+        assert!(!dropped.get());
+        drop(host);
+        assert!(dropped.get(), "the body's locals were not dropped");
+    }
+
+    #[test]
+    fn the_body_runs_only_once_started() {
+        let ran = Rc::new(Cell::new(false));
+        let flag = Rc::clone(&ran);
+        let mut host = Host::spawn("t", ProcConfig::default(), move |_ctx| {
+            flag.set(true);
+            async { 3 }
+        });
+        assert!(!ran.get(), "spawn ran the body");
+        assert!(matches!(host.start(0), ProcMsg::Exit { code: 3, .. }));
+        assert!(ran.get());
+    }
+
+    #[test]
+    fn every_poll_is_counted_in_the_ledger() {
+        let before = BodyLedger::current();
+        let mut host = Host::spawn("t", ProcConfig::default(), |mut ctx| async move {
+            ctx.request(1).await;
+            ctx.request(2).await;
+            0
+        });
+        host.start(0);
+        host.resume(1, 0);
+        host.resume(2, 0);
+        let spent = BodyLedger::current().since(before);
+        assert_eq!(spent.polls, 3);
+        assert!(spent.body_secs >= 0.0);
     }
 }

@@ -29,25 +29,26 @@ fn main() {
     // A custom workload: a crude database-style workload — append a log,
     // then do scattered point reads against a data file.
     bw.install_file(0, "/data/table", Placement::User, &vec![0xA5u8; 128 * 1024]);
-    bw.spawn(0, "mini-db", 0, |ctx| {
-        let mut wal = SimFile::open(ctx, "/data/wal", true, Placement::User);
-        let mut table = SimFile::open(ctx, "/data/table", false, Placement::User);
+    bw.spawn(0, "mini-db", 0, |mut ctx| async move {
+        let mut wal = SimFile::open(&mut ctx, "/data/wal", true, Placement::User).await;
+        let mut table = SimFile::open(&mut ctx, "/data/table", false, Placement::User).await;
         for txn in 0..40u64 {
             // Write-ahead record, then force it to disk.
-            wal.append(ctx, format!("txn {txn:06} commit\n").into_bytes());
+            wal.append(&mut ctx, format!("txn {txn:06} commit\n").into_bytes())
+                .await;
             if txn % 8 == 7 {
-                wal.fsync(ctx);
+                wal.fsync(&mut ctx).await;
             }
             // Scattered point read.
             table.seek((txn * 37 % 128) * 1024);
-            let page = table.read(ctx, 1024);
+            let page = table.read(&mut ctx, 1024).await;
             assert_eq!(page.len(), 1024);
-            ctx.compute(250_000); // 0.25 s of "query processing"
+            ctx.compute(250_000).await; // 0.25 s of "query processing"
         }
-        ctx.sys(Syscall::LogMsg { len: 80 }); // and a syslog line
-        wal.fsync(ctx);
-        wal.close(ctx);
-        table.close(ctx);
+        ctx.sys(Syscall::LogMsg { len: 80 }).await; // and a syslog line
+        wal.fsync(&mut ctx).await;
+        wal.close(&mut ctx).await;
+        table.close(&mut ctx).await;
         0
     });
     bw.run_apps(12_000_000);

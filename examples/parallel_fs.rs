@@ -23,15 +23,16 @@ fn main() {
     let svc_w = svc.clone();
     let writer_task = bw.next_task();
     let spec_w = spec.clone();
-    bw.spawn(0, "producer", 0, move |ctx| {
+    bw.spawn(0, "producer", 0, move |mut ctx| async move {
         let mut pf = pfsio::ParaFile::open("dataset", spec_w, &svc_w, writer_task);
         let payload: Vec<u8> = (0..256 * 1024u32).map(|i| (i % 253) as u8).collect();
         for chunk in 0..8u64 {
             pf.write(
-                ctx,
+                &mut ctx,
                 chunk * 32 * 1024,
                 &payload[(chunk as usize) * 32 * 1024..][..32 * 1024],
-            );
+            )
+            .await;
         }
         0
     });
@@ -39,10 +40,10 @@ fn main() {
         let svc_r = svc.clone();
         let spec_r = spec.clone();
         let my_task = bw.next_task();
-        bw.spawn(1 + r, "consumer", 2_000_000, move |ctx| {
+        bw.spawn(1 + r, "consumer", 2_000_000, move |mut ctx| async move {
             let mut pf = pfsio::ParaFile::open("dataset", spec_r, &svc_r, my_task);
             let base = r as u64 * 80 * 1024;
-            let data = pf.read(ctx, base, 80 * 1024);
+            let data = pf.read(&mut ctx, base, 80 * 1024).await;
             // Verify content that the producer has committed by now; the
             // coordinator serializes access, so reads are never torn.
             let ok = data
@@ -51,8 +52,8 @@ fn main() {
                 .all(|(i, &b)| b == 0 || b == (((base as usize + i) % 253) as u8));
             assert!(ok, "consumer {r} read torn data");
             if r == 0 {
-                ctx.compute(3_000_000);
-                pfsio::shutdown(ctx, &svc_r);
+                ctx.compute(3_000_000).await;
+                pfsio::shutdown(&mut ctx, &svc_r).await;
             }
             0
         });

@@ -40,26 +40,27 @@ fn oom_kills_the_offender_and_spares_the_rest() {
         frames_user: 64,
         ..Default::default()
     });
-    bw.spawn(0, "hog", 0, |ctx| {
+    bw.spawn(0, "hog", 0, |mut ctx| async move {
         use ess_io_study::apps::CtxExt;
         let (base, pages) = ctx
             .sys(ess_io_study::kernel::Syscall::MapAnon { pages: 40_000 })
+            .await
             .mapped();
         // Touch far more pages than frames + swap slots can ever hold.
         for p in 0..pages as u64 {
-            ctx.touch(base + p);
-            ctx.compute(50);
+            ctx.touch(base + p).await;
+            ctx.compute(50).await;
         }
         0
     });
-    bw.spawn(0, "bystander", 0, |ctx| {
-        let mut f = SimFile::open(ctx, "/ok", true, Placement::User);
+    bw.spawn(0, "bystander", 0, |mut ctx| async move {
+        let mut f = SimFile::open(&mut ctx, "/ok", true, Placement::User).await;
         for _ in 0..20 {
-            f.append(ctx, vec![1u8; 512]);
-            ctx.compute(400_000);
+            f.append(&mut ctx, vec![1u8; 512]).await;
+            ctx.compute(400_000).await;
         }
-        f.fsync(ctx);
-        f.close(ctx);
+        f.fsync(&mut ctx).await;
+        f.close(&mut ctx).await;
         0
     });
     bw.run_apps(12_000_000);
@@ -87,9 +88,9 @@ fn wild_pointer_is_a_segfault_not_a_hang() {
         nodes: 1,
         ..Default::default()
     });
-    bw.spawn(0, "wild", 0, |ctx| {
-        ctx.touch(0xFFFF_FFFF);
-        ctx.compute(1_000_000); // forces the touch batch to flush
+    bw.spawn(0, "wild", 0, |mut ctx| async move {
+        ctx.touch(0xFFFF_FFFF).await;
+        ctx.compute(1_000_000).await; // forces the touch batch to flush
         0
     });
     bw.run_apps(1_000_000);
@@ -103,9 +104,11 @@ fn app_panic_is_contained_as_exit_code_101() {
         nodes: 2,
         ..Default::default()
     });
-    bw.spawn(0, "crasher", 0, |_ctx| panic!("numerical blow-up"));
-    bw.spawn(1, "survivor", 0, |ctx| {
-        ctx.compute(5_000_000);
+    bw.spawn(0, "crasher", 0, |_ctx| async move {
+        panic!("numerical blow-up")
+    });
+    bw.spawn(1, "survivor", 0, |mut ctx| async move {
+        ctx.compute(5_000_000).await;
         0
     });
     bw.run_apps(1_000_000);
@@ -158,24 +161,30 @@ fn zero_length_and_bad_fd_syscalls_error_cleanly() {
         nodes: 1,
         ..Default::default()
     });
-    bw.spawn(0, "prober", 0, |ctx| {
-        let r = ctx.sys(Syscall::MapAnon { pages: 0 });
+    bw.spawn(0, "prober", 0, |mut ctx| async move {
+        let r = ctx.sys(Syscall::MapAnon { pages: 0 }).await;
         assert_eq!(r, SysResult::Err(SysError::Invalid));
-        let r = ctx.sys(Syscall::ReadAt {
-            fd: 42,
-            offset: 0,
-            len: 8,
-        });
+        let r = ctx
+            .sys(Syscall::ReadAt {
+                fd: 42,
+                offset: 0,
+                len: 8,
+            })
+            .await;
         assert_eq!(r, SysResult::Err(SysError::BadFd));
-        let r = ctx.sys(Syscall::Open {
-            path: "/nope".into(),
-            create: false,
-            placement: Placement::User,
-        });
+        let r = ctx
+            .sys(Syscall::Open {
+                path: "/nope".into(),
+                create: false,
+                placement: Placement::User,
+            })
+            .await;
         assert_eq!(r, SysResult::Err(SysError::NotFound));
-        let r = ctx.sys(Syscall::Unlink {
-            path: "/nope".into(),
-        });
+        let r = ctx
+            .sys(Syscall::Unlink {
+                path: "/nope".into(),
+            })
+            .await;
         assert_eq!(r, SysResult::Err(SysError::NotFound));
         0
     });
