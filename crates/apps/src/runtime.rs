@@ -268,17 +268,17 @@ mod tests {
             assert!(matches!(r, NetResult::Sent));
             0
         });
-        let msg = host.start(0);
+        let msg = host.resume(0, None);
         let essio_sim::ProcMsg::Request { call, .. } = msg else {
             panic!("{msg:?}")
         };
         assert!(matches!(call, AppCall::Sys(Syscall::Stat { .. })));
-        let msg = host.resume(1, AppReply::Sys(SysResult::Stat { size: 7 }));
+        let msg = host.resume(1, Some(AppReply::Sys(SysResult::Stat { size: 7 })));
         let essio_sim::ProcMsg::Request { call, .. } = msg else {
             panic!("{msg:?}")
         };
         assert!(matches!(call, AppCall::Net(NetOp::Send { .. })));
-        let msg = host.resume(2, AppReply::Net(NetResult::Sent));
+        let msg = host.resume(2, Some(AppReply::Net(NetResult::Sent)));
         assert!(matches!(msg, essio_sim::ProcMsg::Exit { code: 0, .. }));
     }
 
@@ -288,8 +288,8 @@ mod tests {
             ctx.sys(Syscall::Stat { path: "/x".into() }).await;
             0
         });
-        let _ = host.start(0);
-        let msg = host.resume(1, AppReply::Net(NetResult::Sent));
+        let _ = host.resume(0, None);
+        let msg = host.resume(1, Some(AppReply::Net(NetResult::Sent)));
         // The body panicked → exit code 101 by convention.
         assert!(matches!(msg, essio_sim::ProcMsg::Exit { code: 101, .. }));
     }
@@ -326,19 +326,19 @@ mod tests {
                 0
             },
         );
-        let msg = host.start(0);
+        let msg = host.resume(0, None);
         let essio_sim::ProcMsg::Request { touches, .. } = msg else {
             panic!()
         };
         assert_eq!(touches, (100..105).collect::<Vec<_>>());
-        let msg = host.resume(1, AppReply::Net(NetResult::Sent));
+        let msg = host.resume(1, Some(AppReply::Net(NetResult::Sent)));
         let essio_sim::ProcMsg::Request { touches, .. } = msg else {
             panic!()
         };
         assert_eq!(touches[..5], [105, 106, 107, 108, 109]);
         assert_eq!(touches[5], 100, "touch_byte(0)");
         assert_eq!(&touches[6..], &[101, 102], "touch_bytes spans pages 1..3");
-        host.resume(2, AppReply::Net(NetResult::Sent));
+        host.resume(2, Some(AppReply::Net(NetResult::Sent)));
     }
 
     #[test]
@@ -360,13 +360,13 @@ mod tests {
                 0
             },
         );
-        let msg = host.start(0);
+        let msg = host.resume(0, None);
         let essio_sim::ProcMsg::Compute { micros, .. } = msg else {
             panic!("{msg:?}")
         };
         assert_eq!(micros, 200_000);
-        let msg = host.resume_compute(200_000);
+        let msg = host.resume(200_000, None);
         assert!(matches!(msg, essio_sim::ProcMsg::Request { .. }));
-        host.resume(200_001, AppReply::Net(NetResult::Sent));
+        host.resume(200_001, Some(AppReply::Net(NetResult::Sent)));
     }
 }

@@ -10,13 +10,11 @@
 //! bench more than `--threshold` percent (default 25) slower than its
 //! baseline fails the gate.
 //!
-//! Medians are compared like-for-like against the `bench_gate` section of
-//! the baseline file, written by `--record` with this same harness; when
-//! that section is absent the gate falls back to the legacy per-study
-//! medians (`engine_microbench.*.after`, `trace_codec_microbench.*`),
-//! which were recorded with a different sampler and host and so carry
-//! more cross-methodology noise. `--record` re-measures and rewrites only
-//! the `bench_gate` section, leaving the rest of the file byte-identical.
+//! Medians are compared like-for-like against the `bench_gate.medians_us`
+//! section of the baseline file, written by `--record` with this same
+//! harness; a bench missing from it is an error. `--record` re-measures
+//! and rewrites only the `bench_gate` section, leaving the rest of the
+//! file byte-identical.
 //!
 //! Shared CI hosts are noisy, so each bench is sampled in `--rounds`
 //! interleaved rounds and the *best* round median is compared — transient
@@ -97,15 +95,10 @@ fn engine_same_instant_fifo() -> u64 {
     n
 }
 
-/// One gated benchmark: a name, the baseline lookup path within
-/// `BENCH_baseline.json`, and the workload.
+/// One gated benchmark: its name in `bench_gate.medians_us` and the
+/// workload.
 struct Gate {
     name: &'static str,
-    section: &'static str,
-    key: &'static str,
-    /// Baselines for engine benches are `{before, after}` objects; the
-    /// codec ones are flat numbers.
-    nested_after: bool,
     run: Box<dyn Fn() -> u64>,
 }
 
@@ -114,63 +107,36 @@ fn gates() -> Vec<Gate> {
     let encoded = codec::encode(&records);
     let columnar = codec::encode_columnar(&records);
     let (r1, r2) = (records.clone(), records);
-    let gate = |name, section, key, nested_after, run| Gate {
-        name,
-        section,
-        key,
-        nested_after,
-        run,
-    };
+    let gate = |name, run| Gate { name, run };
     vec![
         gate(
             "engine/schedule_pop_10k",
-            "engine_microbench",
-            "schedule_pop_10k",
-            true,
             Box::new(|| black_box(engine_schedule_pop())),
         ),
         gate(
             "engine/schedule_cancel_pop_10k",
-            "engine_microbench",
-            "schedule_cancel_pop_10k",
-            true,
             Box::new(|| black_box(engine_schedule_cancel_pop())),
         ),
         gate(
             "engine/same_instant_fifo_10k",
-            "engine_microbench",
-            "same_instant_fifo_10k",
-            true,
             Box::new(|| black_box(engine_same_instant_fifo())),
         ),
         gate(
             "trace_codec/encode_binary",
-            "trace_codec_microbench",
-            "encode_binary",
-            false,
             Box::new(move || black_box(codec::encode(black_box(&r1))).len() as u64),
         ),
         gate(
             "trace_codec/decode_binary",
-            "trace_codec_microbench",
-            "decode_binary",
-            false,
             Box::new(move || {
                 black_box(codec::decode(black_box(&encoded)).expect("valid")).len() as u64
             }),
         ),
         gate(
             "trace_codec/encode_columnar",
-            "trace_codec_microbench",
-            "encode_columnar",
-            false,
             Box::new(move || black_box(codec::encode_columnar(black_box(&r2))).len() as u64),
         ),
         gate(
             "trace_codec/decode_columnar",
-            "trace_codec_microbench",
-            "decode_columnar",
-            false,
             Box::new(move || {
                 black_box(codec::decode(black_box(&columnar)).expect("valid")).len() as u64
             }),
@@ -207,29 +173,25 @@ fn numeric(v: &serde::Value) -> Option<f64> {
     }
 }
 
-/// Pull one baseline median (µs) out of the parsed `BENCH_baseline.json`:
-/// the recorded `bench_gate.medians_us` entry when present, else the
-/// legacy study median.
-fn baseline_us(doc: &serde::Value, g: &Gate) -> Option<f64> {
-    let root = doc.as_object()?;
-    if let Ok(gate) = serde::field(root, "bench_gate") {
-        if let Some(med) = gate
-            .as_object()
-            .and_then(|f| serde::field(f, "medians_us").ok())
-            .and_then(|m| m.as_object())
-            .and_then(|m| serde::field(m, g.name).ok())
-            .and_then(numeric)
-        {
-            return Some(med);
-        }
-    }
-    let section = serde::field(root, g.section).ok()?.as_object()?;
-    let entry = serde::field(section, g.key).ok()?;
-    if g.nested_after {
-        numeric(serde::field(entry.as_object()?, "after").ok()?)
-    } else {
-        numeric(entry)
-    }
+/// The recorded median (µs) of each named bench, from the
+/// `bench_gate.medians_us` section of the parsed baseline; `Err` names the
+/// first bench the section lacks.
+fn baselines(doc: &serde::Value, names: &[&str]) -> Result<Vec<f64>, String> {
+    let medians = doc
+        .as_object()
+        .and_then(|root| serde::field(root, "bench_gate").ok())
+        .and_then(serde::Value::as_object)
+        .and_then(|gate| serde::field(gate, "medians_us").ok())
+        .and_then(serde::Value::as_object);
+    names
+        .iter()
+        .map(|name| {
+            medians
+                .and_then(|m| serde::field(m, name).ok())
+                .and_then(numeric)
+                .ok_or_else(|| format!("{name} missing from bench_gate.medians_us"))
+        })
+        .collect()
 }
 
 /// Render the `bench_gate` section `--record` commits.
@@ -369,13 +331,15 @@ fn main() {
         return;
     }
 
+    // Looked up only now: allocating before the rounds moves the heap
+    // layout the codec benches run in, and with it their medians.
+    let names: Vec<&str> = gates.iter().map(|g| g.name).collect();
+    let base = baselines(&doc, &names).unwrap_or_else(|e| die(format!("{baseline_path}: {e}")));
     let mut table = String::from(
         "| bench | baseline µs | current µs | Δ | status |\n|---|---:|---:|---:|---|\n",
     );
     let mut regressions = 0usize;
-    for (g, med) in gates.iter().zip(&best) {
-        let base = baseline_us(&doc, g)
-            .unwrap_or_else(|| die(format!("{} missing from {baseline_path}", g.name)));
+    for ((g, med), base) in gates.iter().zip(&best).zip(base) {
         let delta_pct = (med - base) / base * 100.0;
         let ok = delta_pct <= threshold_pct;
         if !ok {
@@ -414,7 +378,7 @@ fn main() {
 
 #[cfg(test)]
 mod tests {
-    use super::upsert_bench_gate;
+    use super::{baselines, upsert_bench_gate};
 
     const SECTION: &str =
         "  \"bench_gate\": {\n    \"medians_us\": {\n      \"x\": 1\n    }\n  },\n";
@@ -426,6 +390,19 @@ mod tests {
         assert_eq!(inserted, format!("{{\n{SECTION}{}", &raw[2..]));
         let replaced = upsert_bench_gate(&inserted, &SECTION.replace('1', "2")).unwrap();
         assert_eq!(replaced, inserted.replace("\"x\": 1", "\"x\": 2"));
+    }
+
+    #[test]
+    fn a_bench_missing_from_the_gate_section_is_named() {
+        let doc: serde::Value = serde_json::from_str(
+            "{\"bench_gate\": {\"medians_us\": {\"a\": 5, \"b\": 7.5}}, \"legacy\": {\"c\": 1}}",
+        )
+        .unwrap();
+        assert_eq!(baselines(&doc, &["b", "a"]), Ok(vec![7.5, 5.0]));
+        let err = baselines(&doc, &["a", "c"]).unwrap_err();
+        assert!(err.contains("c missing"), "{err}");
+        let empty: serde::Value = serde_json::from_str("{}").unwrap();
+        assert!(baselines(&empty, &["a"]).unwrap_err().contains("a missing"));
     }
 
     #[test]

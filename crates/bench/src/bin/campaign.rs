@@ -36,38 +36,13 @@
 use rayon::prelude::*;
 
 use essio::prelude::*;
+use essio_conform::FaultsPreset;
 use essio_stream::{merge_all, StreamConfig, StreamSummary};
-
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum FaultPreset {
-    None,
-    Disk,
-    Net,
-    Crash,
-    All,
-}
-
-impl FaultPreset {
-    /// The plan this preset injects on a cluster of `nodes` nodes.
-    fn plan(self, nodes: u8) -> FaultPlan {
-        let base = FaultPlan::none().seed(0xFA17);
-        match self {
-            FaultPreset::None => FaultPlan::none(),
-            FaultPreset::Disk => base.disk(DiskFaultConfig::degraded_drive()),
-            FaultPreset::Net => base.net(NetFaultConfig::lossy_segment()),
-            FaultPreset::Crash => base.crash(nodes.saturating_sub(1), 30_000_000),
-            FaultPreset::All => base
-                .disk(DiskFaultConfig::degraded_drive())
-                .net(NetFaultConfig::lossy_segment())
-                .crash(nodes.saturating_sub(1), 30_000_000),
-        }
-    }
-}
 
 struct Args {
     seeds: u64,
     kind: ExperimentKind,
-    faults: FaultPreset,
+    faults: FaultsPreset,
     full: bool,
     obs_dir: Option<std::path::PathBuf>,
 }
@@ -76,7 +51,7 @@ fn parse_args() -> Args {
     let mut args = Args {
         seeds: 8,
         kind: ExperimentKind::Combined,
-        faults: FaultPreset::None,
+        faults: FaultsPreset::None,
         full: false,
         obs_dir: None,
     };
@@ -95,30 +70,18 @@ fn parse_args() -> Args {
                 }
             }
             "--kind" => {
-                args.kind = match it.next().unwrap_or_default().as_str() {
-                    "baseline" => ExperimentKind::Baseline,
-                    "ppm" => ExperimentKind::Ppm,
-                    "wavelet" => ExperimentKind::Wavelet,
-                    "nbody" => ExperimentKind::Nbody,
-                    "combined" => ExperimentKind::Combined,
-                    other => {
-                        eprintln!("unknown kind {other:?}");
-                        std::process::exit(2);
-                    }
-                };
+                let v = it.next().unwrap_or_default();
+                args.kind = ExperimentKind::from_slug(&v).unwrap_or_else(|| {
+                    eprintln!("unknown kind {v:?}");
+                    std::process::exit(2);
+                });
             }
             "--faults" => {
-                args.faults = match it.next().unwrap_or_default().as_str() {
-                    "none" => FaultPreset::None,
-                    "disk" => FaultPreset::Disk,
-                    "net" => FaultPreset::Net,
-                    "crash" => FaultPreset::Crash,
-                    "all" => FaultPreset::All,
-                    other => {
-                        eprintln!("unknown fault preset {other:?}");
-                        std::process::exit(2);
-                    }
-                };
+                let v = it.next().unwrap_or_default();
+                args.faults = FaultsPreset::from_label(&v).unwrap_or_else(|| {
+                    eprintln!("unknown fault preset {v:?}");
+                    std::process::exit(2);
+                });
             }
             "--full" => args.full = true,
             "--obs-dir" => match it.next() {
@@ -145,16 +108,10 @@ fn experiment(
     kind: ExperimentKind,
     full: bool,
     seed: u64,
-    faults: FaultPreset,
+    faults: FaultsPreset,
     obs: bool,
 ) -> Experiment {
-    let e = match kind {
-        ExperimentKind::Baseline => Experiment::baseline(),
-        ExperimentKind::Ppm => Experiment::ppm(),
-        ExperimentKind::Wavelet => Experiment::wavelet(),
-        ExperimentKind::Nbody => Experiment::nbody(),
-        ExperimentKind::Combined => Experiment::combined(),
-    };
+    let e = Experiment::new(kind);
     let e = if full { e } else { e.quick() };
     let nodes = e.cluster.nodes;
     e.seed(seed).faults(faults.plan(nodes)).obs(obs)
@@ -347,7 +304,7 @@ fn main() {
     );
     println!();
 
-    if args.faults != FaultPreset::None || !degraded.is_empty() || !failed.is_empty() {
+    if args.faults != FaultsPreset::None || !degraded.is_empty() || !failed.is_empty() {
         println!(
             "Degradation ({} of {} seeds degraded):",
             degraded.len(),

@@ -55,17 +55,11 @@ fn main() {
         }
     }
     let which = which.unwrap_or_else(|| "baseline".into());
-    let e = match which.as_str() {
-        "baseline" => Experiment::baseline(),
-        "ppm" => Experiment::ppm(),
-        "wavelet" => Experiment::wavelet(),
-        "nbody" => Experiment::nbody(),
-        "combined" => Experiment::combined(),
-        other => {
-            eprintln!("unknown experiment {other}");
-            std::process::exit(2);
-        }
-    };
+    let kind = ExperimentKind::from_slug(&which).unwrap_or_else(|| {
+        eprintln!("unknown experiment {which}");
+        std::process::exit(2);
+    });
+    let e = Experiment::new(kind);
     let e = if full { e } else { e.quick() };
     let e = e.obs(obs_dir.is_some());
     let t0 = std::time::Instant::now();

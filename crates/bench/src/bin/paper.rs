@@ -1,7 +1,12 @@
-//! Regenerate every figure and table in one run, writing TSV data files to
-//! `target/paper/` and printing the terminal plots.
+//! Regenerate the paper's figures and tables in one run, writing their
+//! data files to `target/paper/` and printing each plot or report with the
+//! paper's reading of it.
 //!
-//! Usage: `paper [--full]` (quick 2-node scale by default).
+//! Usage: `paper [--full] [--only fig1..fig8|table1]...` (quick 2-node
+//! scale by default). Without `--only` it regenerates every artifact, runs
+//! all five experiments once, and also fits and validates the workload
+//! model; `--only` (repeatable) runs just the experiments the named
+//! artifacts are drawn from.
 //!
 //! Exit codes: `0` success, `2` I/O or argument error, `3` the fitted
 //! workload model failed its own validation (conformance failure).
@@ -9,7 +14,7 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use essio::figures;
+use essio::figures::Artifact;
 use essio::prelude::*;
 use essio_bench::Cli;
 
@@ -29,68 +34,43 @@ fn main() {
         eprintln!("paper: cannot create {}: {e}", out_dir.display());
         std::process::exit(2);
     }
+    let everything = cli.only.is_empty();
+    let artifacts = if everything {
+        Artifact::ALL.to_vec()
+    } else {
+        cli.only.clone()
+    };
 
-    let baseline = cli.run(ExperimentKind::Baseline);
-    let ppm = cli.run(ExperimentKind::Ppm);
-    let wavelet = cli.run(ExperimentKind::Wavelet);
-    let nbody = cli.run(ExperimentKind::Nbody);
-    let combined = cli.run(ExperimentKind::Combined);
-
-    let scatters = [
-        ("fig1", figures::fig1(&baseline)),
-        ("fig2", figures::fig2(&ppm)),
-        ("fig3", figures::fig3(&wavelet)),
-        ("fig4", figures::fig4(&nbody)),
-        ("fig5", figures::fig5(&combined)),
-        ("fig6", figures::fig6(&combined)),
-    ];
-    for (name, fig) in &scatters {
-        write_file(&out_dir.join(format!("{name}.tsv")), &fig.to_tsv());
-        println!("{}", fig.to_ascii(100, 24));
+    let runs: Vec<ExperimentResult> = ExperimentKind::ALL
+        .into_iter()
+        .filter(|k| artifacts.iter().any(|a| a.kinds().contains(k)))
+        .map(|k| cli.run(k))
+        .collect();
+    for artifact in &artifacts {
+        let out = artifact.render(&runs);
+        write_file(&out_dir.join(&out.file), &out.data);
+        println!("{}", out.text);
     }
 
-    let spatial = figures::fig7(&combined);
-    print!("{}", spatial.report());
-    let mut tsv = String::from("band_start\trequests\tpct\n");
-    for b in &spatial.bands {
-        tsv.push_str(&format!("{}\t{}\t{:.3}\n", b.start, b.requests, b.pct));
+    if everything {
+        // The paper's "next step": fit + validate the workload parameter set.
+        let combined = runs.last().expect("every kind ran");
+        let model = WorkloadModel::fit(&combined.trace, combined.duration);
+        let synthetic = model.synthesize(1, combined.duration_s());
+        let v = model.validate(&synthetic, combined.duration);
+        println!(
+            "workload model: rate {:.2}/s, reads {:.0}%, validation acceptable={} (rate err {:.1}%, read-frac err {:.3})",
+            model.rate_per_s,
+            model.read_fraction * 100.0,
+            v.acceptable(),
+            v.rate_rel_err * 100.0,
+            v.read_frac_err
+        );
+        write_file(&out_dir.join("workload_model.json"), &model.to_json());
+        if !v.acceptable() {
+            eprintln!("paper: workload model failed validation — conformance failure");
+            std::process::exit(3);
+        }
     }
-    write_file(&out_dir.join("fig7.tsv"), &tsv);
-
-    let temporal = figures::fig8(&combined);
-    print!("{}", temporal.report());
-    let mut tsv = String::from("sector\taccesses\tfreq_per_s\n");
-    for h in &temporal.hot_spots {
-        tsv.push_str(&format!(
-            "{}\t{}\t{:.4}\n",
-            h.sector, h.accesses, h.freq_per_sec
-        ));
-    }
-    write_file(&out_dir.join("fig8.tsv"), &tsv);
-
-    let refs = [&baseline, &ppm, &wavelet, &nbody, &combined];
-    let table = figures::table1(&refs);
-    println!("Table 1. I/O Requests (average per disk)");
-    println!("{table}");
-    write_file(&out_dir.join("table1.txt"), &table);
-
-    // The paper's "next step": fit + validate the workload parameter set.
-    let model = WorkloadModel::fit(&combined.trace, combined.duration);
-    let synthetic = model.synthesize(1, combined.duration_s());
-    let v = model.validate(&synthetic, combined.duration);
-    println!(
-        "workload model: rate {:.2}/s, reads {:.0}%, validation acceptable={} (rate err {:.1}%, read-frac err {:.3})",
-        model.rate_per_s,
-        model.read_fraction * 100.0,
-        v.acceptable(),
-        v.rate_rel_err * 100.0,
-        v.read_frac_err
-    );
-    write_file(&out_dir.join("workload_model.json"), &model.to_json());
-
     println!("TSV data written to {}", out_dir.display());
-    if !v.acceptable() {
-        eprintln!("paper: workload model failed validation — conformance failure");
-        std::process::exit(3);
-    }
 }

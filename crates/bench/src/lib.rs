@@ -2,12 +2,12 @@
 //!
 //! Two kinds of targets live here:
 //!
-//! * **Binaries** (`src/bin/fig1.rs` … `fig8.rs`, `table1.rs`,
-//!   `ablations.rs`, `experiment.rs`, `paper.rs`) regenerate every figure
-//!   and table of the paper's evaluation. Each accepts `--full` to run at
-//!   paper scale (16 nodes, full durations; seconds of host time) and
-//!   defaults to a quick 2-node variant, and `--tsv` to emit raw series
-//!   instead of the terminal plot.
+//! * **Binaries** (`src/bin/`) regenerate the paper's evaluation:
+//!   `paper` writes every figure and table (or the ones named with
+//!   `--only fig1` … `fig8`, `table1`), `experiment` and `campaign` run
+//!   one experiment kind, `ablations` sweeps the design knobs. Each accepts
+//!   `--full` to run at paper scale (16 nodes, full durations; seconds of
+//!   host time) and defaults to a quick 2-node variant.
 //! * **Criterion benches** (`benches/`) measure the host-side performance
 //!   of every subsystem (driver scheduling, buffer cache, VM paging,
 //!   read-ahead, the three numerical kernels, trace codecs, the analysis
@@ -17,25 +17,33 @@
 
 use essio::prelude::*;
 
-/// Common CLI switches for the figure binaries.
-#[derive(Debug, Clone, Copy, Default)]
+/// Command-line switches of the `paper` binary.
+#[derive(Debug, Clone, Default)]
 pub struct Cli {
     /// Run at paper scale (16 nodes, full durations).
     pub full: bool,
-    /// Emit TSV data instead of an ASCII plot.
-    pub tsv: bool,
+    /// The artifacts named with `--only`; empty means all of them.
+    pub only: Vec<figures::Artifact>,
 }
 
 impl Cli {
     /// Parse from `std::env::args`.
     pub fn parse() -> Cli {
         let mut cli = Cli::default();
-        for arg in std::env::args().skip(1) {
+        let mut args = std::env::args().skip(1);
+        while let Some(arg) = args.next() {
             match arg.as_str() {
                 "--full" => cli.full = true,
-                "--tsv" => cli.tsv = true,
+                "--only" => {
+                    let v = args.next().unwrap_or_default();
+                    let artifact = figures::Artifact::from_slug(&v).unwrap_or_else(|| {
+                        eprintln!("--only takes fig1..fig8 or table1, got {v:?}");
+                        std::process::exit(2);
+                    });
+                    cli.only.push(artifact);
+                }
                 "--help" | "-h" => {
-                    eprintln!("usage: [--full] [--tsv]");
+                    eprintln!("usage: paper [--full] [--only fig1..fig8|table1]...");
                     std::process::exit(0);
                 }
                 other => {
@@ -49,13 +57,7 @@ impl Cli {
 
     /// Build an experiment at the selected scale.
     pub fn experiment(&self, kind: ExperimentKind) -> Experiment {
-        let e = match kind {
-            ExperimentKind::Baseline => Experiment::baseline(),
-            ExperimentKind::Ppm => Experiment::ppm(),
-            ExperimentKind::Wavelet => Experiment::wavelet(),
-            ExperimentKind::Nbody => Experiment::nbody(),
-            ExperimentKind::Combined => Experiment::combined(),
-        };
+        let e = Experiment::new(kind);
         if self.full {
             e
         } else {
@@ -82,15 +84,6 @@ impl Cli {
             r.all_clean()
         );
         r
-    }
-
-    /// Print a scatter figure in the selected format.
-    pub fn emit(&self, scatter: &essio::figures::Scatter) {
-        if self.tsv {
-            print!("{}", scatter.to_tsv());
-        } else {
-            print!("{}", scatter.to_ascii(100, 28));
-        }
     }
 }
 

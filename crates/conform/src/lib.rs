@@ -45,6 +45,6 @@ pub use fingerprint::{
     CHECKPOINT_EVERY,
 };
 pub use hash::Fnv64;
-pub use matrix::{kind_from_slug, kind_slug, CellSpec, FaultsPreset, Matrix};
+pub use matrix::{CellSpec, FaultsPreset, Matrix};
 pub use registry::{CellDiff, DiffKind, GoldenCell, GoldenRegistry};
 pub use shapes::{check_shapes, ShapeViolation};

@@ -74,29 +74,6 @@ impl FaultsPreset {
     }
 }
 
-/// Lowercase cell-id spelling of an experiment kind.
-pub fn kind_slug(kind: ExperimentKind) -> &'static str {
-    match kind {
-        ExperimentKind::Baseline => "baseline",
-        ExperimentKind::Ppm => "ppm",
-        ExperimentKind::Wavelet => "wavelet",
-        ExperimentKind::Nbody => "nbody",
-        ExperimentKind::Combined => "combined",
-    }
-}
-
-/// Parse a cell-id / flag spelling back to a kind.
-pub fn kind_from_slug(s: &str) -> Option<ExperimentKind> {
-    Some(match s {
-        "baseline" => ExperimentKind::Baseline,
-        "ppm" => ExperimentKind::Ppm,
-        "wavelet" => ExperimentKind::Wavelet,
-        "nbody" => ExperimentKind::Nbody,
-        "combined" => ExperimentKind::Combined,
-        _ => return None,
-    })
-}
-
 /// One fully-specified conformance run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CellSpec {
@@ -128,7 +105,7 @@ impl CellSpec {
     pub fn id(&self) -> String {
         format!(
             "{}-s{}-{}-{}-{}",
-            kind_slug(self.kind),
+            self.kind.slug(),
             self.seed,
             self.faults.label(),
             if self.obs { "obs" } else { "noobs" },
@@ -142,7 +119,7 @@ impl CellSpec {
     pub fn group_id(&self) -> String {
         format!(
             "{}-s{}-{}",
-            kind_slug(self.kind),
+            self.kind.slug(),
             self.seed,
             self.faults.label()
         )
@@ -150,14 +127,10 @@ impl CellSpec {
 
     /// Build the experiment this cell runs.
     pub fn experiment(&self) -> Experiment {
-        let e = match self.kind {
-            ExperimentKind::Baseline => Experiment::baseline(),
-            ExperimentKind::Ppm => Experiment::ppm(),
-            ExperimentKind::Wavelet => Experiment::wavelet(),
-            ExperimentKind::Nbody => Experiment::nbody(),
-            ExperimentKind::Combined => Experiment::combined(),
-        };
-        let e = e.quick().seed(self.seed).obs(self.obs);
+        let e = Experiment::new(self.kind)
+            .quick()
+            .seed(self.seed)
+            .obs(self.obs);
         let nodes = e.cluster.nodes;
         e.faults(self.faults.plan(nodes))
     }
@@ -187,7 +160,7 @@ impl Matrix {
     /// least one fingerprint.
     pub fn ci() -> Self {
         use ExperimentKind::*;
-        let mut cells: Vec<CellSpec> = [Baseline, Ppm, Wavelet, Nbody, Combined]
+        let mut cells: Vec<CellSpec> = ExperimentKind::ALL
             .into_iter()
             .map(|k| CellSpec::plain(k, 1))
             .collect();
@@ -229,7 +202,7 @@ impl Matrix {
     pub fn full() -> Self {
         use ExperimentKind::*;
         let mut cells = Vec::new();
-        for kind in [Baseline, Ppm, Wavelet, Nbody, Combined] {
+        for kind in ExperimentKind::ALL {
             for seed in 1..=3 {
                 cells.push(CellSpec::plain(kind, seed));
             }
@@ -302,11 +275,10 @@ mod tests {
 
     #[test]
     fn slugs_roundtrip() {
-        use ExperimentKind::*;
-        for k in [Baseline, Ppm, Wavelet, Nbody, Combined] {
-            assert_eq!(kind_from_slug(kind_slug(k)), Some(k));
+        for k in ExperimentKind::ALL {
+            assert_eq!(ExperimentKind::from_slug(k.slug()), Some(k));
         }
-        assert_eq!(kind_from_slug("nope"), None);
+        assert_eq!(ExperimentKind::from_slug("nope"), None);
         for p in FaultsPreset::ALL {
             assert_eq!(FaultsPreset::from_label(p.label()), Some(p));
         }

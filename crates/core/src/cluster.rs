@@ -10,11 +10,15 @@
 //! * **One thread of control.** Process bodies are futures the loop polls
 //!   on its own thread, from `resume()` to the next yield, so identical
 //!   seeds give bit-identical traces.
+//! * **One process table.** Every live process is one entry of a
+//!   `BTreeMap` keyed by pid (which is also its PVM task id), so anything
+//!   that walks the processes — a crash, the stall watchdog — does so in
+//!   pid order.
 //! * **Processes park in exactly one place**: the kernel (disk waits), the
-//!   PVM layer (receive/barrier waits), or the loop's own `pending` map
-//!   (touch streams mid-fault with their continuation message).
+//!   PVM layer (receive/barrier waits), or their own process-table entry
+//!   (a touch stream mid-fault keeps the message it was carrying).
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::future::Future;
 
 use essio_apps::{AppCall, AppReply};
@@ -135,19 +139,18 @@ impl Default for BeowulfConfig {
     }
 }
 
-/// What a process is waiting to do once its touch stream drains.
-#[derive(Debug)]
-enum Pending {
-    Compute { micros: u64 },
-    Request { call: AppCall },
-    Exit { code: i32 },
+/// A live process: all the loop keeps about it.
+struct Proc {
+    node: u8,
+    name: String,
+    host: ProcessHost<AppCall, AppReply>,
+    /// The message whose page touches blocked mid-fault, carried out when
+    /// the kernel reports the touch stream drained.
+    parked: Option<ProcMsg<AppCall>>,
 }
 
 struct NodeSim {
     kernel: Kernel,
-    hosts: HashMap<Pid, ProcessHost<AppCall, AppReply>>,
-    started: HashMap<Pid, bool>,
-    pending: HashMap<Pid, Pending>,
     /// Processes currently inside a compute burst — the single 486 is
     /// time-shared, so a burst of `d` µs takes `d × computing` of wall
     /// clock (processor-sharing approximation at ~10 ms granularity; this
@@ -291,10 +294,8 @@ pub struct Beowulf {
     nodes: Vec<NodeSim>,
     pvm: Pvm,
     next_pid: Pid,
-    task_of: HashMap<(u8, Pid), TaskId>,
-    loc_of: HashMap<TaskId, (u8, Pid)>,
-    names: HashMap<(u8, Pid), String>,
-    live: usize,
+    /// Live processes by pid (= PVM task id).
+    procs: BTreeMap<Pid, Proc>,
     trace: Vec<TraceRecord>,
     tap: Option<Box<dyn RecordSink>>,
     keep_trace: bool,
@@ -325,6 +326,10 @@ pub const STALLED_EXIT_CODE: i32 = 124;
 /// Exit code for processes killed by a node crash (128 + SIGKILL).
 pub const CRASHED_EXIT_CODE: i32 = 137;
 
+/// Exit code for processes the kernel kills for a bad memory reference
+/// (128 + SIGSEGV).
+const SEGV_EXIT_CODE: i32 = 139;
+
 /// Fixed CPU costs of the messaging layer on the host side, µs.
 const NET_SEND_US: SimTime = 300;
 const NET_RECV_US: SimTime = 200;
@@ -350,9 +355,6 @@ impl Beowulf {
             kernel.set_obs(obs.clone());
             nodes.push(NodeSim {
                 kernel,
-                hosts: HashMap::new(),
-                started: HashMap::new(),
-                pending: HashMap::new(),
                 computing: 0,
                 epoch: 0,
                 alive: true,
@@ -381,10 +383,7 @@ impl Beowulf {
             nodes,
             pvm,
             next_pid: 1,
-            task_of: HashMap::new(),
-            loc_of: HashMap::new(),
-            names: HashMap::new(),
-            live: 0,
+            procs: BTreeMap::new(),
             trace: Vec::new(),
             tap: None,
             keep_trace: true,
@@ -459,14 +458,16 @@ impl Beowulf {
         self.next_pid += 1;
         let task: TaskId = pid; // task ids mirror pids (spawn order)
         let host = ProcessHost::spawn(format!("{name}@{node}"), ProcConfig::default(), body);
-        let ns = &mut self.nodes[node as usize];
-        ns.kernel.register_process(pid);
-        ns.hosts.insert(pid, host);
-        ns.started.insert(pid, false);
-        self.task_of.insert((node, pid), task);
-        self.loc_of.insert(task, (node, pid));
-        self.names.insert((node, pid), name.to_string());
-        self.live += 1;
+        self.nodes[node as usize].kernel.register_process(pid);
+        self.procs.insert(
+            pid,
+            Proc {
+                node,
+                name: name.to_string(),
+                host,
+                parked: None,
+            },
+        );
         self.engine.schedule_at(
             start.max(self.engine.now()),
             Event::Resume {
@@ -533,7 +534,7 @@ impl Beowulf {
     pub fn run_apps(&mut self, settle_us: SimTime) -> SimTime {
         self.boot();
         let watchdog = !self.cfg.faults.crashes.is_empty();
-        while self.live > 0 {
+        while !self.procs.is_empty() {
             let (now, ev) = self
                 .engine
                 .pop()
@@ -543,7 +544,7 @@ impl Beowulf {
             // barrier or receive that no one will ever complete. The
             // watchdog reaps them after a long quiet period so the run
             // (and its trace) still terminates.
-            if watchdog && self.live > 0 && now > self.last_activity + STALL_WATCHDOG_US {
+            if watchdog && !self.procs.is_empty() && now > self.last_activity + STALL_WATCHDOG_US {
                 self.reap_stalled(now);
             }
         }
@@ -761,12 +762,12 @@ impl Beowulf {
                 self.resume_proc(now, node, pid, None);
             }
             Event::NetDeliver(msg) => {
-                if let Some((task, msg)) = self.pvm.deliver(msg) {
-                    if let Some(&(node, pid)) = self.loc_of.get(&task) {
+                if let Some((pid, msg)) = self.pvm.deliver(msg) {
+                    if let Some(p) = self.procs.get(&pid) {
                         self.engine.schedule_in(
                             NET_RECV_US,
                             Event::Resume {
-                                node,
+                                node: p.node,
                                 pid,
                                 reply: Some(AppReply::Net(NetResult::Message(msg))),
                             },
@@ -792,21 +793,14 @@ impl Beowulf {
             WakeKind::TouchDone { cpu_us } => {
                 // The touch stream drained; carry out whatever the process
                 // was on its way to do.
-                let pending = self.nodes[node as usize]
-                    .pending
-                    .remove(&pid)
-                    .expect("blocked touch stream has a continuation");
-                match pending {
-                    Pending::Compute { micros } => {
-                        self.schedule_compute(now, node, pid, cpu_us, micros);
-                    }
-                    Pending::Request { call } => {
-                        self.dispatch_call(now + cpu_us, node, pid, call);
-                    }
-                    Pending::Exit { code } => self.finish_proc(now, node, pid, code),
-                }
+                let msg = self
+                    .procs
+                    .get_mut(&pid)
+                    .and_then(|p| p.parked.take())
+                    .expect("blocked touch stream has a parked message");
+                self.carry_out(now, cpu_us, node, pid, msg);
             }
-            WakeKind::Fatal(reason) => self.kill_proc(now, node, pid, reason),
+            WakeKind::Fatal(reason) => self.exit_proc(now, pid, SEGV_EXIT_CODE, Some(reason)),
         }
     }
 
@@ -820,9 +814,14 @@ impl Beowulf {
         // Drain what the host-side collector already fetched; anything
         // still in the kernel ring dies with the RAM.
         self.drain_traces();
-        let pids: Vec<Pid> = self.nodes[node as usize].hosts.keys().copied().collect();
+        let pids: Vec<Pid> = self
+            .procs
+            .iter()
+            .filter(|(_, p)| p.node == node)
+            .map(|(&pid, _)| pid)
+            .collect();
         for pid in pids {
-            self.fail_proc(now, node, pid, CRASHED_EXIT_CODE, "node crash");
+            self.exit_proc(now, pid, CRASHED_EXIT_CODE, Some("node crash"));
         }
         let ns = &mut self.nodes[node as usize];
         ns.obs.abort(now);
@@ -833,7 +832,6 @@ impl Beowulf {
         ns.crashed = true;
         ns.epoch += 1;
         ns.computing = 0;
-        ns.pending.clear();
         if let Some(crash) = self
             .cfg
             .faults
@@ -867,57 +865,45 @@ impl Beowulf {
     /// progress for [`STALL_WATCHDOG_US`] and are assumed blocked on a
     /// peer that died.
     fn reap_stalled(&mut self, now: SimTime) {
-        let stalled: Vec<(u8, Pid)> = self
-            .nodes
-            .iter()
-            .enumerate()
-            .flat_map(|(n, ns)| ns.hosts.keys().map(move |&pid| (n as u8, pid)))
-            .collect();
-        for (node, pid) in stalled {
-            self.fail_proc(now, node, pid, STALLED_EXIT_CODE, "stalled");
+        let stalled: Vec<Pid> = self.procs.keys().copied().collect();
+        for pid in stalled {
+            self.exit_proc(now, pid, STALLED_EXIT_CODE, Some("stalled"));
         }
     }
 
     fn resume_proc(&mut self, now: SimTime, node: u8, pid: Pid, reply: Option<AppReply>) {
         self.last_activity = now;
-        let ns = &mut self.nodes[node as usize];
-        let Some(host) = ns.hosts.get_mut(&pid) else {
+        let Some(p) = self.procs.get_mut(&pid) else {
             return; // process died while a wake was in flight
         };
-        let started = ns.started.get_mut(&pid).expect("spawned");
-        let msg = if !*started {
-            *started = true;
-            host.start(now)
-        } else {
-            match reply {
-                Some(r) => host.resume(now, r),
-                None => host.resume_compute(now),
-            }
-        };
+        let msg = p.host.resume(now, reply);
         self.process_msg(now, node, pid, msg);
     }
 
-    fn process_msg(&mut self, now: SimTime, node: u8, pid: Pid, msg: ProcMsg<AppCall>) {
+    fn process_msg(&mut self, now: SimTime, node: u8, pid: Pid, mut msg: ProcMsg<AppCall>) {
         // Touches first, in program order.
-        let (touches, then) = match msg {
-            ProcMsg::Compute { micros, touches } => (touches, Pending::Compute { micros }),
-            ProcMsg::Request { call, touches } => (touches, Pending::Request { call }),
-            ProcMsg::Exit { code, touches } => (touches, Pending::Exit { code }),
-        };
+        let touches = msg.take_touches();
         let (outcome, disk) = self.nodes[node as usize].kernel.touches(now, pid, touches);
         self.schedule_disk(node, disk);
         match outcome {
-            TouchOutcome::Done { cpu_us } => match then {
-                Pending::Compute { micros } => {
-                    self.schedule_compute(now, node, pid, cpu_us, micros);
-                }
-                Pending::Request { call } => self.dispatch_call(now + cpu_us, node, pid, call),
-                Pending::Exit { code } => self.finish_proc(now, node, pid, code),
-            },
+            TouchOutcome::Done { cpu_us } => self.carry_out(now, cpu_us, node, pid, msg),
             TouchOutcome::Blocked => {
-                self.nodes[node as usize].pending.insert(pid, then);
+                self.procs.get_mut(&pid).expect("live process").parked = Some(msg);
             }
-            TouchOutcome::Fatal(reason) => self.kill_proc(now, node, pid, reason),
+            TouchOutcome::Fatal(reason) => {
+                self.exit_proc(now, pid, SEGV_EXIT_CODE, Some(reason));
+            }
+        }
+    }
+
+    /// Do what `msg` asks once its page touches have cost `cpu_us`.
+    fn carry_out(&mut self, now: SimTime, cpu_us: u64, node: u8, pid: Pid, msg: ProcMsg<AppCall>) {
+        match msg {
+            ProcMsg::Compute { micros, .. } => {
+                self.schedule_compute(now, node, pid, cpu_us, micros);
+            }
+            ProcMsg::Request { call, .. } => self.dispatch_call(now + cpu_us, node, pid, call),
+            ProcMsg::Exit { code, .. } => self.exit_proc(now, pid, code, None),
         }
     }
 
@@ -945,10 +931,7 @@ impl Beowulf {
     }
 
     fn dispatch_net(&mut self, now: SimTime, node: u8, pid: Pid, op: NetOp) {
-        let task = *self
-            .task_of
-            .get(&(node, pid))
-            .expect("spawned via Beowulf::spawn");
+        let task: TaskId = pid;
         match op {
             NetOp::Send { to, tag, data } => {
                 let mut msg = Message {
@@ -960,16 +943,16 @@ impl Beowulf {
                 };
                 let plan = self.pvm.send(now, &mut msg);
                 if plan.backoff_us > 0 {
-                    if let Some(&(dnode, dpid)) = self.loc_of.get(&msg.to) {
-                        self.nodes[dnode as usize]
+                    if let Some(dest) = self.procs.get(&msg.to) {
+                        self.nodes[dest.node as usize]
                             .obs
-                            .note_net_delay(dpid, plan.backoff_us);
+                            .note_net_delay(msg.to, plan.backoff_us);
                         if self.cfg.obs {
                             self.net_events.push(NetEvent {
                                 at_us: now,
                                 from_node: node,
                                 from_pid: pid,
-                                to_pid: dpid,
+                                to_pid: msg.to,
                                 attempts: plan.attempts,
                                 backoff_us: plan.backoff_us,
                             });
@@ -1014,13 +997,13 @@ impl Beowulf {
                         },
                     );
                     for t in others {
-                        if let Some(&(onode, opid)) = self.loc_of.get(&t) {
+                        if let Some(other) = self.procs.get(&t) {
                             // Barrier release fans out as small messages.
                             self.engine.schedule_at(
                                 now + NET_RECV_US + self.cfg.net.latency_us,
                                 Event::Resume {
-                                    node: onode,
-                                    pid: opid,
+                                    node: other.node,
+                                    pid: t,
                                     reply: Some(AppReply::Net(NetResult::BarrierDone)),
                                 },
                             );
@@ -1031,46 +1014,24 @@ impl Beowulf {
         }
     }
 
-    fn finish_proc(&mut self, now: SimTime, node: u8, pid: Pid, code: i32) {
-        let name = self.names.get(&(node, pid)).cloned().unwrap_or_default();
+    /// Record `pid`'s exit — with `reason` appended to its name when it
+    /// was killed — and tear it down: the kernel frees its memory, PVM
+    /// forgets its task, and its body is dropped wherever it was suspended.
+    fn exit_proc(&mut self, now: SimTime, pid: Pid, code: i32, reason: Option<&str>) {
+        let p = self.procs.remove(&pid).expect("live process");
+        let name = match reason {
+            Some(reason) => format!("{} ({reason})", p.name),
+            None => p.name,
+        };
         self.exits.push(ProcExit {
-            node,
+            node: p.node,
             pid,
             name,
             code,
             at: now,
         });
-        self.teardown(node, pid);
-    }
-
-    fn kill_proc(&mut self, now: SimTime, node: u8, pid: Pid, reason: &'static str) {
-        self.fail_proc(now, node, pid, 139, reason);
-    }
-
-    fn fail_proc(&mut self, now: SimTime, node: u8, pid: Pid, code: i32, reason: &'static str) {
-        let name = self.names.get(&(node, pid)).cloned().unwrap_or_default();
-        let name = format!("{name} ({reason})");
-        self.exits.push(ProcExit {
-            node,
-            pid,
-            name,
-            code,
-            at: now,
-        });
-        self.teardown(node, pid);
-    }
-
-    fn teardown(&mut self, node: u8, pid: Pid) {
-        let ns = &mut self.nodes[node as usize];
-        ns.kernel.process_exit(pid);
-        ns.hosts.remove(&pid); // drops the body, wherever it was suspended
-        ns.started.remove(&pid);
-        ns.pending.remove(&pid);
-        if let Some(task) = self.task_of.remove(&(node, pid)) {
-            self.pvm.forget(task);
-            self.loc_of.remove(&task);
-        }
-        self.live -= 1;
+        self.nodes[p.node as usize].kernel.process_exit(pid);
+        self.pvm.forget(pid);
     }
 }
 

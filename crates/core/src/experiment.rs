@@ -42,6 +42,31 @@ pub enum ExperimentKind {
 }
 
 impl ExperimentKind {
+    /// Every kind, in Table 1's row order.
+    pub const ALL: [ExperimentKind; 5] = [
+        ExperimentKind::Baseline,
+        ExperimentKind::Ppm,
+        ExperimentKind::Wavelet,
+        ExperimentKind::Nbody,
+        ExperimentKind::Combined,
+    ];
+
+    /// Lowercase command-line and cell-id spelling.
+    pub fn slug(self) -> &'static str {
+        match self {
+            ExperimentKind::Baseline => "baseline",
+            ExperimentKind::Ppm => "ppm",
+            ExperimentKind::Wavelet => "wavelet",
+            ExperimentKind::Nbody => "nbody",
+            ExperimentKind::Combined => "combined",
+        }
+    }
+
+    /// Parse the [`ExperimentKind::slug`] spelling.
+    pub fn from_slug(s: &str) -> Option<Self> {
+        Self::ALL.into_iter().find(|k| k.slug() == s)
+    }
+
     /// Display name matching Table 1's row labels.
     pub fn name(self) -> &'static str {
         match self {
@@ -82,7 +107,9 @@ pub struct Experiment {
 }
 
 impl Experiment {
-    fn new(kind: ExperimentKind) -> Self {
+    /// The paper-scale experiment of `kind`; [`Experiment::baseline`] and
+    /// its siblings name the same five.
+    pub fn new(kind: ExperimentKind) -> Self {
         Self {
             kind,
             cluster: BeowulfConfig::default(),

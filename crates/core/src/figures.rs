@@ -16,10 +16,15 @@
 //! | Figure 7 — spatial locality | [`fig7`] | same run |
 //! | Figure 8 — temporal locality | [`fig8`] | same run |
 //! | Table 1 — request mix | [`table1`] | all five |
+//!
+//! [`Artifact`] names each of them for the `paper` binary and renders it
+//! with the paper's reading of it (`paper --only fig3`).
 
-use essio_trace::analysis::{series, SpatialLocality, TemporalLocality};
+use std::fmt::Write as _;
 
-use crate::experiment::ExperimentResult;
+use essio_trace::analysis::{phases, series, SizeClass, SpatialLocality, TemporalLocality};
+
+use crate::experiment::{ExperimentKind, ExperimentResult};
 
 /// Node whose disk the figures plot (the paper plots one representative
 /// disk; all nodes are statistically equivalent).
@@ -102,6 +107,227 @@ pub fn table1(results: &[&ExperimentResult]) -> String {
         s.push('\n');
     }
     s
+}
+
+/// A figure or table of the paper's §4, as `paper --only` names it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Artifact {
+    /// Figure 1: baseline sector vs time.
+    Fig1,
+    /// Figure 2: PPM request sizes.
+    Fig2,
+    /// Figure 3: wavelet request sizes.
+    Fig3,
+    /// Figure 4: N-body request sizes.
+    Fig4,
+    /// Figure 5: combined request sizes.
+    Fig5,
+    /// Figure 6: combined sector vs time.
+    Fig6,
+    /// Figure 7: spatial locality.
+    Fig7,
+    /// Figure 8: temporal locality.
+    Fig8,
+    /// Table 1: the request mix of all five experiments.
+    Table1,
+}
+
+/// One regenerated [`Artifact`].
+#[derive(Debug, Clone)]
+pub struct Rendered {
+    /// Terminal output: the plot or report, then the lines that hold it
+    /// against the paper's text.
+    pub text: String,
+    /// Data file name.
+    pub file: String,
+    /// Data file contents: the TSV series, or the table itself.
+    pub data: String,
+}
+
+impl Artifact {
+    /// Every artifact, in the paper's order.
+    pub const ALL: [Artifact; 9] = [
+        Artifact::Fig1,
+        Artifact::Fig2,
+        Artifact::Fig3,
+        Artifact::Fig4,
+        Artifact::Fig5,
+        Artifact::Fig6,
+        Artifact::Fig7,
+        Artifact::Fig8,
+        Artifact::Table1,
+    ];
+
+    /// Command-line spelling: `fig1` … `fig8`, `table1`.
+    pub fn slug(self) -> &'static str {
+        [
+            "fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "table1",
+        ][self as usize]
+    }
+
+    /// Parse the [`Artifact::slug`] spelling.
+    pub fn from_slug(s: &str) -> Option<Self> {
+        Self::ALL.into_iter().find(|a| a.slug() == s)
+    }
+
+    /// The experiments the artifact is drawn from.
+    pub fn kinds(self) -> &'static [ExperimentKind] {
+        match self {
+            Artifact::Fig1 => &[ExperimentKind::Baseline],
+            Artifact::Fig2 => &[ExperimentKind::Ppm],
+            Artifact::Fig3 => &[ExperimentKind::Wavelet],
+            Artifact::Fig4 => &[ExperimentKind::Nbody],
+            Artifact::Table1 => &ExperimentKind::ALL,
+            _ => &[ExperimentKind::Combined],
+        }
+    }
+
+    /// Regenerate the artifact from `runs`, which must include a run of
+    /// every kind in [`Artifact::kinds`].
+    pub fn render(self, runs: &[ExperimentResult]) -> Rendered {
+        let run = |kind: ExperimentKind| {
+            runs.iter()
+                .find(|r| r.kind == kind)
+                .expect("an artifact is rendered from the runs it is drawn from")
+        };
+        let r = run(self.kinds()[0]);
+        let sizes = &r.summary.sizes;
+        let mut text = String::new();
+        let scatter = match self {
+            Artifact::Fig1 => Some(fig1(r)),
+            Artifact::Fig2 => Some(fig2(r)),
+            Artifact::Fig3 => Some(fig3(r)),
+            Artifact::Fig4 => Some(fig4(r)),
+            Artifact::Fig5 => Some(fig5(r)),
+            Artifact::Fig6 => Some(fig6(r)),
+            _ => None,
+        };
+        if let Some(fig) = &scatter {
+            let _ = writeln!(text, "{}", fig.to_ascii(100, 24));
+        }
+        let mut data = scatter.map(|fig| fig.to_tsv()).unwrap_or_default();
+        match self {
+            Artifact::Fig1 => {
+                let _ = writeln!(text, "{}", r.table1_row());
+                let _ = writeln!(
+                    text,
+                    "predominant request size: {} bytes (paper: 1 KB block size)",
+                    sizes.histogram.mode().unwrap_or(0)
+                );
+            }
+            Artifact::Fig2 => {
+                text.push_str(&render_size_histogram(sizes, 50));
+                let _ = writeln!(text, "{}\n{}", sizes.report(), r.table1_row());
+            }
+            Artifact::Fig3 => {
+                // The phases the paper reads off this figure.
+                let node = r.node_trace(FIGURE_NODE);
+                let segs = phases::segment(&node, r.duration_s(), &phases::PhaseConfig::default());
+                text.push_str(
+                    "automatic phase narrative (the paper's §4.2 reading of this figure):\n",
+                );
+                text.push_str(&phases::narrate(&segs));
+                let bins = series::binned(&node, 5.0, r.duration_s());
+                if let Some(peak) = series::peak_bytes_bin(&bins) {
+                    let _ = writeln!(
+                        text,
+                        "read spike: bin at {:.0}s moves {} KB (paper: ~50s, ~16KB requests)",
+                        peak.t0,
+                        peak.bytes / 1024
+                    );
+                }
+                if let Some(lull) = phases::longest_of(&segs, phases::PhaseKind::Quiet) {
+                    let _ = writeln!(
+                        text,
+                        "computation lull: {:.0}s..{:.0}s",
+                        lull.start_s, lull.end_s
+                    );
+                }
+                let _ = writeln!(text, "{}\n{}", sizes.report(), r.table1_row());
+            }
+            Artifact::Fig4 => {
+                let _ = writeln!(
+                    text,
+                    "2K requests: {}  3K: {}  4K(page): {}\n{}",
+                    sizes.count(SizeClass::B2K),
+                    sizes.count(SizeClass::B3K),
+                    sizes.count(SizeClass::Page4K),
+                    r.table1_row()
+                );
+            }
+            Artifact::Fig5 => {
+                let _ = writeln!(
+                    text,
+                    "over-16KB transfers: {} (paper: 16-32 KB range under combined load)",
+                    sizes.count(SizeClass::Over16K)
+                );
+                text.push_str(&render_size_histogram(sizes, 50));
+                let _ = writeln!(text, "{}\n{}", sizes.report(), r.table1_row());
+            }
+            Artifact::Fig6 => {
+                let below_400k = r.trace.iter().filter(|t| t.sector < 400_000).count();
+                let _ = writeln!(
+                    text,
+                    "requests below sector 400,000: {:.1}% (paper: activity primarily at lower sectors)",
+                    below_400k as f64 * 100.0 / r.trace.len().max(1) as f64
+                );
+            }
+            Artifact::Fig7 => {
+                let spatial = fig7(r);
+                text.push_str(&spatial.report());
+                let _ = writeln!(
+                    text,
+                    "pareto check: top 20% of bands carry {:.1}% of requests (gini {:.3})",
+                    spatial.top20_fraction * 100.0,
+                    spatial.gini
+                );
+                data.push_str("band_start\trequests\tpct\n");
+                for b in &spatial.bands {
+                    let _ = writeln!(data, "{}\t{}\t{:.3}", b.start, b.requests, b.pct);
+                }
+            }
+            Artifact::Fig8 => {
+                let temporal = fig8(r);
+                text.push_str(&temporal.report());
+                if let Some(h) = temporal.hottest() {
+                    let _ = writeln!(
+                        text,
+                        "hottest sector: {} at {:.3}/s (paper: ~45,000)",
+                        h.sector, h.freq_per_sec
+                    );
+                }
+                if let Some(h) = temporal.hottest_in(300_000, 400_000) {
+                    let _ = writeln!(
+                        text,
+                        "hottest swap sector: {} (paper: just under 400,000)",
+                        h.sector
+                    );
+                }
+                data.push_str("sector\taccesses\tfreq_per_s\n");
+                for h in &temporal.hot_spots {
+                    let _ = writeln!(data, "{}\t{}\t{:.4}", h.sector, h.accesses, h.freq_per_sec);
+                }
+            }
+            Artifact::Table1 => {
+                data = table1(&ExperimentKind::ALL.map(run));
+                let _ = writeln!(
+                    text,
+                    "Table 1. I/O Requests (average per disk)\n{data}\n\
+                     paper reference: Baseline 0/100 @0.9/s; PPM 4/96; Wavelet 49/51; N-Body 13/87"
+                );
+            }
+        }
+        let ext = if self == Artifact::Table1 {
+            "txt"
+        } else {
+            "tsv"
+        };
+        Rendered {
+            text,
+            file: format!("{}.{ext}", self.slug()),
+            data,
+        }
+    }
 }
 
 fn size_scatter(r: &ExperimentResult, title: &str) -> Scatter {
@@ -258,6 +484,18 @@ mod tests {
         assert!(tsv.starts_with("time_s\tsector"));
         let ascii = f.to_ascii(60, 16);
         assert!(ascii.contains("Figure 1"));
+        let out = Artifact::Fig1.render(std::slice::from_ref(&r));
+        assert_eq!((out.file.as_str(), &out.data), ("fig1.tsv", &tsv));
+        assert!(out.text.contains("predominant request size:"));
+    }
+
+    #[test]
+    fn artifacts_roundtrip_their_slugs() {
+        for a in Artifact::ALL {
+            assert_eq!(Artifact::from_slug(a.slug()), Some(a));
+        }
+        assert_eq!(Artifact::from_slug("fig9"), None);
+        assert_eq!(Artifact::Table1.kinds(), ExperimentKind::ALL);
     }
 
     #[test]

@@ -67,6 +67,17 @@ pub enum ProcMsg<Req> {
     },
 }
 
+impl<Req> ProcMsg<Req> {
+    /// Move the page touches out, leaving the verb they ride on.
+    pub fn take_touches(&mut self) -> Vec<Vpn> {
+        match self {
+            ProcMsg::Compute { touches, .. }
+            | ProcMsg::Request { touches, .. }
+            | ProcMsg::Exit { touches, .. } => std::mem::take(touches),
+        }
+    }
+}
+
 /// Tuning knobs for how often a process rendezvouses with the engine.
 #[derive(Debug, Clone, Copy)]
 pub struct ProcConfig {
@@ -93,7 +104,7 @@ impl Default for ProcConfig {
 /// that thread's time.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct BodyLedger {
-    /// Body polls: one per start or resume.
+    /// Body polls: one per resume.
     pub polls: u64,
     /// Host wall seconds spent inside those polls.
     pub body_secs: f64,
@@ -303,7 +314,7 @@ pub struct ProcessHost<Req, Resp> {
 
 impl<Req: 'static, Resp: 'static> ProcessHost<Req, Resp> {
     /// Host `body` as a process. Nothing of it runs before the first
-    /// [`ProcessHost::start`].
+    /// [`ProcessHost::resume`].
     pub fn spawn<F, Fut>(name: impl Into<String>, cfg: ProcConfig, body: F) -> Self
     where
         F: FnOnce(ProcCtx<Req, Resp>) -> Fut + 'static,
@@ -339,24 +350,10 @@ impl<Req, Resp> ProcessHost<Req, Resp> {
         self.finished
     }
 
-    /// Deliver the first resume: runs the body until its first yield.
-    pub fn start(&mut self, now: SimTime) -> ProcMsg<Req> {
-        self.resume_inner(now, None)
-    }
-
-    /// Resume a process blocked in [`ProcCtx::request`] with the syscall's
-    /// response, or a process that yielded `Compute` (response ignored —
-    /// pass via [`ProcessHost::resume_compute`]).
-    pub fn resume(&mut self, now: SimTime, resp: Resp) -> ProcMsg<Req> {
-        self.resume_inner(now, Some(resp))
-    }
-
-    /// Resume a process that yielded a `Compute` message (no response value).
-    pub fn resume_compute(&mut self, now: SimTime) -> ProcMsg<Req> {
-        self.resume_inner(now, None)
-    }
-
-    fn resume_inner(&mut self, now: SimTime, resp: Option<Resp>) -> ProcMsg<Req> {
+    /// Run the body until its next yield. The first resume starts it;
+    /// `resp` answers a [`ProcCtx::request`] and is `None` to start the
+    /// body or continue after a `Compute` yield.
+    pub fn resume(&mut self, now: SimTime, resp: Option<Resp>) -> ProcMsg<Req> {
         assert!(!self.finished, "resuming a finished process: {}", self.name);
         {
             let mut mb = self.mb.borrow_mut();
@@ -432,12 +429,12 @@ mod tests {
             },
         );
         let mut msgs = Vec::new();
-        let mut msg = host.start(0);
+        let mut msg = host.resume(0, None);
         loop {
             match msg {
                 ProcMsg::Compute { micros, .. } => {
                     msgs.push(micros);
-                    msg = host.resume_compute(0);
+                    msg = host.resume(0, None);
                 }
                 ProcMsg::Exit { code, .. } => {
                     assert_eq!(code, 7);
@@ -458,17 +455,17 @@ mod tests {
             let b = ctx.request(a).await;
             (a + b) as i32
         });
-        let msg = host.start(0);
+        let msg = host.resume(0, None);
         let ProcMsg::Request { call, .. } = msg else {
             panic!("expected request, got {msg:?}")
         };
         assert_eq!(call, 10);
-        let msg = host.resume(5, 100);
+        let msg = host.resume(5, Some(100));
         let ProcMsg::Request { call, .. } = msg else {
             panic!("expected request")
         };
         assert_eq!(call, 100);
-        let msg = host.resume(9, 1);
+        let msg = host.resume(9, Some(1));
         let ProcMsg::Exit { code, .. } = msg else {
             panic!("expected exit")
         };
@@ -489,14 +486,14 @@ mod tests {
                 0
             },
         );
-        let msg = host.start(0);
+        let msg = host.resume(0, None);
         let ProcMsg::Compute { micros, .. } = msg else {
             panic!("compute should flush first, got {msg:?}")
         };
         assert_eq!(micros, 42);
-        let msg = host.resume_compute(42);
+        let msg = host.resume(42, None);
         assert!(matches!(msg, ProcMsg::Request { call: 1, .. }));
-        let msg = host.resume(50, 0);
+        let msg = host.resume(50, Some(0));
         assert!(matches!(msg, ProcMsg::Exit { code: 0, .. }));
     }
 
@@ -510,12 +507,12 @@ mod tests {
             ctx.request(0).await;
             0
         });
-        let msg = host.start(0);
+        let msg = host.resume(0, None);
         let ProcMsg::Request { touches, .. } = msg else {
             panic!("expected request")
         };
         assert_eq!(touches, vec![1, 2, 1]);
-        host.resume(0, 0);
+        host.resume(0, Some(0));
     }
 
     #[test]
@@ -533,17 +530,17 @@ mod tests {
                 0
             },
         );
-        let msg = host.start(0);
+        let msg = host.resume(0, None);
         let ProcMsg::Compute { touches, .. } = msg else {
             panic!("expected flush, got {msg:?}")
         };
         assert_eq!(touches.len(), 8);
-        let msg = host.resume_compute(0);
+        let msg = host.resume(0, None);
         let ProcMsg::Compute { touches, .. } = msg else {
             panic!()
         };
         assert_eq!(touches.len(), 8);
-        let msg = host.resume_compute(0);
+        let msg = host.resume(0, None);
         let ProcMsg::Exit { touches, .. } = msg else {
             panic!("expected exit with tail touches, got {msg:?}")
         };
@@ -558,9 +555,9 @@ mod tests {
             assert_eq!(ctx.now(), 2500);
             0
         });
-        let msg = host.start(1000);
+        let msg = host.resume(1000, None);
         assert!(matches!(msg, ProcMsg::Request { .. }));
-        let msg = host.resume(2500, 0);
+        let msg = host.resume(2500, Some(0));
         assert!(matches!(msg, ProcMsg::Exit { code: 0, .. }));
     }
 
@@ -569,7 +566,7 @@ mod tests {
         let mut host = Host::spawn("t", ProcConfig::default(), |_ctx| async move {
             panic!("app crashed")
         });
-        let msg = host.start(0);
+        let msg = host.resume(0, None);
         let ProcMsg::Exit { code, .. } = msg else {
             panic!("expected exit")
         };
@@ -584,13 +581,16 @@ mod tests {
             ctx.compute(30).await;
             panic!("app crashed")
         });
-        assert!(matches!(host.start(0), ProcMsg::Request { call: 1, .. }));
-        let msg = host.resume(1, 0);
+        assert!(matches!(
+            host.resume(0, None),
+            ProcMsg::Request { call: 1, .. }
+        ));
+        let msg = host.resume(1, Some(0));
         assert!(
             matches!(msg, ProcMsg::Compute { micros: 30, ref touches } if touches.is_empty()),
             "{msg:?}"
         );
-        let msg = host.resume_compute(31);
+        let msg = host.resume(31, None);
         assert!(
             matches!(msg, ProcMsg::Exit { code: 101, ref touches } if touches.is_empty()),
             "{msg:?}"
@@ -604,7 +604,7 @@ mod tests {
             ctx.request(1).await;
             0
         });
-        let _ = host.start(0);
+        let _ = host.resume(0, None);
         drop(host); // must return at once, not deadlock
     }
 
@@ -626,8 +626,8 @@ mod tests {
                     }
                 },
             );
-            assert!(matches!(host.start(0), ProcMsg::Compute { .. }));
-            assert!(matches!(host.resume_compute(1), ProcMsg::Compute { .. }));
+            assert!(matches!(host.resume(0, None), ProcMsg::Compute { .. }));
+            assert!(matches!(host.resume(1, None), ProcMsg::Compute { .. }));
             drop(host);
         }
     }
@@ -650,7 +650,10 @@ mod tests {
             ctx.request(1).await;
             unreachable!("the host is dropped mid-request");
         });
-        assert!(matches!(host.start(0), ProcMsg::Request { call: 1, .. }));
+        assert!(matches!(
+            host.resume(0, None),
+            ProcMsg::Request { call: 1, .. }
+        ));
         assert!(!dropped.get());
         drop(host);
         assert!(dropped.get(), "the body's locals were not dropped");
@@ -665,7 +668,10 @@ mod tests {
             async { 3 }
         });
         assert!(!ran.get(), "spawn ran the body");
-        assert!(matches!(host.start(0), ProcMsg::Exit { code: 3, .. }));
+        assert!(matches!(
+            host.resume(0, None),
+            ProcMsg::Exit { code: 3, .. }
+        ));
         assert!(ran.get());
     }
 
@@ -677,9 +683,9 @@ mod tests {
             ctx.request(2).await;
             0
         });
-        host.start(0);
-        host.resume(1, 0);
-        host.resume(2, 0);
+        host.resume(0, None);
+        host.resume(1, Some(0));
+        host.resume(2, Some(0));
         let spent = BodyLedger::current().since(before);
         assert_eq!(spent.polls, 3);
         assert!(spent.body_secs >= 0.0);

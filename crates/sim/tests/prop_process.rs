@@ -166,12 +166,12 @@ fn observe(cfg: ProcConfig, script: Vec<Step>) -> Vec<Seen> {
     });
     let mut now = 0;
     let mut seen = Vec::new();
-    let mut msg = host.start(now);
+    let mut msg = host.resume(now, None);
     loop {
         now += 1;
         let next = match &msg {
-            ProcMsg::Compute { .. } => Some(host.resume_compute(now)),
-            ProcMsg::Request { call, .. } => Some(host.resume(now, reply(*call))),
+            ProcMsg::Compute { .. } => Some(host.resume(now, None)),
+            ProcMsg::Request { call, .. } => Some(host.resume(now, Some(reply(*call)))),
             ProcMsg::Exit { .. } => None,
         };
         seen.push(Seen::from(msg));

@@ -5,7 +5,7 @@
 //! at the end (§4.2–4.3). This module recovers that narrative automatically
 //! from a trace: the timeline is binned, each bin classified by its
 //! dominant activity, and adjacent bins of the same character merged into
-//! [`Phase`]s. The `fig3` harness and `EXPERIMENTS.md` use it to locate the
+//! [`Phase`]s. `paper --only fig3` and `EXPERIMENTS.md` use it to locate the
 //! wavelet's spike and lull without eyeballing a plot.
 
 use serde::Serialize;

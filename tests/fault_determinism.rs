@@ -86,11 +86,14 @@ fn empty_plan_is_bit_identical_to_no_fault_plane_for_every_kind() {
 
 #[test]
 fn crash_only_plan_degrades_but_still_summarizes() {
-    let r = Experiment::combined()
-        .quick()
-        .seed(53)
-        .faults(FaultPlan::none().crash(1, 10_000_000))
-        .run();
+    let run = || {
+        Experiment::combined()
+            .quick()
+            .seed(53)
+            .faults(FaultPlan::none().crash(1, 10_000_000))
+            .run()
+    };
+    let r = run();
     // Node 1's processes died with it; node 0's may finish or stall on
     // their dead peers — either way the run terminates and reports.
     assert!(r.degradation.nodes[1].crashed);
@@ -98,4 +101,23 @@ fn crash_only_plan_degrades_but_still_summarizes() {
     assert!(!r.trace.is_empty(), "survivors and daemons still traced");
     assert!(r.summary.rw.total > 0);
     assert!(r.degradation.report().contains("CRASHED"));
+    // A crash tears down several processes at one instant; the teardown
+    // order (and with it the exit list) must not depend on map order.
+    let json = r.canonical_json();
+    for _ in 0..2 {
+        let again = run();
+        assert!(
+            again.canonical_json() == json,
+            "crash teardown order drifted: {:?} vs {:?}",
+            again.exits,
+            r.exits
+        );
+    }
+    let crashed: Vec<_> = r.exits.iter().filter(|e| e.node == 1).collect();
+    assert!(crashed.len() > 1, "the crash kills several processes");
+    for w in r.exits.windows(2) {
+        if w[0].at == w[1].at {
+            assert!(w[0].pid < w[1].pid, "same-instant exits in pid order");
+        }
+    }
 }

@@ -21,14 +21,7 @@ fn json(s: &TraceSummary) -> String {
 }
 
 fn experiment(kind: ExperimentKind, seed: u64) -> Experiment {
-    let e = match kind {
-        ExperimentKind::Baseline => Experiment::baseline(),
-        ExperimentKind::Ppm => Experiment::ppm(),
-        ExperimentKind::Wavelet => Experiment::wavelet(),
-        ExperimentKind::Nbody => Experiment::nbody(),
-        ExperimentKind::Combined => Experiment::combined(),
-    };
-    e.quick().seed(seed)
+    Experiment::new(kind).quick().seed(seed)
 }
 
 /// Streaming ≡ batch on three different experiment traces (baseline,
