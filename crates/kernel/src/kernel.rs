@@ -18,7 +18,7 @@
 //! * Daemons run off [`KernelEvent::Daemon`] ticks; each tick returns the
 //!   next tick time, self-scheduling forever.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 
 use essio_disk::{BlockRequest, Completion, IdeDriver, SubmitOutcome};
 use essio_obs::{Obs, SpanKind, SpanScope};
@@ -153,8 +153,10 @@ enum WaitKind {
     Syscall {
         result: SysResult,
     },
+    /// A touch batch blocked at `touches[next - 1]`.
     Touches {
-        remaining: VecDeque<Vpn>,
+        touches: Vec<Vpn>,
+        next: usize,
         cpu_us: u64,
     },
 }
@@ -1118,102 +1120,80 @@ impl Kernel {
         pid: Pid,
         touches: Vec<Vpn>,
     ) -> (TouchOutcome, Option<SimTime>) {
-        if touches.is_empty() {
-            return (TouchOutcome::Done { cpu_us: 0 }, None);
-        }
-        let queue: VecDeque<Vpn> = touches.into();
-        self.drive_touches(now, pid, queue, 0)
+        self.drive_touches(now, pid, touches, 0, 0)
     }
 
+    /// Touch `touches[next..]` in order until one needs a blocking read.
     fn drive_touches(
         &mut self,
         now: SimTime,
         pid: Pid,
-        mut queue: VecDeque<Vpn>,
+        touches: Vec<Vpn>,
+        mut next: usize,
         mut cpu_us: u64,
     ) -> (TouchOutcome, Option<SimTime>) {
         let mut deadline = None;
-        while let Some(vpn) = queue.pop_front() {
-            match self.vm.touch(pid, vpn) {
-                TouchResult::Hit => {}
+        while let Some(&vpn) = touches.get(next) {
+            next += 1;
+            let (io, swap_outs) = match self.vm.touch(pid, vpn) {
+                TouchResult::Hit => continue,
                 TouchResult::BadAddress => {
                     return (TouchOutcome::Fatal("segmentation fault"), deadline)
                 }
                 TouchResult::OutOfMemory => {
                     return (TouchOutcome::Fatal("out of memory (swap full)"), deadline)
                 }
-                TouchResult::Fault { io, swap_outs } => {
-                    cpu_us += self.cfg.fault_us;
-                    if !swap_outs.is_empty() {
-                        let scope = self.obs.begin(now, SpanKind::SwapOut, Some(pid));
-                        for slot in swap_outs {
-                            let sector = self.vm.slot_sector(slot);
-                            let d = self.submit(
-                                now,
-                                sector,
-                                SECTORS_PER_PAGE as u16,
-                                Op::Write,
-                                Origin::SwapOut,
-                                Vec::new(),
-                                None,
-                            );
-                            deadline = deadline.or(d);
-                        }
-                        self.obs.finish(now, scope);
-                    }
-                    match io {
-                        FaultIo::None => {}
-                        FaultIo::SwapIn { slot } => {
-                            let sector = self.vm.slot_sector(slot);
-                            self.procs.get_mut(&pid).expect("registered").wait = Some(Wait {
-                                outstanding: 0,
-                                kind: WaitKind::Touches {
-                                    remaining: queue,
-                                    cpu_us,
-                                },
-                            });
-                            let scope = self.obs.begin(now, SpanKind::SwapIn, Some(pid));
-                            let d = self.submit(
-                                now,
-                                sector,
-                                SECTORS_PER_PAGE as u16,
-                                Op::Read,
-                                Origin::SwapIn,
-                                Vec::new(),
-                                Some(pid),
-                            );
-                            self.obs.finish(now, scope);
-                            return (TouchOutcome::Blocked, deadline.or(d));
-                        }
-                        FaultIo::PageIn { ino, page } => {
-                            let blocks = self.fs.page_blocks(ino, page);
-                            let sector = blocks
-                                .first()
-                                .map(|b| b * SECTORS_PER_BLOCK)
-                                .unwrap_or_else(|| self.fs.inode_block(ino) * SECTORS_PER_BLOCK);
-                            self.procs.get_mut(&pid).expect("registered").wait = Some(Wait {
-                                outstanding: 0,
-                                kind: WaitKind::Touches {
-                                    remaining: queue,
-                                    cpu_us,
-                                },
-                            });
-                            let scope = self.obs.begin(now, SpanKind::PageIn, Some(pid));
-                            let d = self.submit(
-                                now,
-                                sector,
-                                SECTORS_PER_PAGE as u16,
-                                Op::Read,
-                                Origin::PageIn,
-                                Vec::new(),
-                                Some(pid),
-                            );
-                            self.obs.finish(now, scope);
-                            return (TouchOutcome::Blocked, deadline.or(d));
-                        }
-                    }
+                TouchResult::Fault { io, swap_outs } => (io, swap_outs),
+            };
+            cpu_us += self.cfg.fault_us;
+            if !swap_outs.is_empty() {
+                let scope = self.obs.begin(now, SpanKind::SwapOut, Some(pid));
+                for slot in swap_outs {
+                    let sector = self.vm.slot_sector(slot);
+                    let d = self.submit(
+                        now,
+                        sector,
+                        SECTORS_PER_PAGE as u16,
+                        Op::Write,
+                        Origin::SwapOut,
+                        Vec::new(),
+                        None,
+                    );
+                    deadline = deadline.or(d);
                 }
+                self.obs.finish(now, scope);
             }
+            let (sector, span, origin) = match io {
+                FaultIo::None => continue,
+                FaultIo::SwapIn { slot } => {
+                    (self.vm.slot_sector(slot), SpanKind::SwapIn, Origin::SwapIn)
+                }
+                FaultIo::PageIn { ino, page } => {
+                    let block = (self.fs.page_blocks(ino, page).first().copied())
+                        .unwrap_or_else(|| self.fs.inode_block(ino));
+                    (block * SECTORS_PER_BLOCK, SpanKind::PageIn, Origin::PageIn)
+                }
+            };
+            self.procs.get_mut(&pid).expect("registered").wait = Some(Wait {
+                outstanding: 0,
+                kind: WaitKind::Touches {
+                    touches,
+                    next,
+                    cpu_us,
+                },
+            });
+            let scope = self.obs.begin(now, span, Some(pid));
+            let d = self.submit(
+                now,
+                sector,
+                SECTORS_PER_PAGE as u16,
+                Op::Read,
+                origin,
+                Vec::new(),
+                Some(pid),
+            );
+            self.obs.finish(now, scope);
+            return (TouchOutcome::Blocked, deadline.or(d));
         }
         (TouchOutcome::Done { cpu_us }, deadline)
     }
@@ -1265,8 +1245,12 @@ impl Kernel {
             let wait = proc.wait.take().expect("present above");
             match wait.kind {
                 WaitKind::Syscall { result } => wakes.push((pid, WakeKind::Syscall(result))),
-                WaitKind::Touches { remaining, cpu_us } => {
-                    let (outcome, d) = self.drive_touches(now, pid, remaining, cpu_us);
+                WaitKind::Touches {
+                    touches,
+                    next,
+                    cpu_us,
+                } => {
+                    let (outcome, d) = self.drive_touches(now, pid, touches, next, cpu_us);
                     deadline = deadline.or(d);
                     match outcome {
                         TouchOutcome::Done { cpu_us } => {

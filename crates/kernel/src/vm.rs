@@ -6,19 +6,25 @@
 //! The model:
 //!
 //! * A global pool of 4 KB frames (16 MB minus the kernel's own footprint).
-//! * Per-process segments: **text** (demand-paged from the executable file,
-//!   clean, droppable) and **anonymous** (data/heap; considered dirty once
-//!   touched, so eviction writes a 4 KB swap page).
+//! * One address space per process: a list of segments, each **text**
+//!   (demand-paged from the executable file, clean, droppable) or
+//!   **anonymous** (data/heap; considered dirty once touched, so eviction
+//!   writes a 4 KB swap page). Each segment carries a dense page table
+//!   indexed by `vpn - base` — residency, the referenced bit and the swap
+//!   slot — grown on first touch, so a huge sparse mapping costs nothing.
 //! * Clock (second-chance) replacement over all resident pages.
 //! * Swap slots allocated **top-down** from the upper end of the swap
 //!   region, placing the hottest slots just under sector 400,000 — the
-//!   paper's second temporal hot spot (Figure 8).
+//!   paper's second temporal hot spot (Figure 8). A freed slot is reused
+//!   **lowest first** (as Linux's `get_swap_page` scans up from
+//!   `lowest_bit`), so the sectors a process writes never depend on the
+//!   order in which an exiting process gave its slots back.
 //!
 //! The VM mutates its state synchronously and returns the I/O the kernel
 //! must issue ([`FaultIo`], plus any swap-out write-backs), keeping this
 //! module independently testable.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use essio_disk::DiskLayout;
 use essio_sim::Vpn;
@@ -30,29 +36,58 @@ pub const PAGE_BYTES: u32 = 4096;
 /// Sectors per page.
 pub const SECTORS_PER_PAGE: u32 = PAGE_BYTES / essio_trace::SECTOR_BYTES;
 
-/// What kind of backing a resident page has.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum PageKind {
-    Text,
-    Anon,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct Resident {
-    kind: PageKind,
+/// One page-table entry.
+#[derive(Debug, Clone, Copy, Default)]
+struct Page {
+    resident: bool,
     referenced: bool,
+    /// The slot an anonymous page was last written to; kept across
+    /// swap-ins so a re-eviction rewrites it.
+    swap: Option<u32>,
 }
 
 /// A mapped region of a process address space.
-#[derive(Debug, Clone)]
-pub struct Segment {
-    /// First page.
-    pub base: Vpn,
-    /// Length in pages.
-    pub pages: u32,
+#[derive(Debug)]
+struct Segment {
+    base: Vpn,
+    pages: u32,
     /// Text (file-backed, by inode) or anonymous.
-    pub text_ino: Option<Ino>,
+    text_ino: Option<Ino>,
+    /// Entries for pages `0..table.len()`; untouched pages past the end.
+    table: Vec<Page>,
 }
+
+/// A process address space.
+#[derive(Debug)]
+struct Space {
+    segments: Vec<Segment>,
+    next_base: Vpn,
+}
+
+/// The swap area's slot allocator.
+#[derive(Debug)]
+struct Swap {
+    /// Slots `next..slots` have never been used.
+    next: u32,
+    slots: u32,
+    free: BTreeSet<u32>,
+}
+
+impl Swap {
+    /// The lowest free slot, or `None` when swap is full.
+    fn alloc(&mut self) -> Option<u32> {
+        if let Some(s) = self.free.pop_first() {
+            return Some(s);
+        }
+        (self.next < self.slots).then(|| {
+            self.next += 1;
+            self.next - 1
+        })
+    }
+}
+
+/// Where a resident page lives: pid, segment index, page index.
+type PageRef = (Pid, u32, u32);
 
 /// The blocking I/O a fault needs before the page is usable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -93,7 +128,7 @@ pub enum TouchResult {
 }
 
 /// Paging statistics.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct VmStats {
     /// Resident hits.
     pub hits: u64,
@@ -116,15 +151,10 @@ pub struct VmStats {
 pub struct Vm {
     frames_total: u32,
     frames_used: u32,
-    resident: HashMap<(Pid, Vpn), Resident>,
-    clock: VecDeque<(Pid, Vpn)>,
-    swap_of: HashMap<(Pid, Vpn), u32>,
-    swap_next: u32,
-    swap_slots: u32,
-    swap_free: Vec<u32>,
+    spaces: BTreeMap<Pid, Space>,
+    clock: VecDeque<PageRef>,
+    swap: Swap,
     swap_region_end_sector: u32,
-    segments: HashMap<Pid, Vec<Segment>>,
-    next_base: HashMap<Pid, Vpn>,
     /// Statistics.
     pub stats: VmStats,
 }
@@ -135,19 +165,17 @@ impl Vm {
     pub fn new(frames_total: u32, layout: &DiskLayout) -> Self {
         assert!(frames_total > 0);
         let (s, e) = layout.swap;
-        let swap_slots = (e - s) / SECTORS_PER_PAGE;
         Self {
             frames_total,
             frames_used: 0,
-            resident: HashMap::new(),
+            spaces: BTreeMap::new(),
             clock: VecDeque::new(),
-            swap_of: HashMap::new(),
-            swap_next: 0,
-            swap_slots,
-            swap_free: Vec::new(),
+            swap: Swap {
+                next: 0,
+                slots: (e - s) / SECTORS_PER_PAGE,
+                free: BTreeSet::new(),
+            },
             swap_region_end_sector: e,
-            segments: HashMap::new(),
-            next_base: HashMap::new(),
             stats: VmStats::default(),
         }
     }
@@ -180,42 +208,46 @@ impl Vm {
 
     fn map(&mut self, pid: Pid, pages: u32, text_ino: Option<Ino>) -> Vpn {
         assert!(pages > 0, "zero-page mapping");
-        let base = *self.next_base.entry(pid).or_insert(0x10);
-        self.next_base.insert(pid, base + pages as Vpn + 8); // guard gap
-        self.segments.entry(pid).or_default().push(Segment {
+        let space = self.spaces.entry(pid).or_insert(Space {
+            segments: Vec::new(),
+            next_base: 0x10,
+        });
+        let base = space.next_base;
+        space.next_base = base + pages as Vpn + 8; // guard gap
+        space.segments.push(Segment {
             base,
             pages,
             text_ino,
+            table: Vec::new(),
         });
         base
     }
 
-    fn segment_of(&self, pid: Pid, vpn: Vpn) -> Option<&Segment> {
-        self.segments
-            .get(&pid)?
-            .iter()
-            .find(|s| vpn >= s.base && vpn < s.base + s.pages as Vpn)
-    }
-
     /// Touch one page of `pid`'s address space.
     pub fn touch(&mut self, pid: Pid, vpn: Vpn) -> TouchResult {
-        if let Some(r) = self.resident.get_mut(&(pid, vpn)) {
-            r.referenced = true;
+        let Some((s, seg)) = self.spaces.get_mut(&pid).and_then(|space| {
+            (space.segments.iter_mut().enumerate())
+                .find(|(_, seg)| vpn >= seg.base && vpn < seg.base + seg.pages as Vpn)
+        }) else {
+            return TouchResult::BadAddress;
+        };
+        let i = (vpn - seg.base) as usize;
+        if seg.table.len() <= i {
+            seg.table.resize(i + 1, Page::default());
+        }
+        let page = seg.table[i];
+        if page.resident {
+            seg.table[i].referenced = true;
             self.stats.hits += 1;
             return TouchResult::Hit;
         }
-        let Some(seg) = self.segment_of(pid, vpn) else {
-            return TouchResult::BadAddress;
-        };
-        let (kind, io) = match seg.text_ino {
-            Some(ino) => {
-                let page = (vpn - seg.base) as u32;
-                (PageKind::Text, FaultIo::PageIn { ino, page })
-            }
-            None => match self.swap_of.get(&(pid, vpn)) {
-                Some(&slot) => (PageKind::Anon, FaultIo::SwapIn { slot }),
-                None => (PageKind::Anon, FaultIo::None),
+        let io = match (seg.text_ino, page.swap) {
+            (Some(ino), _) => FaultIo::PageIn {
+                ino,
+                page: i as u32,
             },
+            (None, Some(slot)) => FaultIo::SwapIn { slot },
+            (None, None) => FaultIo::None,
         };
         // Claim a frame, evicting if needed.
         let mut swap_outs = Vec::new();
@@ -234,14 +266,13 @@ impl Vm {
             FaultIo::SwapIn { .. } => self.stats.swap_ins += 1,
             FaultIo::PageIn { .. } => self.stats.page_ins += 1,
         }
-        self.resident.insert(
-            (pid, vpn),
-            Resident {
-                kind,
-                referenced: true,
-            },
-        );
-        self.clock.push_back((pid, vpn));
+        let seg = &mut self.spaces.get_mut(&pid).expect("mapped").segments[s];
+        seg.table[i] = Page {
+            resident: true,
+            referenced: true,
+            ..page
+        };
+        self.clock.push_back((pid, s as u32, i as u32));
         TouchResult::Fault { io, swap_outs }
     }
 
@@ -252,93 +283,53 @@ impl Vm {
         // Bounded sweep: after 2 full passes everything had its reference
         // bit cleared, so a victim must be found unless swap is exhausted.
         for _ in 0..self.clock.len() * 2 + 1 {
-            let (pid, vpn) = self.clock.pop_front()?;
-            let Some(r) = self.resident.get_mut(&(pid, vpn)) else {
-                continue; // stale entry for a released process
-            };
-            if r.referenced {
-                r.referenced = false;
-                self.clock.push_back((pid, vpn));
+            let at = self.clock.pop_front()?;
+            let (pid, s, i) = at;
+            let seg = &mut self.spaces.get_mut(&pid).expect("live space").segments[s as usize];
+            let page = &mut seg.table[i as usize];
+            if page.referenced {
+                page.referenced = false;
+                self.clock.push_back(at);
                 continue;
             }
-            let kind = r.kind;
-            self.resident.remove(&(pid, vpn));
-            return match kind {
-                PageKind::Text => {
-                    self.stats.text_drops += 1;
-                    Some(None)
-                }
-                PageKind::Anon => {
-                    let slot = match self.swap_of.get(&(pid, vpn)) {
-                        Some(&s) => s, // rewrite the existing slot
-                        None => match self.alloc_slot() {
-                            Some(s) => {
-                                self.swap_of.insert((pid, vpn), s);
-                                s
-                            }
-                            None => {
-                                // Swap full: put the page back; caller sees OOM.
-                                self.resident.insert(
-                                    (pid, vpn),
-                                    Resident {
-                                        kind,
-                                        referenced: false,
-                                    },
-                                );
-                                self.clock.push_back((pid, vpn));
-                                return None;
-                            }
-                        },
-                    };
-                    self.stats.swap_outs += 1;
-                    Some(Some(slot))
-                }
+            if seg.text_ino.is_some() {
+                page.resident = false;
+                self.stats.text_drops += 1;
+                return Some(None);
+            }
+            // An anonymous page rewrites its existing slot, if it has one.
+            let Some(slot) = page.swap.or_else(|| self.swap.alloc()) else {
+                // Swap full: the page stays; the caller sees OOM.
+                self.clock.push_back(at);
+                return None;
             };
+            page.swap = Some(slot);
+            page.resident = false;
+            self.stats.swap_outs += 1;
+            return Some(Some(slot));
         }
         None
     }
 
-    fn alloc_slot(&mut self) -> Option<u32> {
-        if let Some(s) = self.swap_free.pop() {
-            return Some(s);
-        }
-        if self.swap_next < self.swap_slots {
-            let s = self.swap_next;
-            self.swap_next += 1;
-            Some(s)
-        } else {
-            None
-        }
-    }
-
     /// Release every resource of an exiting process.
     pub fn release(&mut self, pid: Pid) {
-        self.segments.remove(&pid);
-        self.next_base.remove(&pid);
-        let resident_keys: Vec<(Pid, Vpn)> = self
-            .resident
-            .keys()
-            .filter(|(p, _)| *p == pid)
-            .copied()
-            .collect();
-        for k in resident_keys {
-            self.resident.remove(&k);
-            self.frames_used -= 1;
+        let Some(space) = self.spaces.remove(&pid) else {
+            return;
+        };
+        for page in space.segments.iter().flat_map(|seg| &seg.table) {
+            self.frames_used -= page.resident as u32;
+            self.swap.free.extend(page.swap);
         }
-        self.clock.retain(|(p, _)| *p != pid);
-        let slots: Vec<u32> = self
-            .swap_of
-            .iter()
-            .filter(|((p, _), _)| *p == pid)
-            .map(|(_, s)| *s)
-            .collect();
-        self.swap_of.retain(|(p, _), _| *p != pid);
-        self.swap_free.extend(slots);
+        self.clock.retain(|&(p, ..)| p != pid);
     }
 
     /// Number of resident pages for a process (diagnostics).
     pub fn resident_pages(&self, pid: Pid) -> usize {
-        self.resident.keys().filter(|(p, _)| *p == pid).count()
+        self.spaces.get(&pid).map_or(0, |space| {
+            (space.segments.iter().flat_map(|seg| &seg.table))
+                .filter(|page| page.resident)
+                .count()
+        })
     }
 }
 
@@ -480,6 +471,25 @@ mod tests {
         // A new process can use everything.
         let b2 = v.map_anon(2, 2);
         assert!(matches!(v.touch(2, b2), TouchResult::Fault { .. }));
+    }
+
+    #[test]
+    fn slots_freed_at_exit_are_reused_lowest_first() {
+        let mut v = vm(2);
+        let base = v.map_anon(1, 10);
+        for p in 0..10 {
+            v.touch(1, base + p);
+        }
+        assert_eq!(v.stats.swap_outs, 8);
+        v.release(1);
+        let base = v.map_anon(2, 10);
+        let mut written = Vec::new();
+        for p in 0..10 {
+            if let TouchResult::Fault { swap_outs, .. } = v.touch(2, base + p) {
+                written.extend(swap_outs);
+            }
+        }
+        assert_eq!(written, (0..8).collect::<Vec<u32>>());
     }
 
     #[test]

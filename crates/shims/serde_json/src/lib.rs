@@ -18,6 +18,11 @@ pub type Error = DeError;
 /// Result alias mirroring `serde_json::Result`.
 pub type Result<T> = std::result::Result<T, Error>;
 
+/// Deepest array/object nesting [`from_str`] accepts (upstream
+/// `serde_json`'s default recursion limit); deeper input is an `Err`, not
+/// a stack overflow.
+pub const MAX_DEPTH: usize = 128;
+
 /// Serialize to a compact JSON string.
 pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String> {
     let mut out = String::new();
@@ -37,6 +42,7 @@ pub fn from_str<T: Deserialize>(s: &str) -> Result<T> {
     let mut p = Parser {
         bytes: s.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.parse_value()?;
@@ -157,6 +163,8 @@ fn write_string(out: &mut String, s: &str) {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -204,8 +212,8 @@ impl Parser<'_> {
             Some(b't') => self.eat_lit("true", Value::Bool(true)),
             Some(b'f') => self.eat_lit("false", Value::Bool(false)),
             Some(b'"') => self.parse_string().map(Value::String),
-            Some(b'[') => self.parse_array(),
-            Some(b'{') => self.parse_object(),
+            Some(b'[') => self.nested(Self::parse_array),
+            Some(b'{') => self.nested(Self::parse_object),
             Some(b) if b == b'-' || b.is_ascii_digit() => self.parse_number(),
             Some(b) => Err(DeError::new(format!(
                 "unexpected character `{}` at byte {}",
@@ -213,6 +221,19 @@ impl Parser<'_> {
             ))),
             None => Err(DeError::new("unexpected end of input")),
         }
+    }
+
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value>) -> Result<Value> {
+        if self.depth == MAX_DEPTH {
+            return Err(DeError::new(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            )));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn parse_array(&mut self) -> Result<Value> {
@@ -418,6 +439,7 @@ mod tests {
             let mut p = Parser {
                 bytes: src.as_bytes(),
                 pos: 0,
+                depth: 0,
             };
             p.skip_ws();
             p.parse_value().unwrap()
@@ -438,6 +460,16 @@ mod tests {
         let mut out = String::new();
         write_float(&mut out, 3.0);
         assert_eq!(out, "3.0");
+    }
+
+    #[test]
+    fn nesting_is_capped_without_recursing_further() {
+        let nest = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(from_str::<Value>(&nest(MAX_DEPTH)).is_ok());
+        assert!(from_str::<Value>(&nest(MAX_DEPTH + 1)).is_err());
+        assert!(from_str::<Value>(&format!("{}1", r#"{"a":"#.repeat(MAX_DEPTH + 1))).is_err());
+        // Far past any thread stack: an error, not an abort.
+        assert!(from_str::<Value>(&"[".repeat(200_000)).is_err());
     }
 
     #[test]

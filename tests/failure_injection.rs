@@ -83,6 +83,48 @@ fn oom_kills_the_offender_and_spares_the_rest() {
 }
 
 #[test]
+fn swap_slots_freed_at_exit_are_reused_deterministically() {
+    // "early" pages 200 anonymous pages through 64 frames and exits with
+    // its swap slots allocated; "late" then reuses them. The sectors it
+    // writes must not depend on the order the exit freed the slots in.
+    const LATE: u64 = 30_000_000;
+    fn run() -> (Vec<(u64, u32)>, Vec<u8>) {
+        use ess_io_study::apps::CtxExt;
+        use ess_io_study::trace::{codec::canonical_bytes, Origin};
+        let mut bw = Beowulf::new(BeowulfConfig {
+            nodes: 1,
+            frames_user: 64,
+            ..Default::default()
+        });
+        for (name, start) in [("early", 0), ("late", LATE)] {
+            bw.spawn(0, name, start, |mut ctx| async move {
+                let (base, pages) = ctx
+                    .sys(ess_io_study::kernel::Syscall::MapAnon { pages: 200 })
+                    .await
+                    .mapped();
+                ctx.touch_range(base, pages as u64).await;
+                ctx.compute(1_000_000).await; // flushes the touch batch
+                0
+            });
+        }
+        bw.run_apps(1_000_000);
+        assert!(bw.exits().iter().all(|e| e.code == 0), "{:?}", bw.exits());
+        let trace = bw.take_trace();
+        let swap_outs = (trace.iter())
+            .filter(|r| r.origin == Origin::SwapOut)
+            .map(|r| (r.ts, r.sector))
+            .collect();
+        (swap_outs, canonical_bytes(&trace).to_vec())
+    }
+    let first = run();
+    assert!(first.0.iter().any(|&(ts, _)| ts < LATE), "early swaps");
+    assert!(first.0.iter().any(|&(ts, _)| ts >= LATE), "late swaps");
+    for _ in 0..2 {
+        assert_eq!(run(), first);
+    }
+}
+
+#[test]
 fn wild_pointer_is_a_segfault_not_a_hang() {
     let mut bw = Beowulf::new(BeowulfConfig {
         nodes: 1,
