@@ -1,5 +1,4 @@
-//! Trace serialization throughput (binary fixed, binary columnar, CSV,
-//! JSON), plus the columnar size ratio as a side effect of setup.
+//! Columnar trace codec throughput, batch encode and decode.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use essio_bench::synthetic_trace;
@@ -8,28 +7,15 @@ use std::hint::black_box;
 
 fn bench(c: &mut Criterion) {
     let records = synthetic_trace(100_000);
-    let encoded = codec::encode(&records);
     let columnar = codec::encode_columnar(&records);
 
     let mut g = c.benchmark_group("trace_codec");
     g.throughput(Throughput::Elements(records.len() as u64));
-    g.bench_function("encode_binary", |b| {
-        b.iter(|| black_box(codec::encode(black_box(&records))))
-    });
-    g.bench_function("decode_binary", |b| {
-        b.iter(|| black_box(codec::decode(black_box(&encoded)).unwrap()))
-    });
     g.bench_function("encode_columnar", |b| {
         b.iter(|| black_box(codec::encode_columnar(black_box(&records))))
     });
     g.bench_function("decode_columnar", |b| {
-        b.iter(|| black_box(codec::decode(black_box(&columnar)).unwrap()))
-    });
-    g.bench_function("to_csv", |b| {
-        b.iter(|| black_box(codec::to_csv(black_box(&records[..10_000]))))
-    });
-    g.bench_function("to_json", |b| {
-        b.iter(|| black_box(codec::to_json(black_box(&records[..10_000])).unwrap()))
+        b.iter(|| black_box(codec::decode_columnar(black_box(&columnar)).unwrap()))
     });
     g.finish();
 }

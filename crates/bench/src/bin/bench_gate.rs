@@ -104,9 +104,7 @@ struct Gate {
 
 fn gates() -> Vec<Gate> {
     let records = synthetic_trace(100_000);
-    let encoded = codec::encode(&records);
     let columnar = codec::encode_columnar(&records);
-    let (r1, r2) = (records.clone(), records);
     let gate = |name, run| Gate { name, run };
     vec![
         gate(
@@ -122,23 +120,13 @@ fn gates() -> Vec<Gate> {
             Box::new(|| black_box(engine_same_instant_fifo())),
         ),
         gate(
-            "trace_codec/encode_binary",
-            Box::new(move || black_box(codec::encode(black_box(&r1))).len() as u64),
-        ),
-        gate(
-            "trace_codec/decode_binary",
-            Box::new(move || {
-                black_box(codec::decode(black_box(&encoded)).expect("valid")).len() as u64
-            }),
-        ),
-        gate(
             "trace_codec/encode_columnar",
-            Box::new(move || black_box(codec::encode_columnar(black_box(&r2))).len() as u64),
+            Box::new(move || black_box(codec::encode_columnar(black_box(&records))).len() as u64),
         ),
         gate(
             "trace_codec/decode_columnar",
             Box::new(move || {
-                black_box(codec::decode(black_box(&columnar)).expect("valid")).len() as u64
+                black_box(codec::decode_columnar(black_box(&columnar)).expect("valid")).len() as u64
             }),
         ),
     ]
@@ -379,6 +367,7 @@ fn main() {
 #[cfg(test)]
 mod tests {
     use super::{baselines, upsert_bench_gate};
+    use proptest::prelude::*;
 
     const SECTION: &str =
         "  \"bench_gate\": {\n    \"medians_us\": {\n      \"x\": 1\n    }\n  },\n";
@@ -409,6 +398,80 @@ mod tests {
     fn upsert_rejects_what_it_cannot_edit_instead_of_panicking() {
         for raw in ["{\"a\":1}\n", "[1, 2]\n", "\"text\"", "7", "{\n}\n"] {
             assert!(upsert_bench_gate(raw, SECTION).is_err(), "{raw:?}");
+        }
+    }
+
+    const BASELINE: &str = include_str!(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../BENCH_baseline.json"
+    ));
+
+    /// Bytes JSON is made of, so arbitrary text reaches past the first token.
+    const JSON_BYTES: &[u8] = b"{}[]\":,0123456789-+.eE \ntruefalsnull\\u";
+
+    /// Text of up to 512 characters, about half drawn from [`JSON_BYTES`].
+    fn text() -> impl Strategy<Value = String> {
+        prop::collection::vec((any::<bool>(), any::<u8>()), 0..512).prop_map(|v| {
+            let bytes: Vec<u8> = v
+                .into_iter()
+                .map(|(json, b)| {
+                    if json {
+                        JSON_BYTES[b as usize % JSON_BYTES.len()]
+                    } else {
+                        b
+                    }
+                })
+                .collect();
+            String::from_utf8_lossy(&bytes).into_owned()
+        })
+    }
+
+    /// Apply 1–4 edits `(kind, position, byte)` to `data`: kind 0 flips the
+    /// bits of `byte` at the position, 1 overwrites it, 2 truncates there.
+    fn mutate(mut data: Vec<u8>, edits: &[(u8, u32, u8)]) -> String {
+        for &(kind, at, byte) in edits {
+            if data.is_empty() {
+                break;
+            }
+            let i = at as usize % data.len();
+            match kind {
+                0 => data[i] ^= byte,
+                1 => data[i] = byte,
+                _ => data.truncate(i),
+            }
+        }
+        String::from_utf8_lossy(&data).into_owned()
+    }
+
+    /// What `main` does with a baseline file's text before measuring:
+    /// parse it, look up the gate's medians, and plan the `--record` edit.
+    fn read_baseline(raw: &str) {
+        let _ = upsert_bench_gate(raw, SECTION);
+        if let Ok(doc) = serde_json::from_str::<serde::Value>(raw) {
+            let _ = baselines(&doc, &["engine/schedule_pop_10k", "x"]);
+        }
+    }
+
+    #[test]
+    fn the_committed_baseline_reads() {
+        let doc: serde::Value = serde_json::from_str(BASELINE).unwrap();
+        assert!(baselines(&doc, &["trace_codec/decode_columnar"]).is_ok());
+        assert!(upsert_bench_gate(BASELINE, SECTION).is_ok());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn baseline_reading_never_panics_on_arbitrary_text(s in text()) {
+            read_baseline(&s);
+        }
+
+        #[test]
+        fn baseline_reading_never_panics_on_a_mutated_baseline(
+            edits in prop::collection::vec((0u8..3, any::<u32>(), 1u8..=255), 1..=4),
+        ) {
+            read_baseline(&mutate(BASELINE.as_bytes().to_vec(), &edits));
         }
     }
 }

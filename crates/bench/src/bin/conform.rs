@@ -191,12 +191,8 @@ fn bless(args: &Args, matrix: &Matrix, runs: &[CellRun]) {
     groups.dedup();
     for group in &groups {
         let spec = group_representative(&matrix.cells, group).expect("group has cells");
-        let fixed = essio_conform::materialize_trace(&spec);
-        let records = essio_trace::codec::decode(&fixed).unwrap_or_else(|e| {
-            eprintln!("conform: freshly materialized trace failed to decode: {e}");
-            std::process::exit(2);
-        });
-        let columnar = essio_trace::codec::encode_columnar(&records);
+        let columnar =
+            essio_trace::codec::encode_columnar(&essio_conform::materialize_trace(&spec));
         io_or_die(
             "write golden trace",
             std::fs::write(golden_trace_path(&args.traces, group), &columnar),
@@ -233,7 +229,7 @@ fn check_golden_traces(
         let path = golden_trace_path(&args.traces, group);
         let (stored, bytes) = match std::fs::read(&path) {
             Err(e) => (format!("unreadable ({e})"), None),
-            Ok(bytes) => match essio_trace::codec::decode(&bytes) {
+            Ok(bytes) => match essio_trace::codec::decode_columnar(&bytes) {
                 Err(e) => (format!("undecodable ({e})"), Some(bytes)),
                 Ok(records) => {
                     let mut h = TraceHasher::new();

@@ -1,24 +1,20 @@
 //! Divergence bisection: from "hash mismatch" to "record #N changed".
 //!
-//! Two encoded traces that hash differently are replayed through
-//! [`essio_stream::replay_prefix`] (bounded-memory chunked decode, either
-//! wire format) into a running [`TraceHasher`]. Because FNV-1a over the
-//! canonical record bytes is a prefix hash, "the first `n` records agree"
-//! is a monotone predicate in `n` — so a binary search over the prefix
-//! length finds the longest common prefix in `O(N log N)` decoded records
-//! without ever materializing either trace. The report decodes the first
-//! divergent record on both sides: its virtual time, sector, operation,
-//! and queue depth, plus the node whose request stream moved.
+//! A committed golden trace (columnar, on disk) is decoded one frame at a
+//! time through [`ChunkedDecoder`] and compared record by record against a
+//! fresh run's records, folding a [`TraceHasher`] over the common prefix.
+//! One linear pass finds the first divergent record without materializing
+//! the golden trace. The report decodes that record on both sides: its
+//! virtual time, sector, operation, and queue depth, plus the node whose
+//! request stream moved.
 //!
-//! Corruption is handled, not assumed away: a byte flip that breaks
-//! decoding (bad op, truncation, corrupt columnar frame) bounds that
-//! side's readable prefix, and the search proceeds over what is readable.
-
-use std::io::Cursor;
+//! Corruption is handled, not assumed away: a damaged golden frame (bad
+//! magic, truncation, a corrupt column) bounds the golden side's readable
+//! prefix, and the comparison covers what is readable.
 
 use serde::Serialize;
 
-use essio_stream::replay_prefix;
+use essio_trace::codec::{ChunkedDecoder, COLUMNAR_FRAME_RECORDS};
 use essio_trace::{RecordSink, TraceRecord};
 
 use crate::fingerprint::{hex64, TraceHasher};
@@ -62,7 +58,7 @@ impl RecordView {
     }
 }
 
-/// The result of bisecting two differing traces.
+/// The result of bisecting a golden trace against a differing run.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct Divergence {
     /// First divergent record index (0-based). Every record before it is
@@ -78,12 +74,12 @@ pub struct Divergence {
     pub node: Option<u8>,
     /// Readable records on the golden side.
     pub golden_records: u64,
-    /// Readable records on the current side.
+    /// Records on the current side.
     pub current_records: u64,
-    /// Running hash over the common prefix, hex (sanity anchor: equal on
-    /// both sides by construction).
+    /// Fingerprint hash ([`TraceHasher`]) of the common prefix, hex: equal
+    /// on both sides by construction.
     pub common_prefix_hash: String,
-    /// Decode errors hit on either side, if any.
+    /// The golden trace's decode error, if any.
     pub notes: Vec<String>,
 }
 
@@ -118,127 +114,61 @@ impl Divergence {
     }
 }
 
-/// Chunk size for full-stream scans (error-free fast path).
-const SCAN_CHUNK: usize = 4096;
-
-/// Scan one side: readable record count, full-prefix hash, decode error.
-fn scan(bytes: &[u8]) -> (u64, u64, Option<String>) {
-    let mut h = TraceHasher::new();
-    match replay_prefix(Cursor::new(bytes), SCAN_CHUNK, u64::MAX, &mut h) {
-        Ok(n) => (n, h.value(), None),
-        Err(e) => {
-            // Re-scan one record at a time for the exact readable prefix
-            // (a failed chunk discards its partial records).
-            let mut h = TraceHasher::new();
-            let err = replay_prefix(Cursor::new(bytes), 1, u64::MAX, &mut h)
-                .err()
-                .map_or_else(|| e.to_string(), |e| e.to_string());
-            (h.records(), h.value(), Some(err))
+/// Bisect a columnar golden trace against a fresh run's records to their
+/// first divergent record. Returns `None` when the golden trace decodes to
+/// exactly `current`.
+pub fn bisect(golden: &[u8], current: &[TraceRecord]) -> Option<Divergence> {
+    let mut dec = ChunkedDecoder::new(golden, COLUMNAR_FRAME_RECORDS);
+    let mut frame = Vec::new();
+    let mut prefix = TraceHasher::new();
+    // The golden record at the first divergence, once found.
+    let mut golden_at: Option<TraceRecord> = None;
+    let mut golden_records = 0u64;
+    let error = loop {
+        match dec.next_chunk(&mut frame) {
+            Ok(0) => break None,
+            Ok(_) => {}
+            Err(e) => break Some(e),
         }
-    }
-}
-
-/// Hash of the first `n` records. `n` must be within the readable prefix;
-/// chunk size 1 guarantees the decoder never touches bytes past record
-/// `n-1` in the fixed format (columnar frames decode whole, so a readable
-/// count from [`scan`] is already frame-closed).
-fn prefix_hash(bytes: &[u8], n: u64) -> u64 {
-    let mut h = TraceHasher::new();
-    let replayed = replay_prefix(Cursor::new(bytes), 1, n, &mut h)
-        .expect("prefix within readable range must replay");
-    debug_assert_eq!(replayed, n);
-    h.value()
-}
-
-/// Keep only the latest record seen (bounded-memory record extraction).
-struct KeepLast {
-    seen: u64,
-    last: Option<TraceRecord>,
-}
-
-impl RecordSink for KeepLast {
-    fn observe(&mut self, rec: &TraceRecord) {
-        self.seen += 1;
-        self.last = Some(*rec);
-    }
-}
-
-/// Decode record `index` from an encoded trace, if it exists and decodes.
-fn record_at(bytes: &[u8], index: u64) -> Option<TraceRecord> {
-    let mut sink = KeepLast {
-        seen: 0,
-        last: None,
+        if golden_at.is_none() {
+            let rest = current.get(golden_records as usize..).unwrap_or_default();
+            let same = frame.iter().zip(rest).take_while(|(g, c)| g == c).count();
+            prefix.observe_all(&frame[..same]);
+            golden_at = frame.get(same).copied();
+        }
+        golden_records += frame.len() as u64;
     };
-    match replay_prefix(Cursor::new(bytes), 1, index + 1, &mut sink) {
-        Ok(n) if n == index + 1 => sink.last,
-        _ => None,
-    }
-}
 
-/// Bisect two encoded traces (either wire format, independently chosen per
-/// side) to their first divergent record. Returns `None` when the traces
-/// decode to identical record sequences.
-pub fn bisect(golden_bytes: &[u8], current_bytes: &[u8]) -> Option<Divergence> {
-    let (g_n, g_hash, g_err) = scan(golden_bytes);
-    let (c_n, c_hash, c_err) = scan(current_bytes);
-    if g_n == c_n && g_hash == c_hash && g_err.is_none() && c_err.is_none() {
+    let index = prefix.records();
+    let golden_view = golden_at.map(|r| RecordView::of(index, &r));
+    let current_view = current
+        .get(index as usize)
+        .map(|r| RecordView::of(index, r));
+    if golden_view.is_none() && current_view.is_none() && error.is_none() {
         return None;
-    }
-
-    // Largest `lo` with equal prefixes; invariant: prefixes of length `lo`
-    // agree, prefixes of length `hi` (if hi ≤ min) are known or suspected
-    // to disagree.
-    let min = g_n.min(c_n);
-    let (mut lo, mut hi) = (0u64, min);
-    // Whole-common-range check first: if all `min` records agree the
-    // divergence is purely the length difference.
-    if min > 0 && prefix_hash(golden_bytes, min) == prefix_hash(current_bytes, min) {
-        lo = min;
-    } else {
-        while hi - lo > 1 {
-            let mid = lo + (hi - lo) / 2;
-            if prefix_hash(golden_bytes, mid) == prefix_hash(current_bytes, mid) {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-        }
-        // hi is now the shortest differing prefix length (or lo == min).
-    }
-
-    let index = lo;
-    let golden = record_at(golden_bytes, index).map(|r| RecordView::of(index, &r));
-    let current = record_at(current_bytes, index).map(|r| RecordView::of(index, &r));
-    let node = current.as_ref().or(golden.as_ref()).map(|r| r.node);
-    let mut notes = Vec::new();
-    if let Some(e) = g_err {
-        notes.push(format!("golden trace decode error after record {g_n}: {e}"));
-    }
-    if let Some(e) = c_err {
-        notes.push(format!(
-            "current trace decode error after record {c_n}: {e}"
-        ));
     }
     Some(Divergence {
         index,
-        golden,
-        current,
-        node,
-        golden_records: g_n,
-        current_records: c_n,
-        common_prefix_hash: hex64(if index == 0 {
-            crate::hash::Fnv64::new().value()
-        } else {
-            prefix_hash(golden_bytes, index)
-        }),
-        notes,
+        node: current_view
+            .as_ref()
+            .or(golden_view.as_ref())
+            .map(|r| r.node),
+        golden: golden_view,
+        current: current_view,
+        golden_records,
+        current_records: current.len() as u64,
+        common_prefix_hash: hex64(prefix.value()),
+        notes: error
+            .map(|e| format!("golden trace decode error after record {golden_records}: {e}"))
+            .into_iter()
+            .collect(),
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use essio_trace::codec::{canonical_bytes, encode_columnar, MAGIC, RECORD_BYTES};
+    use essio_trace::codec::encode_columnar;
     use essio_trace::{Op, Origin};
 
     fn recs(n: u64) -> Vec<TraceRecord> {
@@ -257,78 +187,94 @@ mod tests {
 
     #[test]
     fn identical_traces_have_no_divergence() {
-        let r = recs(500);
-        let fixed = canonical_bytes(&r);
-        let col = encode_columnar(&r);
-        assert_eq!(bisect(&fixed, &fixed), None);
-        // Cross-format: same records, different wire bytes — still equal.
-        assert_eq!(bisect(&fixed, &col), None);
+        let r = recs(5000);
+        assert_eq!(bisect(&encode_columnar(&r), &r), None);
+        assert_eq!(bisect(&encode_columnar(&[]), &[]), None);
     }
 
     #[test]
-    fn flipped_field_is_localized_exactly() {
-        let r = recs(1000);
-        let golden = canonical_bytes(&r);
+    fn flipped_field_past_the_first_frame_is_localized_exactly() {
+        let r = recs(10_000);
+        let golden = encode_columnar(&r);
+        let victim = COLUMNAR_FRAME_RECORDS + 437;
         let mut r2 = r.clone();
-        r2[437].sector ^= 1;
-        let current = canonical_bytes(&r2);
-        let d = bisect(&golden, &current).expect("must diverge");
-        assert_eq!(d.index, 437);
-        assert_eq!(d.node, Some(r[437].node));
-        let (g, c) = (d.golden.unwrap(), d.current.unwrap());
-        assert_eq!(g.time_us, r[437].ts);
-        assert_eq!(c.sector, r[437].sector ^ 1);
-        assert_eq!(g.rw, if r[437].op == Op::Read { "R" } else { "W" });
-    }
-
-    #[test]
-    fn single_byte_flip_in_encoded_stream_is_localized() {
-        let r = recs(300);
-        let golden = canonical_bytes(&r).to_vec();
-        let mut current = golden.clone();
-        // Flip one bit of record 123's timestamp.
-        current[MAGIC.len() + 123 * RECORD_BYTES] ^= 0x01;
-        let d = bisect(&golden, &current).expect("must diverge");
-        assert_eq!(d.index, 123);
+        r2[victim].sector ^= 1;
+        let d = bisect(&golden, &r2).expect("must diverge");
+        assert_eq!(d.index, victim as u64);
+        assert_eq!(d.node, Some(r[victim].node));
+        let (g, c) = (d.golden.clone().unwrap(), d.current.clone().unwrap());
+        assert_eq!(g.time_us, r[victim].ts);
+        assert_eq!(g.sector, r[victim].sector);
+        assert_eq!(c.sector, r[victim].sector ^ 1);
+        assert_eq!(g.rw, if r[victim].op == Op::Read { "R" } else { "W" });
+        assert_eq!((d.golden_records, d.current_records), (10_000, 10_000));
         assert!(d.notes.is_empty());
-        assert!(d.render().contains("record: #123"));
+        assert!(d.render().contains(&format!("record: #{victim}")));
     }
 
     #[test]
-    fn truncation_diverges_at_the_cut() {
-        let r = recs(200);
-        let golden = canonical_bytes(&r);
-        let current = canonical_bytes(&r[..150]);
-        let d = bisect(&golden, &current).expect("must diverge");
-        assert_eq!(d.index, 150);
+    fn common_prefix_hash_is_the_fingerprint_of_the_prefix() {
+        let r = recs(6000);
+        let mut r2 = r.clone();
+        r2[5000].ts += 1;
+        let d = bisect(&encode_columnar(&r), &r2).expect("must diverge");
+        let mut h = TraceHasher::new();
+        h.observe_all(&r[..5000]);
+        assert_eq!(d.common_prefix_hash, hex64(h.value()));
+        // An empty common prefix hashes like the empty trace.
+        r2[0].node ^= 1;
+        let d = bisect(&encode_columnar(&r), &r2).expect("must diverge");
+        assert_eq!(d.index, 0);
+        assert_eq!(d.common_prefix_hash, hex64(TraceHasher::new().value()));
+    }
+
+    #[test]
+    fn truncation_diverges_at_the_cut_on_either_side() {
+        let r = recs(5000);
+        // Current run shorter than the golden.
+        let d = bisect(&encode_columnar(&r), &r[..4500]).expect("must diverge");
+        assert_eq!(d.index, 4500);
         assert!(d.golden.is_some());
         assert_eq!(d.current, None);
-        assert_eq!(d.golden_records, 200);
-        assert_eq!(d.current_records, 150);
+        assert_eq!(d.node, Some(r[4500].node));
+        assert_eq!((d.golden_records, d.current_records), (5000, 4500));
+        // Golden shorter than the current run, cut at a frame boundary.
+        let d = bisect(&encode_columnar(&r[..4096]), &r).expect("must diverge");
+        assert_eq!(d.index, 4096);
+        assert_eq!(d.golden, None);
+        assert!(d.current.is_some());
+        assert_eq!((d.golden_records, d.current_records), (4096, 5000));
+        assert!(d.notes.is_empty());
     }
 
     #[test]
-    fn corrupting_op_byte_bounds_the_readable_prefix() {
-        let r = recs(100);
-        let golden = canonical_bytes(&r).to_vec();
-        let mut current = golden.clone();
-        // Invalid op value at record 60 → decode error there.
-        current[MAGIC.len() + 60 * RECORD_BYTES + 17] = 9;
-        let d = bisect(&golden, &current).expect("must diverge");
-        assert_eq!(d.index, 60);
-        assert_eq!(d.current, None, "record 60 is unreadable");
-        assert!(d.golden.is_some());
-        assert!(d.notes.iter().any(|n| n.contains("decode error")), "{d:?}");
+    fn corrupt_final_frame_bounds_the_readable_prefix() {
+        let r = recs(5000);
+        let mut golden = encode_columnar(&r).to_vec();
+        // The third-last byte is an origin of the second (final) frame.
+        let at = golden.len() - 3;
+        golden[at] ^= 0x5a;
+        let d = bisect(&golden, &r).expect("must diverge");
+        assert_eq!(d.index, 4096);
+        assert_eq!(d.golden, None, "record 4096 is unreadable");
+        assert!(d.current.is_some());
+        assert_eq!((d.golden_records, d.current_records), (4096, 5000));
+        assert_eq!(d.notes.len(), 1);
+        assert!(
+            d.notes[0].starts_with("golden trace decode error after record 4096"),
+            "{d:?}"
+        );
     }
 
     #[test]
-    fn cross_format_divergence_still_localizes() {
-        let r = recs(800);
-        let golden = encode_columnar(&r); // golden stored columnar on disk
-        let mut r2 = r.clone();
-        r2[700].ts += 1;
-        let current = canonical_bytes(&r2);
-        let d = bisect(&golden, &current).expect("must diverge");
-        assert_eq!(d.index, 700);
+    fn unreadable_golden_diverges_at_record_zero() {
+        let r = recs(10);
+        let d = bisect(b"not a trace", &r).expect("must diverge");
+        assert_eq!(d.index, 0);
+        assert_eq!(d.golden, None);
+        assert_eq!(d.golden_records, 0);
+        assert!(d.notes[0].contains("bad magic"), "{d:?}");
+        // Even against an empty run, an unreadable golden is a divergence.
+        assert!(bisect(b"not a trace", &[]).is_some());
     }
 }

@@ -36,13 +36,6 @@ pub fn hex64(h: u64) -> String {
     format!("{h:016x}")
 }
 
-/// Parse the fingerprint hex spelling back to a hash.
-pub fn parse_hex64(s: &str) -> Option<u64> {
-    (s.len() == 16)
-        .then(|| u64::from_str_radix(s, 16).ok())
-        .flatten()
-}
-
 /// A [`RecordSink`] that folds every record's canonical bytes into a
 /// running FNV-1a state, sampling a checkpoint every
 /// [`CHECKPOINT_EVERY`] records.
@@ -200,18 +193,16 @@ pub fn run_cell(spec: &CellSpec) -> CellRun {
     }
 }
 
-/// Re-run a cell keeping the full trace, returning its canonical bytes.
-/// Determinism makes this equivalent to having kept them the first time;
-/// it is only paid when a mismatch needs bisecting.
-pub fn materialize_trace(spec: &CellSpec) -> Vec<u8> {
+/// Re-run a cell keeping the full trace. Determinism makes this
+/// equivalent to having kept it the first time; it is only paid when a
+/// golden trace is blessed or a mismatch needs bisecting.
+pub fn materialize_trace(spec: &CellSpec) -> Vec<TraceRecord> {
     let exp = spec.experiment();
-    let records: Vec<TraceRecord> = if spec.streamed {
-        let (_, sink) = exp.run_streamed(Vec::new());
-        sink
+    if spec.streamed {
+        exp.run_streamed(Vec::new()).1
     } else {
         exp.run().trace
-    };
-    essio_trace::codec::canonical_bytes(&records).to_vec()
+    }
 }
 
 #[cfg(test)]
@@ -220,12 +211,14 @@ mod tests {
     use crate::matrix::{FaultsPreset, Matrix};
     use essio::prelude::ExperimentKind;
 
+    /// The canonical bytes of a whole trace, record after record.
+    fn canonical(recs: &[TraceRecord]) -> Vec<u8> {
+        recs.iter().flat_map(canonical_record_bytes).collect()
+    }
+
     #[test]
     fn hex_roundtrip() {
         assert_eq!(hex64(0xcbf29ce484222325), "cbf29ce484222325");
-        assert_eq!(parse_hex64("cbf29ce484222325"), Some(0xcbf29ce484222325));
-        assert_eq!(parse_hex64("00000000000000ff"), Some(255));
-        assert_eq!(parse_hex64("xyz"), None);
     }
 
     #[test]
@@ -243,15 +236,12 @@ mod tests {
             .collect();
         let mut h = TraceHasher::new();
         h.observe_all(&recs);
-        // The hash domain is the record bytes alone — the 4-byte container
-        // magic of the encoded file is not part of the fingerprint.
-        let magic = essio_trace::codec::MAGIC.len();
-        let bytes = essio_trace::codec::canonical_bytes(&recs);
-        assert_eq!(h.value(), Fnv64::hash(&bytes[magic..]));
+        // The hash domain is the canonical record bytes alone.
+        assert_eq!(h.value(), Fnv64::hash(&canonical(&recs)));
         assert_eq!(h.checkpoints().len(), 1);
         // The checkpoint equals the one-shot hash of the checkpoint prefix.
-        let prefix = essio_trace::codec::canonical_bytes(&recs[..CHECKPOINT_EVERY as usize]);
-        assert_eq!(h.checkpoints()[0], Fnv64::hash(&prefix[magic..]));
+        let prefix = canonical(&recs[..CHECKPOINT_EVERY as usize]);
+        assert_eq!(h.checkpoints()[0], Fnv64::hash(&prefix));
     }
 
     #[test]
@@ -282,12 +272,8 @@ mod tests {
     fn materialized_trace_hashes_to_the_fingerprint() {
         let spec = CellSpec::plain(ExperimentKind::Nbody, 1);
         let run = run_cell(&spec);
-        let bytes = materialize_trace(&spec);
-        let magic = essio_trace::codec::MAGIC.len();
-        assert_eq!(
-            hex64(Fnv64::hash(&bytes[magic..])),
-            run.fingerprint.trace_hash
-        );
+        let bytes = canonical(&materialize_trace(&spec));
+        assert_eq!(hex64(Fnv64::hash(&bytes)), run.fingerprint.trace_hash);
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //!   plan × obs on/off × streamed vs batch} as an explicit list of cells,
 //!   with `ci` and `full` presets.
 //! * [`fingerprint`] — per-cell **fingerprint bundles**: a 64-bit FNV-1a
-//!   hash of the canonical trace bytes
-//!   ([`essio_trace::codec::canonical_bytes`]), a hash of the run's
+//!   hash of the canonical record bytes
+//!   ([`essio_trace::codec::canonical_record_bytes`]), a hash of the run's
 //!   canonical summary JSON ([`essio::experiment::ExperimentResult::canonical_json`]),
 //!   record/duration/event pins, and a prefix-hash checkpoint chain.
 //! * [`shapes`] — the paper-shape invariants, checked numerically with
@@ -20,10 +20,10 @@
 //!   drift).
 //! * [`registry`] — the committed `conform/golden.json` registry and its
 //!   diff against a fresh run of the matrix.
-//! * [`bisect`] — divergence bisection: when two traces hash differently,
-//!   binary-search over the record prefix (replaying through
-//!   `ChunkedDecoder` via [`essio_stream::replay_prefix`]) to the **first
-//!   divergent record index** and report its decoded
+//! * [`bisect`] — divergence bisection: when a committed columnar golden
+//!   trace and a fresh run's records differ, one linear pass (decoding the
+//!   golden a frame at a time through `ChunkedDecoder`) finds the **first
+//!   divergent record index** and reports its decoded
 //!   `{time, sector, rw, queue}` on both sides plus the responsible node —
 //!   turning "hash mismatch" into an actionable pointer.
 //!
@@ -41,8 +41,7 @@ pub mod shapes;
 
 pub use bisect::{bisect, Divergence, RecordView};
 pub use fingerprint::{
-    hex64, materialize_trace, parse_hex64, run_cell, CellRun, Fingerprint, TraceHasher,
-    CHECKPOINT_EVERY,
+    hex64, materialize_trace, run_cell, CellRun, Fingerprint, TraceHasher, CHECKPOINT_EVERY,
 };
 pub use hash::Fnv64;
 pub use matrix::{CellSpec, FaultsPreset, Matrix};

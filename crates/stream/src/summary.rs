@@ -37,7 +37,7 @@ impl StreamConfig {
 ///
 /// Implements [`RecordSink`], so it plugs directly into the kernel drain
 /// path (`Experiment::run_streamed`), the chunked trace decoder
-/// ([`crate::replay_path`]), or a [`NodeShards`] router.
+/// (`essio_trace::codec::decode_chunked`), or a [`NodeShards`] router.
 #[derive(Debug, Clone)]
 pub struct StreamSummary {
     cfg: StreamConfig,

@@ -253,7 +253,7 @@ mod tests {
         }
         let mut enc = crate::codec::ColumnarEncoder::with_frame_records(16);
         assert_eq!(b.drain_into(usize::MAX, &mut enc), 40);
-        let decoded = crate::codec::decode(&enc.finish()).unwrap();
+        let decoded = crate::codec::decode_columnar(&enc.finish()).unwrap();
         assert_eq!(decoded.len(), 40);
         assert_eq!(decoded, (0..40).map(rec).collect::<Vec<_>>());
     }

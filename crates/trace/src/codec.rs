@@ -1,35 +1,30 @@
-//! Trace serialization: compact binary (record-at-a-time and columnar),
-//! CSV, and JSON.
+//! Trace serialization: the columnar binary trace format.
 //!
-//! The record-at-a-time binary format is a fixed 20-byte little-endian
-//! record with a small header, built on the `bytes` crate. A 2000-second
+//! A trace is stored as frames of per-column streams ([`encode_columnar`] /
+//! [`ColumnarEncoder`]): timestamps and sectors are zigzag-delta encoded
+//! (both columns are locally clustered, so deltas are tiny), lengths and
+//! pending counts are varints, ops are bit-packed. A 2000-second
 //! combined-workload run across 16 nodes produces on the order of 10⁵–10⁶
-//! records; at 20 B each that is a few MB — cheap to persist per experiment
-//! so analyses can be re-run without re-simulating.
+//! records, a few bytes each, so a trace is cheap to persist and analyses
+//! can be re-run without re-simulating. [`decode_columnar`] reads a whole
+//! trace; [`ChunkedDecoder`] reads one frame at a time.
 //!
-//! The **columnar** format ([`encode_columnar`] / [`ColumnarEncoder`])
-//! stores the same records in frames of per-column streams: timestamps and
-//! sectors are zigzag-delta encoded (both columns are locally clustered, so
-//! deltas are tiny), lengths/pending counts are varints, ops are bit-packed.
-//! Campaign-scale traces shrink ~3–4× and decode faster because each column
-//! is a straight run of homogeneous bytes. Both formats decode through
-//! [`decode`] and [`ChunkedDecoder`], which sniff the magic, and the decoded
-//! records are byte-for-byte identical between the two encodings.
+//! [`canonical_record_bytes`] is not a file format: it is the fixed 20-byte
+//! form of one record that conformance fingerprints hash, and
+//! [`RECORD_BYTES`] is the size of each record the simulated trace spool
+//! writes.
 
 use std::io::Read;
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 
 use crate::record::{Op, Origin, TraceRecord};
 use crate::sink::RecordSink;
 
-/// Magic bytes identifying a binary trace file ("ESIO" + version 1).
-pub const MAGIC: [u8; 4] = *b"ESI\x01";
-
-/// Magic bytes identifying a *columnar* binary trace ("ESC" + version 1).
+/// Magic bytes identifying a columnar binary trace ("ESC" + version 1).
 pub const MAGIC_COLUMNAR: [u8; 4] = *b"ESC\x01";
 
-/// Bytes per encoded record.
+/// Bytes per canonical record ([`canonical_record_bytes`]).
 pub const RECORD_BYTES: usize = 20;
 
 /// Default records per columnar frame: large enough that per-frame headers
@@ -39,27 +34,22 @@ pub const COLUMNAR_FRAME_RECORDS: usize = 4096;
 /// Errors from decoding a binary trace.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DecodeError {
-    /// The header magic did not match [`MAGIC`].
+    /// The header magic did not match [`MAGIC_COLUMNAR`].
     BadMagic,
-    /// The payload length is not a whole number of records. `at` is the
-    /// byte offset, counted from the start of the stream (magic included),
-    /// of the first byte of the incomplete trailing record — i.e. how much
-    /// of the file is still valid and replayable.
+    /// The trace ends inside a frame. `at` is the byte offset, counted from
+    /// the start of the stream (magic included), of that frame's first
+    /// byte — i.e. how much of the file is still valid and replayable.
     Truncated {
-        /// Offset of the first byte of the partial record.
+        /// Offset of the first byte of the partial frame.
         at: u64,
     },
-    /// A record carried an invalid op flag.
-    BadOp(u8),
-    /// A record or columnar frame holds bytes the encoder never writes: a
-    /// nonzero pad byte, an origin above 7, an overlong or overflowing
-    /// varint, a sector delta outside `i32`, set bits past the last op, a
-    /// column overrun, or an impossible header. Every accepted encoding is
-    /// therefore the one the encoder writes for its records. `at` is the
-    /// byte offset of the record's (fixed format) or the frame's (columnar)
-    /// first byte.
+    /// A frame holds bytes the encoder never writes: an origin above 7, an
+    /// overlong or overflowing varint, a sector delta outside `i32`, set
+    /// bits past the last op, a column overrun, or an impossible header.
+    /// Every accepted encoding is therefore the one the encoder writes for
+    /// its records. `at` is the byte offset of the frame's first byte.
     Corrupt {
-        /// Offset of the corrupt record or frame.
+        /// Offset of the corrupt frame.
         at: u64,
     },
     /// The underlying reader failed (streaming decode only).
@@ -71,12 +61,9 @@ impl std::fmt::Display for DecodeError {
         match self {
             DecodeError::BadMagic => write!(f, "not an ESIO trace (bad magic)"),
             DecodeError::Truncated { at } => {
-                write!(f, "trace truncated mid-record at byte {at}")
+                write!(f, "trace truncated mid-frame at byte {at}")
             }
-            DecodeError::BadOp(v) => write!(f, "invalid op flag {v}"),
-            DecodeError::Corrupt { at } => {
-                write!(f, "corrupt trace record or frame at byte {at}")
-            }
+            DecodeError::Corrupt { at } => write!(f, "corrupt trace frame at byte {at}"),
             DecodeError::Io(kind) => write!(f, "trace read failed: {kind}"),
         }
     }
@@ -84,21 +71,10 @@ impl std::fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
-/// Encode records into the binary trace format.
-pub fn encode(records: &[TraceRecord]) -> Bytes {
-    let mut buf = BytesMut::with_capacity(MAGIC.len() + records.len() * RECORD_BYTES);
-    buf.put_slice(&MAGIC);
-    for r in records {
-        buf.put_slice(&canonical_record_bytes(r));
-    }
-    buf.freeze()
-}
-
-/// The canonical 20-byte wire form of one record — the byte sequence every
-/// fingerprint in `essio-conform` is defined over. Identical records always
-/// produce identical bytes (fixed little-endian layout, zero pad), and the
-/// record-at-a-time format is exactly [`MAGIC`] followed by these, so
-/// `canonical_bytes` == [`encode`] byte for byte.
+/// The canonical 20-byte form of one record — the byte sequence every
+/// fingerprint in `essio-conform` is defined over. Fixed little-endian
+/// layout with a zero pad, so identical records always produce identical
+/// bytes and distinct records distinct ones.
 pub fn canonical_record_bytes(r: &TraceRecord) -> [u8; RECORD_BYTES] {
     let mut b = [0u8; RECORD_BYTES];
     b[0..8].copy_from_slice(&r.ts.to_le_bytes());
@@ -111,74 +87,8 @@ pub fn canonical_record_bytes(r: &TraceRecord) -> [u8; RECORD_BYTES] {
         Op::Write => 1,
     };
     b[18] = r.origin as u8;
-    // b[19] stays 0: pad to 20 bytes for alignment-friendly mmap readers.
+    // b[19] stays 0: pad to 20 bytes.
     b
-}
-
-/// The canonical byte representation of a whole trace: the
-/// record-at-a-time binary encoding. Conformance fingerprints and
-/// divergence bisection hash these bytes; the columnar format is an
-/// *interchange* encoding that decodes back to the same records (and hence
-/// the same canonical bytes), never a fingerprint domain.
-pub fn canonical_bytes(records: &[TraceRecord]) -> Bytes {
-    encode(records)
-}
-
-/// Decode one 20-byte wire record starting at stream offset `at`. Shared by
-/// the whole-buffer [`decode`] and the streaming [`ChunkedDecoder`].
-fn decode_record(mut b: &[u8], at: u64) -> Result<TraceRecord, DecodeError> {
-    debug_assert_eq!(b.len(), RECORD_BYTES);
-    let ts = b.get_u64_le();
-    let sector = b.get_u32_le();
-    let nsectors = b.get_u16_le();
-    let pending = b.get_u16_le();
-    let node = b.get_u8();
-    let op = match b.get_u8() {
-        0 => Op::Read,
-        1 => Op::Write,
-        v => return Err(DecodeError::BadOp(v)),
-    };
-    let origin = Origin::try_from_u8(b.get_u8()).ok_or(DecodeError::Corrupt { at })?;
-    if b.get_u8() != 0 {
-        return Err(DecodeError::Corrupt { at });
-    }
-    Ok(TraceRecord {
-        ts,
-        sector,
-        nsectors,
-        pending,
-        node,
-        op,
-        origin,
-    })
-}
-
-/// Decode a binary trace produced by [`encode`] or [`encode_columnar`]
-/// (the header magic selects the format).
-pub fn decode(data: &[u8]) -> Result<Vec<TraceRecord>, DecodeError> {
-    if data.len() >= MAGIC_COLUMNAR.len() && data[..MAGIC_COLUMNAR.len()] == MAGIC_COLUMNAR {
-        return decode_columnar(data);
-    }
-    decode_fixed(data)
-}
-
-/// Decode a record-at-a-time binary trace produced by [`encode`].
-fn decode_fixed(mut data: &[u8]) -> Result<Vec<TraceRecord>, DecodeError> {
-    if data.len() < MAGIC.len() || data[..MAGIC.len()] != MAGIC {
-        return Err(DecodeError::BadMagic);
-    }
-    data = &data[MAGIC.len()..];
-    if !data.len().is_multiple_of(RECORD_BYTES) {
-        let valid = data.len() - data.len() % RECORD_BYTES;
-        return Err(DecodeError::Truncated {
-            at: (MAGIC.len() + valid) as u64,
-        });
-    }
-    let mut out = Vec::with_capacity(data.len() / RECORD_BYTES);
-    for (i, rec) in data.chunks_exact(RECORD_BYTES).enumerate() {
-        out.push(decode_record(rec, (MAGIC.len() + i * RECORD_BYTES) as u64)?);
-    }
-    Ok(out)
 }
 
 // ---------------------------------------------------------------------------
@@ -456,9 +366,7 @@ fn decode_columnar_frame(
     Ok(())
 }
 
-/// Decode a columnar trace produced by [`encode_columnar`]. Decoded records
-/// are identical to what [`decode`] yields for the record-at-a-time
-/// encoding of the same batch.
+/// Decode a columnar trace produced by [`encode_columnar`].
 pub fn decode_columnar(data: &[u8]) -> Result<Vec<TraceRecord>, DecodeError> {
     if data.len() < MAGIC_COLUMNAR.len() || data[..MAGIC_COLUMNAR.len()] != MAGIC_COLUMNAR {
         return Err(DecodeError::BadMagic);
@@ -486,55 +394,33 @@ pub fn decode_columnar(data: &[u8]) -> Result<Vec<TraceRecord>, DecodeError> {
     Ok(out)
 }
 
-/// Which wire format a streaming decoder found behind the magic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum WireFormat {
-    /// 20-byte record-at-a-time ([`MAGIC`]).
-    Fixed,
-    /// Delta+varint column frames ([`MAGIC_COLUMNAR`]).
-    Columnar,
-}
-
-/// Streaming decoder: replays a binary trace in bounded chunks so peak
-/// resident memory is `O(chunk_records)` regardless of trace length.
+/// Streaming decoder: replays a columnar trace one frame at a time, so peak
+/// resident memory is one frame (the encoder's frame size) regardless of
+/// trace length.
 ///
-/// A multi-hour campaign trace can run to 10⁷ records; the batch [`decode`]
-/// materialises all of them, while this decoder holds one chunk at a time —
-/// the natural feed for the incremental states in `essio-stream`, which
-/// only ever need the record currently in hand.
-///
-/// Both wire formats are accepted (the magic is sniffed): record-at-a-time
-/// traces are read `chunk_records` records at a time, columnar traces one
-/// frame at a time (the resident bound is then the encoder's frame size).
+/// A multi-hour campaign trace can run to 10⁷ records; the batch
+/// [`decode_columnar`] materialises all of them, while this decoder holds
+/// one frame at a time — the natural feed for the incremental states in
+/// `essio-stream`, which only ever need the record currently in hand.
 pub struct ChunkedDecoder<R: Read> {
     src: R,
     buf: Vec<u8>,
-    chunk_records: usize,
-    format: Option<WireFormat>,
     done: bool,
-    /// Bytes consumed from the stream so far (magic included) — the basis
-    /// of the offset reported by [`DecodeError::Truncated`].
+    /// Bytes consumed from the stream so far (magic included; 0 until the
+    /// magic is read) — the basis of the offsets reported in [`DecodeError`].
     consumed: u64,
 }
 
 impl<R: Read> ChunkedDecoder<R> {
-    /// Wrap a reader; `chunk_records` bounds records resident per chunk
-    /// (for columnar traces the encoder's frame size is the bound).
-    pub fn new(src: R, chunk_records: usize) -> Self {
-        let chunk = chunk_records.max(1);
+    /// Wrap a reader. The second argument is ignored: frames, not the
+    /// caller, bound the records resident per chunk.
+    pub fn new(src: R, _chunk_records: usize) -> Self {
         Self {
             src,
-            buf: vec![0u8; chunk * RECORD_BYTES],
-            chunk_records: chunk,
-            format: None,
+            buf: Vec::new(),
             done: false,
             consumed: 0,
         }
-    }
-
-    /// Records per chunk this decoder was configured with.
-    pub fn chunk_records(&self) -> usize {
-        self.chunk_records
     }
 
     /// Read until `buf` is full or EOF; return bytes read.
@@ -580,58 +466,22 @@ impl<R: Read> ChunkedDecoder<R> {
         }
     }
 
-    /// Decode the next chunk into `out` (cleared first). Returns the number
+    /// Decode the next frame into `out` (cleared first). Returns the number
     /// of records produced; `Ok(0)` means the trace ended cleanly. A trace
-    /// that ends mid-record (or mid-frame) yields [`DecodeError::Truncated`].
+    /// that ends mid-frame yields [`DecodeError::Truncated`].
     pub fn next_chunk(&mut self, out: &mut Vec<TraceRecord>) -> Result<usize, DecodeError> {
         out.clear();
-        if self.format.is_none() {
-            let mut magic = [0u8; MAGIC.len()];
+        if self.consumed == 0 {
+            let mut magic = [0u8; MAGIC_COLUMNAR.len()];
             let n = Self::read_full(&mut self.src, &mut magic)?;
-            if n < MAGIC.len() {
+            if n < magic.len() || magic != MAGIC_COLUMNAR {
                 return Err(DecodeError::BadMagic);
             }
-            self.format = Some(if magic == MAGIC {
-                WireFormat::Fixed
-            } else if magic == MAGIC_COLUMNAR {
-                WireFormat::Columnar
-            } else {
-                return Err(DecodeError::BadMagic);
-            });
-            self.consumed = MAGIC.len() as u64;
+            self.consumed = magic.len() as u64;
         }
         if self.done {
             return Ok(0);
         }
-        match self.format.expect("sniffed above") {
-            WireFormat::Fixed => self.next_fixed_chunk(out),
-            WireFormat::Columnar => self.next_columnar_frame(out),
-        }
-    }
-
-    fn next_fixed_chunk(&mut self, out: &mut Vec<TraceRecord>) -> Result<usize, DecodeError> {
-        let chunk_bytes = self.chunk_records * RECORD_BYTES;
-        let n = Self::read_full(&mut self.src, &mut self.buf[..chunk_bytes])?;
-        if n < chunk_bytes {
-            self.done = true;
-        }
-        if n % RECORD_BYTES != 0 {
-            let valid = n - n % RECORD_BYTES;
-            return Err(DecodeError::Truncated {
-                at: self.consumed + valid as u64,
-            });
-        }
-        for (i, rec) in self.buf[..n].chunks_exact(RECORD_BYTES).enumerate() {
-            out.push(decode_record(
-                rec,
-                self.consumed + (i * RECORD_BYTES) as u64,
-            )?);
-        }
-        self.consumed += n as u64;
-        Ok(n / RECORD_BYTES)
-    }
-
-    fn next_columnar_frame(&mut self, out: &mut Vec<TraceRecord>) -> Result<usize, DecodeError> {
         let frame_at = self.consumed;
         let Some(n) = self.read_varint(frame_at)? else {
             self.done = true;
@@ -659,60 +509,20 @@ impl<R: Read> ChunkedDecoder<R> {
     }
 }
 
-/// Replay a binary trace into `sink`, chunk by chunk. Returns the number of
-/// records replayed. Peak resident trace memory is one chunk.
-pub fn decode_chunked<R: Read>(
-    src: R,
-    chunk_records: usize,
-    sink: &mut impl RecordSink,
-) -> Result<u64, DecodeError> {
-    let mut dec = ChunkedDecoder::new(src, chunk_records);
-    let mut chunk = Vec::with_capacity(dec.chunk_records());
+/// Replay a columnar trace into `sink`, frame by frame. Returns the number
+/// of records replayed. Peak resident trace memory is one frame.
+pub fn decode_chunked<R: Read>(src: R, sink: &mut impl RecordSink) -> Result<u64, DecodeError> {
+    let mut dec = ChunkedDecoder::new(src, COLUMNAR_FRAME_RECORDS);
+    let mut frame = Vec::with_capacity(COLUMNAR_FRAME_RECORDS);
     let mut total = 0u64;
     loop {
-        let n = dec.next_chunk(&mut chunk)?;
+        let n = dec.next_chunk(&mut frame)?;
         if n == 0 {
             return Ok(total);
         }
-        sink.observe_all(&chunk);
+        sink.observe_all(&frame);
         total += n as u64;
     }
-}
-
-/// CSV header matching [`to_csv`] rows.
-pub const CSV_HEADER: &str = "ts_us,sector,nsectors,pending,node,op,origin";
-
-/// Render records as CSV (with header), the interchange format the study's
-/// original post-processing scripts would have consumed.
-pub fn to_csv(records: &[TraceRecord]) -> String {
-    use std::fmt::Write as _;
-    let mut s = String::with_capacity(32 * (records.len() + 1));
-    s.push_str(CSV_HEADER);
-    s.push('\n');
-    for r in records {
-        let _ = writeln!(
-            s,
-            "{},{},{},{},{},{},{}",
-            r.ts,
-            r.sector,
-            r.nsectors,
-            r.pending,
-            r.node,
-            r.op.flag(),
-            r.origin.label()
-        );
-    }
-    s
-}
-
-/// Serialize records to a JSON array (via serde).
-pub fn to_json(records: &[TraceRecord]) -> serde_json::Result<String> {
-    serde_json::to_string(records)
-}
-
-/// Deserialize records from a JSON array.
-pub fn from_json(s: &str) -> serde_json::Result<Vec<TraceRecord>> {
-    serde_json::from_str(s)
 }
 
 #[cfg(test)]
@@ -752,71 +562,37 @@ mod tests {
     }
 
     #[test]
-    fn binary_roundtrip() {
-        let recs = sample();
-        let encoded = encode(&recs);
-        assert_eq!(encoded.len(), MAGIC.len() + recs.len() * RECORD_BYTES);
-        let decoded = decode(&encoded).unwrap();
-        assert_eq!(decoded, recs);
-    }
-
-    #[test]
-    fn canonical_bytes_is_the_fixed_encoding() {
-        let recs = sample();
-        assert_eq!(canonical_bytes(&recs), encode(&recs));
-        let mut manual = MAGIC.to_vec();
-        for r in &recs {
-            manual.extend_from_slice(&canonical_record_bytes(r));
-        }
-        assert_eq!(canonical_bytes(&recs).as_ref(), &manual[..]);
-        // Per-record bytes roundtrip through the shared record decoder.
-        for r in &recs {
-            assert_eq!(decode_record(&canonical_record_bytes(r), 0).unwrap(), *r);
-        }
-    }
-
-    #[test]
-    fn empty_trace_roundtrips() {
-        let encoded = encode(&[]);
-        assert_eq!(decode(&encoded).unwrap(), vec![]);
+    fn canonical_record_bytes_layout_is_pinned() {
+        // The fingerprint hash domain: moving any byte here re-keys every
+        // committed golden.
+        let r = TraceRecord {
+            ts: 0x0807_0605_0403_0201,
+            sector: 0x0c0b_0a09,
+            nsectors: 0x0e0d,
+            pending: 0x100f,
+            node: 0x11,
+            op: Op::Write,
+            origin: Origin::SwapIn,
+        };
+        let mut want = [0u8; RECORD_BYTES];
+        want[..17].copy_from_slice(&[1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 0x11]);
+        want[17] = 1;
+        want[18] = Origin::SwapIn as u8;
+        assert_eq!(canonical_record_bytes(&r), want);
+        let read = TraceRecord {
+            op: Op::Read,
+            origin: Origin::Unknown,
+            ..r
+        };
+        assert_eq!(canonical_record_bytes(&read)[17..], [0, 0, 0]);
     }
 
     #[test]
     fn bad_magic_rejected() {
-        assert_eq!(decode(b"nope"), Err(DecodeError::BadMagic));
-        assert_eq!(decode(b""), Err(DecodeError::BadMagic));
-    }
-
-    #[test]
-    fn truncation_rejected_with_offset_of_last_whole_record_end() {
-        let mut encoded = encode(&sample()).to_vec();
-        encoded.pop();
-        // 3 records: the partial third record starts at 4 + 2×20 = 44.
-        assert_eq!(decode(&encoded), Err(DecodeError::Truncated { at: 44 }));
-    }
-
-    #[test]
-    fn bad_op_rejected() {
-        let mut encoded = encode(&sample()).to_vec();
-        // Op byte of record 0 sits at MAGIC + 17.
-        encoded[MAGIC.len() + 17] = 9;
-        assert_eq!(decode(&encoded), Err(DecodeError::BadOp(9)));
-    }
-
-    #[test]
-    fn csv_shape() {
-        let csv = to_csv(&sample()[..1]);
-        let mut lines = csv.lines();
-        assert_eq!(lines.next(), Some(CSV_HEADER));
-        assert_eq!(lines.next(), Some("0,1,2,0,0,W,log"));
-        assert_eq!(lines.next(), None);
-    }
-
-    #[test]
-    fn json_roundtrip() {
-        let recs = sample();
-        let json = to_json(&recs).unwrap();
-        assert_eq!(from_json(&json).unwrap(), recs);
+        assert_eq!(decode_columnar(b"nope"), Err(DecodeError::BadMagic));
+        assert_eq!(decode_columnar(b""), Err(DecodeError::BadMagic));
+        // The retired fixed-record container is not a columnar trace.
+        assert_eq!(decode_columnar(b"ESI\x01"), Err(DecodeError::BadMagic));
     }
 
     fn many(n: usize) -> Vec<TraceRecord> {
@@ -833,41 +609,28 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn chunked_roundtrip_matches_batch_decode() {
-        // Chunk sizes that divide, exceed, and straddle the record count.
-        for (n, chunk) in [(0, 4), (1, 4), (7, 3), (64, 64), (65, 64), (100, 7)] {
-            let recs = many(n);
-            let encoded = encode(&recs);
-            let mut dec = ChunkedDecoder::new(&encoded[..], chunk);
-            let mut out = Vec::new();
-            let mut buf = Vec::new();
-            loop {
-                let got = dec.next_chunk(&mut buf).unwrap();
-                assert!(got <= chunk, "chunk bound holds");
-                assert_eq!(got, buf.len());
-                if got == 0 {
-                    break;
-                }
-                out.extend_from_slice(&buf);
-            }
-            assert_eq!(out, decode(&encoded).unwrap(), "n={n} chunk={chunk}");
+    /// Encode with a given frame size.
+    fn framed(recs: &[TraceRecord], frame: usize) -> Bytes {
+        let mut enc = ColumnarEncoder::with_frame_records(frame);
+        for r in recs {
+            enc.push(*r);
         }
+        enc.finish()
     }
 
     #[test]
     fn chunked_sink_replay_counts() {
         let recs = many(50);
-        let encoded = encode(&recs);
+        let encoded = framed(&recs, 8);
         let mut collected: Vec<TraceRecord> = Vec::new();
-        let n = decode_chunked(&encoded[..], 8, &mut collected).unwrap();
+        let n = decode_chunked(&encoded[..], &mut collected).unwrap();
         assert_eq!(n, 50);
         assert_eq!(collected, recs);
     }
 
     /// Run a chunked decode to its terminal result.
-    fn drain_chunked(encoded: &[u8], chunk: usize) -> Result<usize, DecodeError> {
-        let mut dec = ChunkedDecoder::new(encoded, chunk);
+    fn drain_chunked(encoded: &[u8]) -> Result<usize, DecodeError> {
+        let mut dec = ChunkedDecoder::new(encoded, 0);
         let mut buf = Vec::new();
         loop {
             match dec.next_chunk(&mut buf) {
@@ -876,39 +639,6 @@ mod tests {
                 Err(e) => return Err(e),
             }
         }
-    }
-
-    #[test]
-    fn chunked_truncation_mid_record_reports_the_record_start() {
-        // 20 records = 4 + 400 bytes; chop 3 bytes so record 19 is partial.
-        // Its first byte sits at 4 + 19×20 = 384, regardless of where the
-        // chunk boundaries fall.
-        let recs = many(20);
-        let mut encoded = encode(&recs).to_vec();
-        encoded.truncate(encoded.len() - 3);
-        for chunk in [1, 3, 5, 8, 20, 64] {
-            assert_eq!(
-                drain_chunked(&encoded, chunk),
-                Err(DecodeError::Truncated { at: 384 }),
-                "chunk={chunk}"
-            );
-        }
-    }
-
-    #[test]
-    fn chunked_truncation_mid_chunk_reports_the_record_start() {
-        // Cut inside the *middle* of a chunk: 20 records, chunk = 8, cut
-        // into record 10 (third record of the second chunk). The partial
-        // record starts at 4 + 10×20 = 204.
-        let recs = many(20);
-        let mut encoded = encode(&recs).to_vec();
-        encoded.truncate(MAGIC.len() + 10 * RECORD_BYTES + 11);
-        assert_eq!(
-            drain_chunked(&encoded, 8),
-            Err(DecodeError::Truncated { at: 204 })
-        );
-        // Same cut, batch decode: identical offset.
-        assert_eq!(decode(&encoded), Err(DecodeError::Truncated { at: 204 }));
     }
 
     #[test]
@@ -926,26 +656,33 @@ mod tests {
     }
 
     #[test]
-    fn chunked_bad_op_surfaces_mid_stream() {
-        let recs = many(10);
-        let mut encoded = encode(&recs).to_vec();
-        // Op byte of record 6 (second chunk when chunk=4).
-        encoded[MAGIC.len() + 6 * RECORD_BYTES + 17] = 7;
-        let mut dec = ChunkedDecoder::new(&encoded[..], 4);
+    fn chunked_corrupt_frame_surfaces_mid_stream() {
+        // Frames of 4; the second frame's first byte (its record count)
+        // becomes an impossible 0.
+        let encoded = framed(&many(10), 4);
+        let mut first = ColCursor::new(&encoded[MAGIC_COLUMNAR.len()..]);
+        let _n = first.varint().unwrap();
+        let body_len = first.varint().unwrap() as usize;
+        let second = MAGIC_COLUMNAR.len() + first.pos + body_len;
+        let mut bad = encoded.to_vec();
+        bad[second] = 0;
+        let mut dec = ChunkedDecoder::new(&bad[..], 0);
         let mut buf = Vec::new();
         assert_eq!(dec.next_chunk(&mut buf), Ok(4));
-        assert_eq!(dec.next_chunk(&mut buf), Err(DecodeError::BadOp(7)));
+        assert_eq!(buf, many(4));
+        assert_eq!(
+            dec.next_chunk(&mut buf),
+            Err(DecodeError::Corrupt { at: second as u64 })
+        );
     }
 
     #[test]
     fn chunked_empty_trace_ends_immediately() {
-        let encoded = encode(&[]);
+        let encoded = encode_columnar(&[]);
         let mut dec = ChunkedDecoder::new(&encoded[..], 4);
         assert_eq!(dec.next_chunk(&mut Vec::new()), Ok(0));
         assert_eq!(dec.next_chunk(&mut Vec::new()), Ok(0));
     }
-
-    // ---- columnar format ----
 
     #[test]
     fn varint_zigzag_roundtrip_extremes() {
@@ -974,26 +711,23 @@ mod tests {
         let recs = sample();
         let encoded = encode_columnar(&recs);
         assert_eq!(decode_columnar(&encoded).unwrap(), recs);
-        // Generic decode sniffs the magic and lands on the same records.
-        assert_eq!(decode(&encoded).unwrap(), recs);
         let empty = encode_columnar(&[]);
         assert_eq!(empty.as_ref(), &MAGIC_COLUMNAR[..]);
-        assert_eq!(decode(&empty).unwrap(), vec![]);
+        assert_eq!(decode_columnar(&empty).unwrap(), vec![]);
     }
 
     #[test]
-    fn columnar_agrees_with_fixed_on_decoded_records() {
-        let recs = many(10_000);
-        let fixed = encode(&recs);
-        let columnar = encode_columnar(&recs);
-        assert_eq!(decode(&columnar).unwrap(), decode(&fixed).unwrap());
+    fn columnar_is_under_half_the_canonical_size() {
         // Sorted monotone timestamps delta-compress well; the win is the
         // point of the format, so pin it coarsely.
+        let recs = many(10_000);
+        let columnar = encode_columnar(&recs);
+        assert_eq!(decode_columnar(&columnar).unwrap(), recs);
         assert!(
-            columnar.len() * 2 < fixed.len(),
-            "columnar {} vs fixed {}",
+            columnar.len() * 2 < recs.len() * RECORD_BYTES,
+            "columnar {} bytes for {} records",
             columnar.len(),
-            fixed.len()
+            recs.len()
         );
     }
 
@@ -1002,12 +736,7 @@ mod tests {
         // Frame size smaller than the batch forces several frames, with a
         // ragged tail.
         let recs = many(103);
-        let mut enc = ColumnarEncoder::with_frame_records(16);
-        for r in &recs {
-            enc.push(*r);
-        }
-        let encoded = enc.finish();
-        assert_eq!(decode_columnar(&encoded).unwrap(), recs);
+        assert_eq!(decode_columnar(&framed(&recs, 16)).unwrap(), recs);
     }
 
     #[test]
@@ -1015,7 +744,7 @@ mod tests {
         let recs = many(33);
         let mut enc = ColumnarEncoder::with_frame_records(8);
         RecordSink::observe_all(&mut enc, &recs);
-        assert_eq!(decode(&enc.finish()).unwrap(), recs);
+        assert_eq!(decode_columnar(&enc.finish()).unwrap(), recs);
     }
 
     #[test]
@@ -1029,11 +758,7 @@ mod tests {
             (100, 7),
         ] {
             let recs = many(n);
-            let mut enc = ColumnarEncoder::with_frame_records(frame);
-            for r in &recs {
-                enc.push(*r);
-            }
-            let encoded = enc.finish();
+            let encoded = framed(&recs, frame);
             let mut dec = ChunkedDecoder::new(&encoded[..], 4);
             let mut out = Vec::new();
             let mut buf = Vec::new();
@@ -1051,12 +776,7 @@ mod tests {
 
     #[test]
     fn columnar_truncation_reports_frame_start_batch_and_chunked() {
-        let recs = many(40);
-        let mut enc = ColumnarEncoder::with_frame_records(16);
-        for r in &recs {
-            enc.push(*r);
-        }
-        let full = enc.finish().to_vec();
+        let full = framed(&many(40), 16).to_vec();
 
         // Find the start of the last frame by walking the frame headers.
         let mut pos = MAGIC_COLUMNAR.len();
@@ -1075,28 +795,26 @@ mod tests {
         let want = DecodeError::Truncated {
             at: last_frame as u64,
         };
-        assert_eq!(decode(&cut), Err(want.clone()));
-        assert_eq!(drain_chunked(&cut, 8), Err(want.clone()));
+        assert_eq!(decode_columnar(&cut), Err(want.clone()));
+        assert_eq!(drain_chunked(&cut), Err(want.clone()));
 
         // Chop mid-header of the last frame.
         let mut cut = full.clone();
         cut.truncate(last_frame + 1);
-        assert_eq!(decode(&cut), Err(want.clone()));
-        assert_eq!(drain_chunked(&cut, 8), Err(want));
+        assert_eq!(decode_columnar(&cut), Err(want.clone()));
+        assert_eq!(drain_chunked(&cut), Err(want));
     }
 
     #[test]
     fn columnar_trailing_garbage_in_frame_body_is_corrupt() {
-        let recs = many(5);
-        let encoded = encode_columnar(&recs).to_vec();
-        // Rewrite the header so the body claims one extra byte... actually
-        // simpler: append a whole bogus frame with a fat body.
+        let encoded = encode_columnar(&many(5)).to_vec();
+        // Append a bogus frame whose body is fatter than its one record.
         let mut bad = encoded.clone();
         bad.push(0x01); // n = 1
         bad.push(0x09); // body_len = 9, but a 1-record body is smaller
         bad.extend_from_slice(&[0u8; 9]);
         let at = encoded.len() as u64;
-        assert_eq!(decode(&bad), Err(DecodeError::Corrupt { at }));
+        assert_eq!(decode_columnar(&bad), Err(DecodeError::Corrupt { at }));
     }
 
     #[test]
@@ -1108,9 +826,9 @@ mod tests {
         bad.push(0x00);
         assert_eq!(bad.len(), 15);
         let at = MAGIC_COLUMNAR.len() as u64;
-        assert_eq!(decode(&bad), Err(DecodeError::Corrupt { at }));
+        assert_eq!(decode_columnar(&bad), Err(DecodeError::Corrupt { at }));
         assert_eq!(
-            decode_chunked(&bad[..], 4, &mut Vec::new()),
+            decode_chunked(&bad[..], &mut Vec::new()),
             Err(DecodeError::Corrupt { at })
         );
 
@@ -1120,31 +838,11 @@ mod tests {
         bad.push(0x01); // n = 1
         bad.extend_from_slice(&[0x80, 0x80, 0x80, 0x80, 0x80, 0x20]); // body_len = 2⁴⁰
         bad.extend_from_slice(&[0u8; 6]);
-        assert_eq!(decode(&bad), Err(DecodeError::Truncated { at }));
+        assert_eq!(decode_columnar(&bad), Err(DecodeError::Truncated { at }));
         assert_eq!(
-            decode_chunked(&bad[..], 4, &mut Vec::new()),
+            decode_chunked(&bad[..], &mut Vec::new()),
             Err(DecodeError::Truncated { at })
         );
-    }
-
-    #[test]
-    fn fixed_pad_and_origin_bytes_must_be_canonical() {
-        // Record 1 starts at 4 + 20 = 24; byte 18 is origin, 19 the pad.
-        for (offset, byte) in [(19, 1), (19, 0x80), (18, 8), (18, 0xff)] {
-            let mut bad = encode(&sample()).to_vec();
-            bad[MAGIC.len() + RECORD_BYTES + offset] = byte;
-            let want = DecodeError::Corrupt { at: 24 };
-            assert_eq!(
-                decode(&bad),
-                Err(want.clone()),
-                "offset {offset}, {byte:#x}"
-            );
-            assert_eq!(
-                drain_chunked(&bad, 1),
-                Err(want),
-                "offset {offset}, {byte:#x}"
-            );
-        }
     }
 
     #[test]
@@ -1159,7 +857,7 @@ mod tests {
         };
         let good = frame(&[0, 0, 2, 0, 0, 0, 0]);
         assert_eq!(
-            decode(&good).unwrap(),
+            decode_columnar(&good).unwrap(),
             vec![TraceRecord {
                 ts: 0,
                 sector: 0,
@@ -1182,14 +880,14 @@ mod tests {
         ] {
             let bad = frame(body);
             let want = DecodeError::Corrupt { at: 4 };
-            assert_eq!(decode(&bad), Err(want.clone()), "{body:?}");
-            assert_eq!(drain_chunked(&bad, 4), Err(want), "{body:?}");
+            assert_eq!(decode_columnar(&bad), Err(want.clone()), "{body:?}");
+            assert_eq!(drain_chunked(&bad), Err(want), "{body:?}");
         }
         // An overlong frame header (n = 1 in two bytes) is an error too.
         let mut bad = MAGIC_COLUMNAR.to_vec();
         bad.extend_from_slice(&[0x81, 0, 7, 0, 0, 2, 0, 0, 0, 0]);
-        assert!(decode(&bad).is_err());
-        assert_eq!(drain_chunked(&bad, 4), Err(DecodeError::Corrupt { at: 4 }));
+        assert!(decode_columnar(&bad).is_err());
+        assert_eq!(drain_chunked(&bad), Err(DecodeError::Corrupt { at: 4 }));
     }
 
     #[test]
@@ -1198,7 +896,7 @@ mod tests {
         bad.push(0x00); // n = 0
         bad.push(0x00); // body_len = 0
         let at = MAGIC_COLUMNAR.len() as u64;
-        assert_eq!(decode(&bad), Err(DecodeError::Corrupt { at }));
-        assert_eq!(drain_chunked(&bad, 4), Err(DecodeError::Corrupt { at }));
+        assert_eq!(decode_columnar(&bad), Err(DecodeError::Corrupt { at }));
+        assert_eq!(drain_chunked(&bad), Err(DecodeError::Corrupt { at }));
     }
 }

@@ -14,7 +14,7 @@
 //! * [`buffer::TraceBuffer`] — the kernel-side ring buffer the instrumented
 //!   driver logs into, drained through a simulated `/proc` file, with the
 //!   `ioctl`-style level control described in §3.4 (on/off without reboot).
-//! * [`codec`] — compact binary, CSV and JSON serialization of traces.
+//! * [`codec`] — the columnar binary trace format, batch and streaming.
 //! * [`analysis`] — every metric in the paper's §3.6/§4: request-size
 //!   decomposition and time series, sector scatter series, read/write mix
 //!   (Table 1), spatial locality per sector band (Figure 7), and temporal

@@ -61,15 +61,15 @@ fn main() {
         bw.kernel(0).driver_stats().slow_commands
     );
 
-    // Round-trip the trace through the binary codec — what the study's
+    // Round-trip the trace through the columnar codec — what the study's
     // post-processing pipeline would consume.
-    let encoded = codec::encode(&trace);
-    let decoded = codec::decode(&encoded).expect("own format");
+    let encoded = codec::encode_columnar(&trace);
+    let decoded = codec::decode_columnar(&encoded).expect("own format");
     assert_eq!(decoded, trace);
     println!(
-        "binary trace: {} bytes ({} per record)",
+        "columnar trace: {} bytes ({:.1} per record)",
         encoded.len(),
-        codec::RECORD_BYTES
+        encoded.len() as f64 / trace.len().max(1) as f64
     );
 
     // And analyze it like any experiment.
@@ -77,6 +77,8 @@ fn main() {
     println!();
     println!("{}", summary.report("mini-db"));
 
-    // First few records, CSV-style, for eyeballing.
-    println!("{}", codec::to_csv(&trace[..trace.len().min(10)]));
+    // First few records, for eyeballing.
+    for r in &trace[..trace.len().min(10)] {
+        println!("{r:?}");
+    }
 }

@@ -10,6 +10,7 @@ use essio_conform::{
     bisect, check_shapes, hex64, materialize_trace, run_cell, CellRun, CellSpec, DiffKind, Fnv64,
     GoldenRegistry, Matrix,
 };
+use essio_trace::codec::COLUMNAR_FRAME_RECORDS;
 
 /// A unique scratch path under the OS temp dir.
 fn scratch(name: &str) -> PathBuf {
@@ -66,16 +67,14 @@ fn bless_then_rerun_is_clean_and_bless_is_byte_stable() {
 #[test]
 fn perturbed_trace_byte_is_localized_to_its_record() {
     let spec = CellSpec::plain(ExperimentKind::Nbody, 1);
-    let golden = materialize_trace(&spec);
-    let magic = essio_trace::codec::MAGIC.len();
-    let rec = essio_trace::codec::RECORD_BYTES;
-    let n_records = (golden.len() - magic) / rec;
-    assert!(n_records > 50, "need a real trace to perturb");
+    let records = materialize_trace(&spec);
+    let golden = essio_trace::codec::encode_columnar(&records);
+    assert!(records.len() > 50, "need a real trace to perturb");
 
-    // Flip one byte in the middle of record 37's sector field.
+    // Flip one byte of record 37's sector field in the fresh run.
     let victim = 37usize;
-    let mut bad = golden.clone();
-    bad[magic + victim * rec + 9] ^= 0x5a;
+    let mut bad = records.clone();
+    bad[victim].sector ^= 0x5a << 8;
 
     let div = bisect(&golden, &bad).expect("perturbed trace must diverge");
     assert_eq!(div.index, victim as u64, "bisection finds the exact record");
@@ -84,8 +83,26 @@ fn perturbed_trace_byte_is_localized_to_its_record() {
     assert_eq!(g.time_us, c.time_us, "only the sector byte was flipped");
     assert_ne!(g.sector, c.sector);
 
+    // Flip one origin byte of the committed form instead. The final frame
+    // ends with one origin byte per record, so byte `len - 1 - j` belongs
+    // to record `n - 1 - j`; XOR 1 keeps it a valid origin.
+    let n = records.len();
+    let last_frame = match n % COLUMNAR_FRAME_RECORDS {
+        0 => COLUMNAR_FRAME_RECORDS,
+        m => m,
+    };
+    assert!(last_frame > 8, "need a final frame to perturb");
+    let mut bad_golden = golden.to_vec();
+    bad_golden[golden.len() - 1 - 7] ^= 0x01;
+    let div = bisect(&bad_golden, &records).expect("perturbed golden must diverge");
+    assert_eq!(div.index, (n - 1 - 7) as u64);
+    assert!(div.notes.is_empty(), "the damaged golden still decodes");
+    let (g, c) = (div.golden.unwrap(), div.current.unwrap());
+    assert_eq!((g.time_us, g.sector), (c.time_us, c.sector));
+    assert_ne!(g.origin, c.origin);
+
     // Identical inputs never diverge.
-    assert!(bisect(&golden, &golden).is_none());
+    assert!(bisect(&golden, &records).is_none());
 }
 
 #[test]

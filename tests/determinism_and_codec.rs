@@ -23,22 +23,23 @@ fn real_trace_roundtrips_through_every_codec() {
     let r = Experiment::wavelet().quick().seed(43).run();
     assert!(!r.trace.is_empty());
 
-    let bin = codec::encode(&r.trace);
-    assert_eq!(codec::decode(&bin).expect("own binary"), r.trace);
-
-    let json = codec::to_json(&r.trace).expect("serialize");
-    assert_eq!(codec::from_json(&json).expect("deserialize"), r.trace);
-
-    let csv = codec::to_csv(&r.trace);
-    assert_eq!(csv.lines().count(), r.trace.len() + 1);
-    assert!(csv.starts_with(codec::CSV_HEADER));
+    // One trace format, read back whole and a frame at a time.
+    let encoded = codec::encode_columnar(&r.trace);
+    assert_eq!(
+        codec::decode_columnar(&encoded).expect("own format"),
+        r.trace
+    );
+    let mut streamed = Vec::new();
+    let n = codec::decode_chunked(&encoded[..], &mut streamed).expect("own format");
+    assert_eq!(n, r.trace.len() as u64);
+    assert_eq!(streamed, r.trace);
 }
 
 #[test]
 fn summary_recomputed_from_decoded_trace_matches() {
     let r = Experiment::nbody().quick().seed(44).run();
-    let bin = codec::encode(&r.trace);
-    let decoded = codec::decode(&bin).expect("roundtrip");
+    let encoded = codec::encode_columnar(&r.trace);
+    let decoded = codec::decode_columnar(&encoded).expect("roundtrip");
     let re = TraceSummary::compute(&decoded, r.duration, 999_936);
     assert_eq!(re.rw.reads, r.summary.rw.reads);
     assert_eq!(re.rw.writes, r.summary.rw.writes);

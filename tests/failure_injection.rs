@@ -88,9 +88,9 @@ fn swap_slots_freed_at_exit_are_reused_deterministically() {
     // its swap slots allocated; "late" then reuses them. The sectors it
     // writes must not depend on the order the exit freed the slots in.
     const LATE: u64 = 30_000_000;
-    fn run() -> (Vec<(u64, u32)>, Vec<u8>) {
+    fn run() -> (Vec<(u64, u32)>, Vec<ess_io_study::trace::TraceRecord>) {
         use ess_io_study::apps::CtxExt;
-        use ess_io_study::trace::{codec::canonical_bytes, Origin};
+        use ess_io_study::trace::Origin;
         let mut bw = Beowulf::new(BeowulfConfig {
             nodes: 1,
             frames_user: 64,
@@ -114,7 +114,7 @@ fn swap_slots_freed_at_exit_are_reused_deterministically() {
             .filter(|r| r.origin == Origin::SwapOut)
             .map(|r| (r.ts, r.sector))
             .collect();
-        (swap_outs, canonical_bytes(&trace).to_vec())
+        (swap_outs, trace)
     }
     let first = run();
     assert!(first.0.iter().any(|&(ts, _)| ts < LATE), "early swaps");

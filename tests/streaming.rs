@@ -103,14 +103,14 @@ fn shard_merges_of_real_trace_are_order_insensitive() {
 }
 
 /// The chunked decoder replays a persisted trace into streaming state with
-/// bounded chunk memory, reproducing the batch summary of the same file.
+/// one frame resident at a time, reproducing the batch summary of the same file.
 #[test]
 fn chunked_replay_of_encoded_trace_matches_batch() {
     let r = experiment(ExperimentKind::Baseline, 5).run();
-    let encoded = essio_trace::codec::encode(&r.trace);
+    let encoded = essio_trace::codec::encode_columnar(&r.trace);
 
     let mut sink = StreamSummary::new(cfg());
-    let n = essio_trace::codec::decode_chunked(&encoded[..], 256, &mut sink).expect("clean replay");
+    let n = essio_trace::codec::decode_chunked(&encoded[..], &mut sink).expect("clean replay");
     assert_eq!(n, r.trace.len() as u64);
     assert_eq!(json(&sink.finalize(r.duration)), json(&r.summary));
 }
