@@ -1,12 +1,14 @@
 //! Cost of the observability plane.
 //!
-//! Two questions:
+//! Three questions:
 //! * what does the *disabled* plane cost a run? (The design goal is zero:
 //!   every hook is an inline match on `Obs::Off` that falls straight
 //!   through, and the simulated trace is bit-identical either way.)
 //! * what does span collection cost when it is actually on — the price of
 //!   per-request bookkeeping, the token→span maps and the metric
 //!   histograms, still without exporting anything?
+//! * what does the exporter alone cost — one precomputed report written
+//!   as a Chrome trace into `io::sink()`?
 //!
 //! The disabled-vs-baseline pair is the number `BENCH_baseline.json`
 //! tracks: the acceptance bar for this subsystem is < 3% regression with
@@ -54,5 +56,27 @@ fn bench(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench);
+fn export(c: &mut Criterion) {
+    let report = quick()
+        .obs(true)
+        .run()
+        .obs
+        .expect("obs(true) yields a report");
+    let mut g = c.benchmark_group("obs_overhead");
+    g.sample_size(10);
+    g.bench_function("export", |b| {
+        b.iter(|| {
+            // Behind `dyn` and `black_box` the sink's writes cannot be
+            // inlined away, so every byte is still formatted.
+            let mut sink = std::io::sink();
+            let out: &mut dyn std::io::Write = black_box(&mut sink);
+            report
+                .write_chrome_trace(out)
+                .expect("the sink takes every byte")
+        })
+    });
+    g.finish();
+}
+
+criterion_group!(benches, bench, export);
 criterion_main!(benches);

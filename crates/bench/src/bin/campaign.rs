@@ -120,9 +120,13 @@ fn experiment(
 /// Write one file under the obs dir, or die with a usable message — a
 /// campaign whose artifacts silently failed to land is worse than one
 /// that stops.
-fn write_obs(dir: &std::path::Path, name: &str, contents: &str) {
+fn write_obs(
+    dir: &std::path::Path,
+    name: &str,
+    write: impl FnOnce(&std::path::Path) -> std::io::Result<()>,
+) {
     let path = dir.join(name);
-    if let Err(e) = std::fs::write(&path, contents) {
+    if let Err(e) = write(&path) {
         eprintln!("campaign: cannot write {}: {e}", path.display());
         std::process::exit(2);
     }
@@ -146,12 +150,12 @@ fn export_obs(
         };
         merged.merge(&report.metrics);
         merged_seeds += 1;
-        write_obs(
-            dir,
-            &format!("seed-{seed}.trace.json"),
-            &report.chrome_trace(),
-        );
-        write_obs(dir, &format!("seed-{seed}.proc.txt"), &report.proc_text());
+        write_obs(dir, &format!("seed-{seed}.trace.json"), |p| {
+            report.save_chrome_trace(p)
+        });
+        write_obs(dir, &format!("seed-{seed}.proc.txt"), |p| {
+            std::fs::write(p, report.proc_text())
+        });
         let meta = PerSeedMeta {
             seed: *seed,
             kind: kind.name(),
@@ -163,14 +167,18 @@ fn export_obs(
             eprintln!("campaign: seed {seed} metadata failed to serialize: {e}");
             std::process::exit(2);
         });
-        write_obs(dir, &format!("seed-{seed}.json"), &json);
+        write_obs(dir, &format!("seed-{seed}.json"), |p| {
+            std::fs::write(p, json)
+        });
     }
     let merged_json = serde_json::to_string_pretty(&merged).unwrap_or_else(|e| {
         eprintln!("campaign: merged metrics failed to serialize: {e}");
         std::process::exit(2);
     });
-    write_obs(dir, "merged.json", &merged_json);
-    write_obs(dir, "merged.proc.txt", &merged.render_text(""));
+    write_obs(dir, "merged.json", |p| std::fs::write(p, merged_json));
+    write_obs(dir, "merged.proc.txt", |p| {
+        std::fs::write(p, merged.render_text(""))
+    });
     eprintln!(
         "obs: wrote {merged_seeds} seed reports + merged metrics to {}",
         dir.display()
@@ -188,8 +196,24 @@ struct PerSeedMeta {
     obs: essio_obs::ObsReport,
 }
 
+/// One seed's result; `None` if the run panicked.
+type Outcome = (u64, Option<(StreamedRun, StreamSummary)>);
+
 fn main() {
     let args = parse_args();
+    // Reserve the seed list and one outcome slot per seed before any seed
+    // runs, so a count this host cannot hold exits 2 instead of aborting.
+    let n = usize::try_from(args.seeds).unwrap_or(usize::MAX);
+    let mut outcomes: Vec<Outcome> = Vec::new();
+    let mut seeds: Vec<u64> = Vec::new();
+    if let Err(e) = outcomes
+        .try_reserve_exact(n)
+        .and_then(|()| seeds.try_reserve_exact(n))
+    {
+        eprintln!("campaign: cannot hold {} seeds: {e}", args.seeds);
+        std::process::exit(2);
+    }
+    seeds.extend(1..=args.seeds);
     let cfg = StreamConfig::paper(essio_disk::DiskGeometry::BEOWULF_500MB.total_sectors());
     let kind = args.kind;
     let scale = if args.full {
@@ -206,10 +230,9 @@ fn main() {
 
     let obs = args.obs_dir.is_some();
     let t0 = std::time::Instant::now();
-    let seeds: Vec<u64> = (1..=args.seeds).collect();
     // A seed that dies (panics) under fault injection is reported and
     // merged-around, never fatal to the campaign.
-    let outcomes: Vec<(u64, Option<(StreamedRun, StreamSummary)>)> = seeds
+    seeds
         .into_par_iter()
         .map(|seed| {
             let result = std::panic::catch_unwind(|| {
@@ -218,7 +241,7 @@ fn main() {
             });
             (seed, result.ok())
         })
-        .collect();
+        .collect_into_vec(&mut outcomes);
     eprintln!("campaign finished in {:.2?} host time", t0.elapsed());
 
     let failed: Vec<u64> = outcomes

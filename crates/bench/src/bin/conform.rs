@@ -295,10 +295,7 @@ fn export_failing_cell_trace(out: &Path, spec: &CellSpec) {
     let result = obs_spec.experiment().run();
     if let Some(report) = result.obs {
         let path = out.join(format!("{}.trace.json", spec.id()));
-        io_or_die(
-            "write Perfetto trace",
-            std::fs::write(&path, report.chrome_trace()),
-        );
+        io_or_die("write Perfetto trace", report.save_chrome_trace(&path));
         eprintln!(
             "conform: wrote Perfetto trace of {} to {}",
             spec.id(),

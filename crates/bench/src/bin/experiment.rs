@@ -20,8 +20,8 @@ fn die(msg: String) -> ! {
     std::process::exit(2);
 }
 
-fn write_file(path: &Path, contents: &str) {
-    if let Err(e) = std::fs::write(path, contents) {
+fn write_file(path: &Path, write: impl FnOnce(&Path) -> std::io::Result<()>) {
+    if let Err(e) = write(path) {
         die(format!("cannot write {}: {e}", path.display()));
     }
 }
@@ -90,11 +90,13 @@ fn main() {
             .obs
             .as_ref()
             .unwrap_or_else(|| die("obs run produced no report".into()));
-        write_file(&dir.join("trace.json"), &report.chrome_trace());
-        write_file(&dir.join("proc.txt"), &report.proc_text());
+        write_file(&dir.join("trace.json"), |p| report.save_chrome_trace(p));
+        write_file(&dir.join("proc.txt"), |p| {
+            std::fs::write(p, report.proc_text())
+        });
         let meta = serde_json::to_string_pretty(report)
             .unwrap_or_else(|e| die(format!("obs report failed to serialize: {e}")));
-        write_file(&dir.join("meta.json"), &meta);
+        write_file(&dir.join("meta.json"), |p| std::fs::write(p, meta));
         eprintln!(
             "obs: {} spans, {} phys cmds -> {}",
             report.spans.len(),

@@ -1,7 +1,12 @@
 //! Run-level report and the two exporters: Chrome trace-event JSON
 //! (Perfetto-loadable) and `/proc`-style plain-text snapshots.
 
+use std::fs::File;
+use std::io::{self, Write};
+use std::path::Path;
+
 use essio_stream::sketch::LogHistogram;
+use essio_trace::{Op, Origin};
 use serde::{Serialize, Value};
 
 use crate::registry::MetricsRegistry;
@@ -30,20 +35,122 @@ pub struct ObsReport {
 }
 
 /// Track ids within each node's process in the Chrome trace.
-const TID_DISK: u32 = 1;
-const TID_FAULTS: u32 = 2;
-const TID_NET: u32 = 3;
+const TID_DISK: u64 = 1;
+const TID_FAULTS: u64 = 2;
+const TID_NET: u64 = 3;
 
-fn obj(fields: Vec<(&str, Value)>) -> Value {
-    Value::Object(fields.into_iter().map(|(k, v)| (k.into(), v)).collect())
+/// Compact JSON written straight to a byte sink, byte for byte as the
+/// `serde_json` shim renders a value tree: no whitespace, integers in
+/// decimal, strings escaped as its `write_string` does.
+struct JsonWriter<W> {
+    out: W,
+    /// Nothing written yet in the innermost open object or array.
+    first: bool,
 }
 
-fn s(v: impl Into<String>) -> Value {
-    Value::String(v.into())
+impl<W: Write> JsonWriter<W> {
+    fn raw(&mut self, bytes: &[u8]) -> io::Result<()> {
+        self.out.write_all(bytes)
+    }
+
+    /// Comma before every array element or object member but the first.
+    fn sep(&mut self) -> io::Result<()> {
+        if !std::mem::replace(&mut self.first, false) {
+            self.raw(b",")?;
+        }
+        Ok(())
+    }
+
+    fn open(&mut self, delim: u8) -> io::Result<()> {
+        self.raw(&[delim])?;
+        self.first = true;
+        Ok(())
+    }
+
+    fn close(&mut self, delim: u8) -> io::Result<()> {
+        self.raw(&[delim])?;
+        self.first = false;
+        Ok(())
+    }
+
+    /// Open an object as the next array element.
+    fn element(&mut self) -> io::Result<()> {
+        self.sep()?;
+        self.open(b'{')
+    }
+
+    /// Keys are literals with nothing to escape, so they go out raw.
+    fn key(&mut self, key: &str) -> io::Result<()> {
+        debug_assert!(!key.bytes().any(needs_escape), "{key:?}");
+        self.sep()?;
+        self.raw(b"\"")?;
+        self.raw(key.as_bytes())?;
+        self.raw(b"\":")
+    }
+
+    /// Open an object as the value of `key`.
+    fn object(&mut self, key: &str) -> io::Result<()> {
+        self.key(key)?;
+        self.open(b'{')
+    }
+
+    /// `v` in base `radix` (10 or 16), lowercase, no prefix.
+    fn digits(&mut self, v: u64, radix: u64) -> io::Result<()> {
+        let mut buf = [0u8; 20];
+        let mut at = buf.len();
+        let mut v = v;
+        loop {
+            at -= 1;
+            buf[at] = b"0123456789abcdef"[(v % radix) as usize];
+            v /= radix;
+            if v == 0 {
+                break;
+            }
+        }
+        self.raw(&buf[at..])
+    }
+
+    fn uint(&mut self, key: &str, v: u64) -> io::Result<()> {
+        self.key(key)?;
+        self.digits(v, 10)
+    }
+
+    fn bool(&mut self, key: &str, v: bool) -> io::Result<()> {
+        self.key(key)?;
+        self.raw(if v { b"true" } else { b"false" })
+    }
+
+    fn str(&mut self, key: &str, v: &str) -> io::Result<()> {
+        self.key(key)?;
+        self.string(v)
+    }
+
+    fn string(&mut self, s: &str) -> io::Result<()> {
+        self.raw(b"\"")?;
+        let bytes = s.as_bytes();
+        let mut clean = 0;
+        for (at, &b) in bytes.iter().enumerate() {
+            if !needs_escape(b) {
+                continue;
+            }
+            self.raw(&bytes[clean..at])?;
+            match b {
+                b'"' => self.raw(b"\\\"")?,
+                b'\\' => self.raw(b"\\\\")?,
+                b'\n' => self.raw(b"\\n")?,
+                b'\r' => self.raw(b"\\r")?,
+                b'\t' => self.raw(b"\\t")?,
+                _ => write!(self.out, "\\u{b:04x}")?,
+            }
+            clean = at + 1;
+        }
+        self.raw(&bytes[clean..])?;
+        self.raw(b"\"")
+    }
 }
 
-fn i(v: u64) -> Value {
-    Value::Int(v as i128)
+fn needs_escape(b: u8) -> bool {
+    matches!(b, b'"' | b'\\' | 0..=0x1f)
 }
 
 impl ObsReport {
@@ -66,151 +173,179 @@ impl ObsReport {
         self.net = events;
     }
 
-    /// Render the whole run as Chrome trace-event JSON, loadable in
+    /// Render the whole run as Chrome trace-event JSON into a `String`;
+    /// see [`ObsReport::write_chrome_trace`].
+    pub fn chrome_trace(&self) -> String {
+        // A span's b/e pair renders to about 420 bytes, a disk command
+        // to about 250; the slack covers fault markers.
+        let size = 64
+            + 300 * self.nodes as usize
+            + 440 * self.spans.len()
+            + 260 * self.phys.len()
+            + 200 * self.net.len();
+        let mut buf = Vec::with_capacity(size);
+        self.write_chrome_trace(&mut buf)
+            .expect("writing to a Vec cannot fail");
+        String::from_utf8(buf).expect("the writer emits UTF-8")
+    }
+
+    /// Write the whole run as Chrome trace-event JSON, loadable in
     /// Perfetto (`ui.perfetto.dev`). One process per node; within it a
     /// `disk` track of physical commands, a `faults` track of
     /// failure/retry markers, a `net` track of delayed PVM sends, and
     /// request spans as async begin/end pairs grouped by operation.
     /// All timestamps are virtual microseconds.
-    pub fn chrome_trace(&self) -> String {
-        let mut events: Vec<Value> = Vec::with_capacity(2 * self.spans.len() + self.phys.len());
+    ///
+    /// Events go to `out` one small write at a time, so give it a
+    /// buffered writer. The only errors are `out`'s own.
+    pub fn write_chrome_trace(&self, out: impl Write) -> io::Result<()> {
+        let origins = Origin::ALL.map(|o| format!("{o:?}"));
+        let ops = [Op::Read, Op::Write].map(|o| format!("{o:?}").to_lowercase());
+        let mut w = JsonWriter { out, first: true };
+        w.open(b'{')?;
+        w.key("traceEvents")?;
+        w.open(b'[')?;
         for node in 0..self.nodes {
             let pid = node as u64;
-            events.push(obj(vec![
-                ("name", s("process_name")),
-                ("ph", s("M")),
-                ("pid", i(pid)),
-                ("args", obj(vec![("name", s(format!("node{node:02}")))])),
-            ]));
+            w.element()?;
+            w.str("name", "process_name")?;
+            w.str("ph", "M")?;
+            w.uint("pid", pid)?;
+            w.object("args")?;
+            w.str("name", &format!("node{node:02}"))?;
+            w.close(b'}')?;
+            w.close(b'}')?;
             for (tid, name) in [(TID_DISK, "disk"), (TID_FAULTS, "faults"), (TID_NET, "net")] {
-                events.push(obj(vec![
-                    ("name", s("thread_name")),
-                    ("ph", s("M")),
-                    ("pid", i(pid)),
-                    ("tid", i(tid as u64)),
-                    ("args", obj(vec![("name", s(name))])),
-                ]));
+                w.element()?;
+                w.str("name", "thread_name")?;
+                w.str("ph", "M")?;
+                w.uint("pid", pid)?;
+                w.uint("tid", tid)?;
+                w.object("args")?;
+                w.str("name", name)?;
+                w.close(b'}')?;
+                w.close(b'}')?;
             }
         }
         for span in &self.spans {
-            let id = s(format!("0x{:x}", span.uid()));
             let cat = if span.kind.is_kernel() {
                 "kernel"
             } else {
                 "request"
             };
-            let mut args = vec![
-                ("span", i(span.uid())),
-                ("pid", i(span.pid.map(|p| p as u64).unwrap_or(0))),
-                ("cache_hits", i(span.cache_hits as u64)),
-                ("cache_misses", i(span.cache_misses as u64)),
-                ("ra_window", i(span.ra_window as u64)),
-                ("ra_blocks", i(span.ra_blocks as u64)),
-                ("tokens", i(span.tokens as u64)),
-                ("records", i(span.records as u64)),
-                ("bytes", i(span.bytes)),
-                ("queue_wait_us", i(span.queue_wait_us)),
-                ("service_us", i(span.service_us)),
-                ("retry_us", i(span.retry_us)),
-                ("retries", i(span.retries as u64)),
-                ("relocations", i(span.relocations as u64)),
-                ("net_delay_us", i(span.net_delay_us)),
-            ];
+            let head = |w: &mut JsonWriter<_>, ph: &str, ts: u64| {
+                w.element()?;
+                w.str("name", span.kind.label())?;
+                w.str("cat", cat)?;
+                w.str("ph", ph)?;
+                w.key("id")?;
+                w.raw(b"\"0x")?;
+                w.digits(span.uid(), 16)?;
+                w.raw(b"\"")?;
+                w.uint("pid", span.node as u64)?;
+                w.uint("tid", 0)?;
+                w.uint("ts", ts)
+            };
+            head(&mut w, "b", span.begin_us)?;
+            w.object("args")?;
+            w.uint("span", span.uid())?;
+            w.uint("pid", span.pid.map(|p| p as u64).unwrap_or(0))?;
+            w.uint("cache_hits", span.cache_hits as u64)?;
+            w.uint("cache_misses", span.cache_misses as u64)?;
+            w.uint("ra_window", span.ra_window as u64)?;
+            w.uint("ra_blocks", span.ra_blocks as u64)?;
+            w.uint("tokens", span.tokens as u64)?;
+            w.uint("records", span.records as u64)?;
+            w.uint("bytes", span.bytes)?;
+            w.uint("queue_wait_us", span.queue_wait_us)?;
+            w.uint("service_us", span.service_us)?;
+            w.uint("retry_us", span.retry_us)?;
+            w.uint("retries", span.retries as u64)?;
+            w.uint("relocations", span.relocations as u64)?;
+            w.uint("net_delay_us", span.net_delay_us)?;
             if span.truncated {
-                args.push(("truncated", Value::Bool(true)));
+                w.bool("truncated", true)?;
             }
-            events.push(obj(vec![
-                ("name", s(span.kind.label())),
-                ("cat", s(cat)),
-                ("ph", s("b")),
-                ("id", id.clone()),
-                ("pid", i(span.node as u64)),
-                ("tid", i(0)),
-                ("ts", i(span.begin_us)),
-                (
-                    "args",
-                    Value::Object(args.into_iter().map(|(k, v)| (k.into(), v)).collect()),
-                ),
-            ]));
-            events.push(obj(vec![
-                ("name", s(span.kind.label())),
-                ("cat", s(cat)),
-                ("ph", s("e")),
-                ("id", id),
-                ("pid", i(span.node as u64)),
-                ("tid", i(0)),
-                ("ts", i(span.end_us)),
-            ]));
+            w.close(b'}')?;
+            w.close(b'}')?;
+            head(&mut w, "e", span.end_us)?;
+            w.close(b'}')?;
         }
         for ph in &self.phys {
-            let op = format!("{:?}", ph.op).to_lowercase();
-            events.push(obj(vec![
-                ("name", s(format!("{op} {}@{}", ph.nsectors, ph.sector))),
-                ("cat", s("disk")),
-                ("ph", s("X")),
-                ("pid", i(ph.node as u64)),
-                ("tid", i(TID_DISK as u64)),
-                ("ts", i(ph.dispatch_us)),
-                ("dur", i(ph.complete_us.saturating_sub(ph.dispatch_us))),
-                (
-                    "args",
-                    obj(vec![
-                        ("sector", i(ph.sector)),
-                        ("nsectors", i(ph.nsectors as u64)),
-                        ("origin", s(format!("{:?}", ph.origin))),
-                        ("span", i(((ph.node as u64) << 48) | ph.span)),
-                        ("submit_us", i(ph.submit_us)),
-                        ("queue_depth", i(ph.queue_depth as u64)),
-                        ("retry", Value::Bool(ph.retry)),
-                        ("failed", Value::Bool(ph.failed)),
-                        ("truncated", Value::Bool(ph.truncated)),
-                    ]),
-                ),
-            ]));
+            let span = ((ph.node as u64) << 48) | ph.span;
+            w.element()?;
+            // `{op} {nsectors}@{sector}`
+            w.key("name")?;
+            w.raw(b"\"")?;
+            w.raw(ops[ph.op as usize].as_bytes())?;
+            w.raw(b" ")?;
+            w.digits(ph.nsectors as u64, 10)?;
+            w.raw(b"@")?;
+            w.digits(ph.sector, 10)?;
+            w.raw(b"\"")?;
+            w.str("cat", "disk")?;
+            w.str("ph", "X")?;
+            w.uint("pid", ph.node as u64)?;
+            w.uint("tid", TID_DISK)?;
+            w.uint("ts", ph.dispatch_us)?;
+            w.uint("dur", ph.complete_us.saturating_sub(ph.dispatch_us))?;
+            w.object("args")?;
+            w.uint("sector", ph.sector)?;
+            w.uint("nsectors", ph.nsectors as u64)?;
+            w.str("origin", &origins[ph.origin as usize])?;
+            w.uint("span", span)?;
+            w.uint("submit_us", ph.submit_us)?;
+            w.uint("queue_depth", ph.queue_depth as u64)?;
+            w.bool("retry", ph.retry)?;
+            w.bool("failed", ph.failed)?;
+            w.bool("truncated", ph.truncated)?;
+            w.close(b'}')?;
+            w.close(b'}')?;
             if ph.failed || ph.retry {
-                events.push(obj(vec![
-                    ("name", s(if ph.failed { "media-fail" } else { "retry" })),
-                    ("cat", s("faults")),
-                    ("ph", s("i")),
-                    ("s", s("t")),
-                    ("pid", i(ph.node as u64)),
-                    ("tid", i(TID_FAULTS as u64)),
-                    ("ts", i(ph.dispatch_us)),
-                    (
-                        "args",
-                        obj(vec![
-                            ("sector", i(ph.sector)),
-                            ("span", i(((ph.node as u64) << 48) | ph.span)),
-                        ]),
-                    ),
-                ]));
+                w.element()?;
+                w.str("name", if ph.failed { "media-fail" } else { "retry" })?;
+                w.str("cat", "faults")?;
+                w.str("ph", "i")?;
+                w.str("s", "t")?;
+                w.uint("pid", ph.node as u64)?;
+                w.uint("tid", TID_FAULTS)?;
+                w.uint("ts", ph.dispatch_us)?;
+                w.object("args")?;
+                w.uint("sector", ph.sector)?;
+                w.uint("span", span)?;
+                w.close(b'}')?;
+                w.close(b'}')?;
             }
         }
         for e in &self.net {
-            events.push(obj(vec![
-                ("name", s("retransmit")),
-                ("cat", s("net")),
-                ("ph", s("i")),
-                ("s", s("t")),
-                ("pid", i(e.from_node as u64)),
-                ("tid", i(TID_NET as u64)),
-                ("ts", i(e.at_us)),
-                (
-                    "args",
-                    obj(vec![
-                        ("from_pid", i(e.from_pid as u64)),
-                        ("to_pid", i(e.to_pid as u64)),
-                        ("attempts", i(e.attempts as u64)),
-                        ("backoff_us", i(e.backoff_us)),
-                    ]),
-                ),
-            ]));
+            w.element()?;
+            w.str("name", "retransmit")?;
+            w.str("cat", "net")?;
+            w.str("ph", "i")?;
+            w.str("s", "t")?;
+            w.uint("pid", e.from_node as u64)?;
+            w.uint("tid", TID_NET)?;
+            w.uint("ts", e.at_us)?;
+            w.object("args")?;
+            w.uint("from_pid", e.from_pid as u64)?;
+            w.uint("to_pid", e.to_pid as u64)?;
+            w.uint("attempts", e.attempts as u64)?;
+            w.uint("backoff_us", e.backoff_us)?;
+            w.close(b'}')?;
+            w.close(b'}')?;
         }
-        let root = obj(vec![
-            ("traceEvents", Value::Array(events)),
-            ("displayTimeUnit", s("ms")),
-        ]);
-        serde_json::to_string(&root).expect("shim serialization is infallible")
+        w.close(b']')?;
+        w.str("displayTimeUnit", "ms")?;
+        w.close(b'}')
+    }
+
+    /// Write the Chrome trace to a new file at `path` through a buffer.
+    /// The buffer is flushed explicitly, so a full disk is an `Err`, not
+    /// a silently short file.
+    pub fn save_chrome_trace(&self, path: &Path) -> io::Result<()> {
+        let mut out = io::BufWriter::new(File::create(path)?);
+        self.write_chrome_trace(&mut out)?;
+        out.flush()
     }
 
     /// `/proc`-style plain-text snapshot for one node, mirroring the
@@ -243,14 +378,34 @@ impl Serialize for ObsReport {
     /// Compact summary (counts + full metrics); the span/phys lists are
     /// exported through [`ObsReport::chrome_trace`] instead.
     fn to_value(&self) -> Value {
-        obj(vec![
-            ("nodes", i(self.nodes as u64)),
-            ("duration_us", i(self.duration_us)),
-            ("spans", i(self.spans.len() as u64)),
-            ("phys_cmds", i(self.phys.len() as u64)),
-            ("delayed_sends", i(self.net.len() as u64)),
-            ("unclosed_spans", i(self.unclosed)),
-            ("metrics", self.metrics.to_value()),
+        Value::Object(vec![
+            ("nodes".into(), Value::Int(self.nodes as i128)),
+            ("duration_us".into(), Value::Int(self.duration_us as i128)),
+            ("spans".into(), Value::Int(self.spans.len() as i128)),
+            ("phys_cmds".into(), Value::Int(self.phys.len() as i128)),
+            ("delayed_sends".into(), Value::Int(self.net.len() as i128)),
+            ("unclosed_spans".into(), Value::Int(self.unclosed as i128)),
+            ("metrics".into(), self.metrics.to_value()),
         ])
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::JsonWriter;
+
+    #[test]
+    fn strings_are_escaped_as_the_shim_escapes_them() {
+        let mut all: String = (0u8..0x80).map(char::from).collect();
+        all.push_str("é→😀\u{7f}\u{2028}");
+        for s in [all.as_str(), "", "plain", "\"\\", "tail\n"] {
+            let mut w = JsonWriter {
+                out: Vec::new(),
+                first: true,
+            };
+            w.string(s).unwrap();
+            let shim = serde_json::to_string(&s.to_string()).unwrap();
+            assert_eq!(String::from_utf8(w.out).unwrap(), shim);
+        }
     }
 }

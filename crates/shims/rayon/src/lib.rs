@@ -7,8 +7,9 @@
 //!   counting pipeline;
 //! * `slice.par_iter().map(f).reduce(id, g)` — shard merging in
 //!   `essio-stream`;
-//! * `vec.into_par_iter().map(f).collect::<Vec<_>>()` — the campaign
-//!   runner's parallel seed fan-out (order-preserving).
+//! * `vec.into_par_iter().map(f).collect::<Vec<_>>()` and
+//!   `.collect_into_vec(&mut v)` — order-preserving parallel maps, among
+//!   them the campaign runner's seed fan-out.
 //!
 //! Work is split into one contiguous block per worker thread (capped at
 //! [`max_threads`]); each block is processed on its own scoped thread and
@@ -335,7 +336,21 @@ where
     }
 
     /// Collect mapped values in input order.
-    pub fn collect<C: FromParallel<O>>(mut self) -> C {
+    pub fn collect<C: FromParallel<O>>(self) -> C {
+        C::from_blocks(self.map_blocks())
+    }
+
+    /// Collect mapped values in input order into `target`, which is
+    /// cleared first; capacity it already holds is reused, as with
+    /// rayon's `IndexedParallelIterator::collect_into_vec`.
+    pub fn collect_into_vec(self, target: &mut Vec<O>) {
+        target.clear();
+        target.reserve(self.items.len());
+        target.extend(self.map_blocks().into_iter().flatten());
+    }
+
+    /// Map every block on its own thread; results in block order.
+    fn map_blocks(mut self) -> Vec<Vec<O>> {
         let n = self.items.len();
         let block_list = blocks(n);
         // Split the owned items into per-block vectors (back to front so
@@ -350,7 +365,7 @@ where
             .into_iter()
             .map(|part| move || part.into_iter().map(f).collect::<Vec<O>>())
             .collect();
-        C::from_blocks(run_blocks(tasks))
+        run_blocks(tasks)
     }
 }
 
@@ -404,6 +419,20 @@ mod tests {
         let data: Vec<u32> = (0..1000).collect();
         let doubled: Vec<u32> = data.clone().into_par_iter().map(|v| v * 2).collect();
         assert_eq!(doubled, data.iter().map(|v| v * 2).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn collect_into_vec_preserves_order_and_reuses_capacity() {
+        let mut out = Vec::with_capacity(1000);
+        out.push(7u32);
+        let ptr = out.as_ptr();
+        (0..1000u32)
+            .collect::<Vec<_>>()
+            .into_par_iter()
+            .map(|v| v * 2)
+            .collect_into_vec(&mut out);
+        assert_eq!(out, (0..1000).map(|v| v * 2).collect::<Vec<_>>());
+        assert_eq!(out.as_ptr(), ptr, "no reallocation");
     }
 
     #[test]

@@ -273,6 +273,92 @@ fn streamed_runs_carry_the_same_report() {
     assert_eq!(a.proc_text(), b.proc_text());
 }
 
+/// Byte-wise FNV-1a 64.
+fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(h, |h, &b| (h ^ b as u64).wrapping_mul(0x100000001b3))
+}
+
+/// (FNV-1a 64 hash, length) of a report's Chrome trace.
+fn chrome_pin(report: &ObsReport) -> (String, usize) {
+    let json = report.chrome_trace();
+    let h = fnv1a(0xcbf29ce484222325, json.as_bytes());
+    (format!("{h:016x}"), json.len())
+}
+
+fn run_report(e: Experiment) -> ObsReport {
+    e.obs(true).run().obs.expect("obs(true) yields a report")
+}
+
+#[test]
+fn quick_wavelet_chrome_trace_is_pinned() {
+    let report = run_report(Experiment::wavelet().quick().seed(5));
+    assert_eq!(
+        chrome_pin(&report),
+        ("8febb58cfedc02ab".to_string(), 1_421_211)
+    );
+    // The `meta.json` summary `experiment --obs-dir` writes.
+    let meta = serde_json::to_string_pretty(&report).unwrap();
+    let h = fnv1a(0xcbf29ce484222325, meta.as_bytes());
+    assert_eq!(
+        (format!("{h:016x}"), meta.len()),
+        ("e27d001676f5e60d".to_string(), 6474)
+    );
+}
+
+/// Faulted and retried disk commands (the `faults` track) and delayed
+/// PVM sends (the `net` track).
+#[test]
+fn faulted_ppm_chrome_trace_is_pinned() {
+    let plan = FaultPlan::none()
+        .seed(0xBAD)
+        .disk(DiskFaultConfig {
+            media_error_every: 40,
+            slow_every: 25,
+            ..Default::default()
+        })
+        .net(NetFaultConfig {
+            loss_every: 4,
+            ..NetFaultConfig::lossy_segment()
+        });
+    let report = run_report(Experiment::ppm().quick().seed(27).faults(plan));
+    assert_eq!(
+        report.phys.iter().filter(|p| p.failed || p.retry).count(),
+        8
+    );
+    assert_eq!(report.net.len(), 9);
+    assert_eq!(
+        chrome_pin(&report),
+        ("9eb2ccbf8ccec46e".to_string(), 134_024)
+    );
+}
+
+/// Spans and a disk command cut off by a node crash.
+#[test]
+fn crashed_combined_chrome_trace_is_pinned() {
+    let report = run_report(combined(28).faults(FaultPlan::none().crash(1, 10_000_000)));
+    assert_eq!(report.spans.iter().filter(|s| s.truncated).count(), 326);
+    assert_eq!(report.phys.iter().filter(|p| p.truncated).count(), 1);
+    assert_eq!(
+        chrome_pin(&report),
+        ("ffdcf404681c14f5".to_string(), 3_137_647)
+    );
+}
+
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "paper scale: run with cargo test --release"
+)]
+fn paper_scale_wavelet_chrome_trace_is_pinned() {
+    let report = run_report(Experiment::wavelet().seed(1));
+    assert_eq!(
+        chrome_pin(&report),
+        ("e6a1436548d0fc6f".to_string(), 13_838_296)
+    );
+}
+
 #[cfg(feature = "proptests")]
 mod prop {
     use super::*;
