@@ -5,13 +5,14 @@
 //! algorithm with 8K particles per processor, which resulted in 303 million
 //! total particle interactions [Olson & Dorband 1994]."*
 //!
-//! [`tree`] is a real Barnes–Hut implementation: arena-allocated octree,
-//! center-of-mass aggregation, θ-based multipole acceptance, Plummer-sphere
-//! initial conditions, leapfrog (kick-drift-kick) integration — with tests
-//! pinning force accuracy against direct summation, momentum conservation,
-//! and tree partition invariants.
+//! [`tree`] is a real Barnes–Hut implementation: a flat octree in walk
+//! order, center-of-mass aggregation, θ-based multipole acceptance,
+//! Plummer-sphere initial conditions, leapfrog (kick-drift-kick)
+//! integration — with tests pinning force accuracy against direct
+//! summation, momentum conservation, and tree partition invariants.
 //!
-//! [`run`] wires it to the node: modest text, a tree-churning footprint,
+//! [`Trajectory`] runs one rank's numerics ahead of the simulation; [`run`]
+//! replays it on the node: modest text, a tree-churning footprint,
 //! per-step exchange of top-level cell summaries over PVM, and the paper's
 //! I/O profile — *"consistent 1 KB block I/O ... more 2 KB requests and a
 //! few page swaps than occurred during PPM"* (§4.2), 13 % reads, with only
@@ -75,28 +76,35 @@ pub mod tree {
         [radius * s * phi.cos(), radius * s * phi.sin(), radius * z]
     }
 
-    #[derive(Debug, Clone)]
-    enum NodeKind {
-        Empty,
-        Leaf(usize),
-        Internal([Option<usize>; 8]),
-    }
-
-    #[derive(Debug, Clone)]
-    struct Node {
-        center: [f64; 3],
-        half: f64,
-        kind: NodeKind,
-        mass: f64,
+    /// One octree cell, laid out in the order the force walk visits it.
+    #[derive(Debug, Clone, Copy)]
+    struct Cell {
+        /// Center of mass (a leaf's body position).
         com: [f64; 3],
+        /// Aggregate mass.
+        mass: f64,
+        /// `(2·half)²`, the squared cell size the opening test compares.
+        open2: f64,
+        /// Index of the first cell after this one's subtree.
+        skip: usize,
+        /// A body (or coincident bodies merged into one) rather than a cell
+        /// with children.
+        leaf: bool,
     }
 
-    /// An arena-allocated Barnes–Hut octree.
+    /// A Barnes–Hut octree stored flat, in the order the force walk visits
+    /// it: preorder, children in descending octant order, cells of zero
+    /// mass left out. Each cell records where its subtree ends, so the walk
+    /// is a loop over one array with no stack.
     #[derive(Debug)]
     pub struct Octree {
-        nodes: Vec<Node>,
-        root: usize,
+        cells: Vec<Cell>,
+        root: (f64, [f64; 3]),
     }
+
+    /// Depth past which a cell holding several bodies stops splitting and
+    /// becomes one merged leaf (coincident positions would split forever).
+    const MAX_DEPTH: usize = 64;
 
     impl Octree {
         /// Build over `bodies`.
@@ -108,28 +116,79 @@ pub mod tree {
                     half = half.max(c.abs() * 1.01);
                 }
             }
-            let mut t = Octree {
-                nodes: vec![Node {
-                    center: [0.0; 3],
-                    half,
-                    kind: NodeKind::Empty,
-                    mass: 0.0,
-                    com: [0.0; 3],
-                }],
-                root: 0,
+            let mut builder = Builder {
+                bodies,
+                cells: Vec::with_capacity(2 * bodies.len()),
+                scratch: vec![0; bodies.len()],
             };
-            for (i, b) in bodies.iter().enumerate() {
-                t.insert(t.root, i, b, bodies, 0);
+            let mut idx: Vec<usize> = (0..bodies.len()).collect();
+            let root = builder.cell([0.0; 3], half, &mut idx, 0);
+            Octree {
+                cells: builder.cells,
+                root,
             }
-            t.aggregate(t.root, bodies);
-            t
         }
 
-        /// Number of arena nodes (diagnostic; drives the footprint model).
+        /// Number of cells in the flat layout (diagnostic; drives the
+        /// footprint model).
         pub fn node_count(&self) -> usize {
-            self.nodes.len()
+            self.cells.len()
         }
 
+        /// Total mass aggregated at the root.
+        pub fn total_mass(&self) -> f64 {
+            self.root.0
+        }
+
+        /// Root-cell summary (the quantity exchanged between nodes).
+        pub fn root_summary(&self) -> (f64, [f64; 3]) {
+            self.root
+        }
+
+        /// Barnes–Hut acceleration on `body` with opening angle `theta`.
+        /// Returns the acceleration and the number of interactions used.
+        pub fn accel(&self, body: &Body, theta: f64) -> ([f64; 3], u64) {
+            let theta2 = theta * theta;
+            let mut acc = [0.0; 3];
+            let mut interactions = 0;
+            let mut i = 0;
+            while let Some(c) = self.cells.get(i) {
+                let d = [
+                    c.com[0] - body.pos[0],
+                    c.com[1] - body.pos[1],
+                    c.com[2] - body.pos[2],
+                ];
+                let dist2 = d[0] * d[0] + d[1] * d[1] + d[2] * d[2];
+                let accept = if c.leaf {
+                    c.com != body.pos // not self (or a coincident twin)
+                } else {
+                    c.open2 < theta2 * dist2
+                };
+                if accept {
+                    let r2 = dist2 + SOFTENING * SOFTENING;
+                    let inv_r3 = 1.0 / (r2 * r2.sqrt());
+                    for k in 0..3 {
+                        acc[k] += c.mass * d[k] * inv_r3;
+                    }
+                    interactions += 1;
+                }
+                // An opened cell's first child follows it; anything else is
+                // done with its whole subtree.
+                i = if accept || c.leaf { c.skip } else { i + 1 };
+            }
+            (acc, interactions)
+        }
+    }
+
+    /// Builds an [`Octree`] by recursively partitioning body indices.
+    struct Builder<'a> {
+        bodies: &'a [Body],
+        cells: Vec<Cell>,
+        /// Partition buffer, one slot per body.
+        scratch: Vec<usize>,
+    }
+
+    impl Builder<'_> {
         fn octant(center: &[f64; 3], p: &[f64; 3]) -> usize {
             (usize::from(p[0] >= center[0]))
                 | (usize::from(p[1] >= center[1]) << 1)
@@ -145,164 +204,106 @@ pub mod tree {
             ]
         }
 
-        fn insert(
+        /// Append the cell at `center`/`half` holding bodies `idx` (in
+        /// ascending body order) and its subtree; return its mass and
+        /// center of mass. A cell of zero mass exerts no force, so it is
+        /// dropped again with its subtree.
+        fn cell(
             &mut self,
-            node: usize,
-            body_idx: usize,
-            body: &Body,
-            bodies: &[Body],
+            center: [f64; 3],
+            half: f64,
+            idx: &mut [usize],
             depth: usize,
-        ) {
-            match self.nodes[node].kind {
-                NodeKind::Empty => {
-                    self.nodes[node].kind = NodeKind::Leaf(body_idx);
+        ) -> (f64, [f64; 3]) {
+            let at = self.cells.len();
+            let leaf = idx.len() == 1 || depth > MAX_DEPTH;
+            let size = 2.0 * half;
+            self.cells.push(Cell {
+                com: [0.0; 3],
+                mass: 0.0,
+                open2: size * size,
+                skip: 0,
+                leaf,
+            });
+            let (mass, com) = if leaf {
+                // A merged leaf sits at its first body and weighs them all.
+                let first = &self.bodies[idx[0]];
+                let mass = idx[1..]
+                    .iter()
+                    .fold(first.mass, |m, &i| m + self.bodies[i].mass);
+                (mass, first.pos)
+            } else {
+                // Stable counting sort by octant, so every child keeps its
+                // bodies in ascending order.
+                let mut start = [0usize; 9];
+                for &i in idx.iter() {
+                    start[Self::octant(&center, &self.bodies[i].pos) + 1] += 1;
                 }
-                NodeKind::Leaf(existing) => {
-                    if depth > 64 {
-                        // Coincident points: merge into the leaf (keep the
-                        // first; its aggregate mass is handled in aggregate()
-                        // via position equality).
-                        return;
+                for oct in 0..8 {
+                    start[oct + 1] += start[oct];
+                }
+                let mut next = start;
+                for &i in idx.iter() {
+                    let oct = Self::octant(&center, &self.bodies[i].pos);
+                    self.scratch[next[oct]] = i;
+                    next[oct] += 1;
+                }
+                idx.copy_from_slice(&self.scratch[..idx.len()]);
+                // Lay the children out in the order the walk visits them,
+                // then aggregate them in ascending octant order.
+                let mut kids = [None; 8];
+                for oct in (0..8).rev() {
+                    let (s, e) = (start[oct], start[oct + 1]);
+                    if s < e {
+                        let c = Self::child_center(&center, half, oct);
+                        kids[oct] = Some(self.cell(c, half / 2.0, &mut idx[s..e], depth + 1));
                     }
-                    self.nodes[node].kind = NodeKind::Internal([None; 8]);
-                    self.insert_into_child(node, existing, &bodies[existing], bodies, depth);
-                    self.insert_into_child(node, body_idx, body, bodies, depth);
                 }
-                NodeKind::Internal(_) => {
-                    self.insert_into_child(node, body_idx, body, bodies, depth);
+                let mut m = 0.0;
+                let mut c = [0.0; 3];
+                for (cm, cc) in kids.into_iter().flatten() {
+                    m += cm;
+                    for k in 0..3 {
+                        c[k] += cm * cc[k];
+                    }
                 }
+                if m > 0.0 {
+                    for v in &mut c {
+                        *v /= m;
+                    }
+                }
+                (m, c)
+            };
+            if mass == 0.0 {
+                self.cells.truncate(at);
+            } else {
+                let skip = self.cells.len();
+                let cell = &mut self.cells[at];
+                (cell.mass, cell.com, cell.skip) = (mass, com, skip);
             }
-        }
-
-        fn insert_into_child(
-            &mut self,
-            node: usize,
-            body_idx: usize,
-            body: &Body,
-            bodies: &[Body],
-            depth: usize,
-        ) {
-            let (center, half) = (self.nodes[node].center, self.nodes[node].half);
-            let oct = Self::octant(&center, &body.pos);
-            let existing_child = {
-                let NodeKind::Internal(ref kids) = self.nodes[node].kind else {
-                    unreachable!("caller ensured internal")
-                };
-                kids[oct]
-            };
-            let child = match existing_child {
-                Some(c) => c,
-                None => {
-                    let new_idx = self.nodes.len();
-                    self.nodes.push(Node {
-                        center: Self::child_center(&center, half, oct),
-                        half: half / 2.0,
-                        kind: NodeKind::Empty,
-                        mass: 0.0,
-                        com: [0.0; 3],
-                    });
-                    if let NodeKind::Internal(ref mut kids) = self.nodes[node].kind {
-                        kids[oct] = Some(new_idx);
-                    }
-                    new_idx
-                }
-            };
-            self.insert(child, body_idx, body, bodies, depth + 1);
-        }
-
-        fn aggregate(&mut self, node: usize, bodies: &[Body]) -> (f64, [f64; 3]) {
-            let kind = self.nodes[node].kind.clone();
-            let (mass, com) = match kind {
-                NodeKind::Empty => (0.0, self.nodes[node].center),
-                NodeKind::Leaf(i) => (bodies[i].mass, bodies[i].pos),
-                NodeKind::Internal(kids) => {
-                    let mut m = 0.0;
-                    let mut c = [0.0; 3];
-                    for child in kids.into_iter().flatten() {
-                        let (cm, cc) = self.aggregate(child, bodies);
-                        m += cm;
-                        for k in 0..3 {
-                            c[k] += cm * cc[k];
-                        }
-                    }
-                    if m > 0.0 {
-                        for v in &mut c {
-                            *v /= m;
-                        }
-                    }
-                    (m, c)
-                }
-            };
-            self.nodes[node].mass = mass;
-            self.nodes[node].com = com;
             (mass, com)
         }
+    }
 
-        /// Total mass aggregated at the root.
-        pub fn total_mass(&self) -> f64 {
-            self.nodes[self.root].mass
-        }
+    #[cfg(test)]
+    mod tests {
+        use super::*;
 
-        /// Root-cell summary (the quantity exchanged between nodes).
-        pub fn root_summary(&self) -> (f64, [f64; 3]) {
-            (self.nodes[self.root].mass, self.nodes[self.root].com)
-        }
-
-        /// Barnes–Hut acceleration on `body` with opening angle `theta`.
-        /// Returns the acceleration and the number of interactions used.
-        pub fn accel(&self, body: &Body, bodies: &[Body], theta: f64) -> ([f64; 3], u64) {
-            self.accel_with(body, bodies, theta, &mut Vec::new())
-        }
-
-        /// [`Octree::accel`] walking on the caller's traversal `stack`, so a
-        /// force pass over many bodies reuses one allocation.
-        fn accel_with(
-            &self,
-            body: &Body,
-            bodies: &[Body],
-            theta: f64,
-            stack: &mut Vec<usize>,
-        ) -> ([f64; 3], u64) {
-            let mut acc = [0.0; 3];
-            let mut interactions = 0;
-            stack.clear();
-            stack.push(self.root);
-            while let Some(node) = stack.pop() {
-                let n = &self.nodes[node];
-                if n.mass == 0.0 {
-                    continue;
-                }
-                let d = [
-                    n.com[0] - body.pos[0],
-                    n.com[1] - body.pos[1],
-                    n.com[2] - body.pos[2],
-                ];
-                let dist2 = d[0] * d[0] + d[1] * d[1] + d[2] * d[2];
-                let use_cell = match n.kind {
-                    NodeKind::Leaf(i) => {
-                        if bodies[i].pos == body.pos {
-                            continue; // self (or coincident twin)
-                        }
-                        true
-                    }
-                    NodeKind::Internal(_) => {
-                        let size = 2.0 * n.half;
-                        size * size < theta * theta * dist2
-                    }
-                    NodeKind::Empty => false,
-                };
-                if use_cell {
-                    let r2 = dist2 + SOFTENING * SOFTENING;
-                    let inv_r3 = 1.0 / (r2 * r2.sqrt());
-                    for k in 0..3 {
-                        acc[k] += n.mass * d[k] * inv_r3;
-                    }
-                    interactions += 1;
-                } else if let NodeKind::Internal(kids) = &n.kind {
-                    stack.extend(kids.iter().flatten());
+        #[test]
+        fn flat_layout_is_a_preorder_with_one_leaf_per_body() {
+            let b = plummer(300, &mut SimRng::new(12));
+            let t = Octree::build(&b);
+            let len = t.cells.len();
+            for (i, c) in t.cells.iter().enumerate() {
+                let skip = c.skip;
+                assert!(i < skip && skip <= len, "cell {i} skips to {skip} of {len}");
+                assert!(!c.leaf || skip == i + 1, "leaf {i} has a subtree");
+                // Every cell inside (i, skip) ends its subtree by skip.
+                for (j, d) in t.cells[i + 1..skip].iter().enumerate() {
+                    assert!(d.skip <= skip, "cell {} escapes {i}", i + 1 + j);
                 }
             }
-            (acc, interactions)
+            assert_eq!(t.cells.iter().filter(|c| c.leaf).count(), b.len());
         }
     }
 
@@ -341,7 +342,6 @@ pub mod tree {
         bodies: Vec<Body>,
         theta: f64,
         accels: Vec<[f64; 3]>,
-        stack: Vec<usize>,
         /// Interactions of the last force pass.
         interactions: u64,
         /// Root summary of the tree the last force pass built.
@@ -356,7 +356,6 @@ pub mod tree {
                 accels: vec![[0.0; 3]; bodies.len()],
                 bodies,
                 theta,
-                stack: Vec::new(),
                 interactions: 0,
                 root: (0.0, [0.0; 3]),
             };
@@ -371,7 +370,7 @@ pub mod tree {
             self.root = tree.root_summary();
             self.interactions = 0;
             for (b, a) in self.bodies.iter().zip(self.accels.iter_mut()) {
-                let (acc, n) = tree.accel_with(b, &self.bodies, self.theta, &mut self.stack);
+                let (acc, n) = tree.accel(b, self.theta);
                 *a = acc;
                 self.interactions += n;
             }
@@ -407,11 +406,6 @@ pub mod tree {
         /// The bodies as of the last step.
         pub fn bodies(&self) -> &[Body] {
             &self.bodies
-        }
-
-        /// Give the bodies back.
-        pub fn into_bodies(self) -> Vec<Body> {
-            self.bodies
         }
     }
 
@@ -519,39 +513,127 @@ impl Default for NbodyConfig {
     }
 }
 
+impl NbodyConfig {
+    /// This template as rank `rank` of an `ntasks`-rank fleet whose rank 0
+    /// is task `task_base`. Every rank samples its own Plummer sphere.
+    pub fn for_rank(&self, rank: u32, ntasks: u32, task_base: u32) -> NbodyConfig {
+        NbodyConfig {
+            seed: self.seed.wrapping_add(rank as u64 * 0x9E37),
+            rank,
+            ntasks,
+            task_base,
+            ..self.clone()
+        }
+    }
+}
+
 /// Cell-summary exchange tag.
 pub const TAG_CELLS: i32 = 301;
 
-/// Run the N-body workload. Returns (total interactions, final bodies).
-pub async fn run(cfg: &NbodyConfig, ctx: &mut AppCtx) -> (u64, Vec<tree::Body>) {
+/// One rank's numerics, computed before the run and replayed by [`run`].
+///
+/// Computing them ahead is sound because they depend only on the rank's
+/// `(seed, rank, particles, theta, dt, steps)`: a rank discards every cell
+/// summary it receives and reads no file. If ranks ever fold each other's
+/// summaries into their forces, the numerics must move back into [`run`].
+#[derive(Debug, PartialEq)]
+pub struct Trajectory {
+    /// Per step, the 32-byte root summary sent before the step.
+    summaries: Vec<u8>,
+    /// Every append of the run, back to back: stats lines and snapshots in
+    /// step order, then the final line.
+    out: Vec<u8>,
+    /// End offset in `out` of each append.
+    ends: Vec<usize>,
+    /// Interactions over the whole run.
+    interactions: u64,
+}
+
+impl Trajectory {
+    /// Sample this rank's Plummer sphere and step it through `cfg.steps`
+    /// leapfrog steps, recording what [`run`] sends and writes.
+    pub fn compute(cfg: &NbodyConfig) -> Trajectory {
+        let mut rng = SimRng::new(cfg.seed ^ (cfg.rank as u64) << 32);
+        let mut sim = tree::Leapfrog::new(tree::plummer(cfg.particles, &mut rng), cfg.theta);
+        let mut traj = Trajectory {
+            summaries: Vec::with_capacity(cfg.steps * 32),
+            out: Vec::new(),
+            ends: Vec::new(),
+            interactions: 0,
+        };
+        for step in 0..cfg.steps {
+            let (m, [x, y, z]) = sim.root_summary();
+            traj.summaries
+                .extend([m, x, y, z].into_iter().flat_map(f64::to_le_bytes));
+            traj.interactions += sim.step(cfg.dt);
+
+            if (step + 1) % cfg.stats_every == 0 {
+                let p = tree::momentum(sim.bodies());
+                let line = format!(
+                    "step {:>4} interactions {:>12} |p| {:.3e}\n",
+                    step + 1,
+                    traj.interactions,
+                    (p[0] * p[0] + p[1] * p[1] + p[2] * p[2]).sqrt()
+                );
+                traj.out.extend(line.bytes());
+                traj.ends.push(traj.out.len());
+            }
+            if cfg.snap_every > 0 && (step + 1) % cfg.snap_every == 0 {
+                // Particle-subset snapshot (restart seed): positions of the
+                // first k bodies, padded to the configured dump size.
+                let end = traj.out.len() + cfg.snap_bytes;
+                let pos = sim.bodies().iter().flat_map(|b| b.pos);
+                traj.out
+                    .extend(pos.flat_map(f64::to_le_bytes).take(cfg.snap_bytes));
+                traj.out.resize(end, 0);
+                traj.ends.push(end);
+            }
+        }
+        let line = format!(
+            "final particles {} interactions {}\n",
+            cfg.particles, traj.interactions
+        );
+        traj.out.extend(line.bytes());
+        traj.ends.push(traj.out.len());
+        traj
+    }
+
+    /// The run's appends, in order.
+    fn appends(&self) -> impl Iterator<Item = &[u8]> {
+        let starts = std::iter::once(0).chain(self.ends.iter().copied());
+        starts.zip(&self.ends).map(|(s, &e)| &self.out[s..e])
+    }
+}
+
+/// Run the N-body workload, replaying `traj` (computed from this `cfg`).
+/// Returns the total interactions.
+pub async fn run(cfg: &NbodyConfig, traj: &Trajectory, ctx: &mut AppCtx) -> u64 {
+    assert_eq!(
+        traj.summaries.len(),
+        cfg.steps * 32,
+        "trajectory computed for another step count"
+    );
     load_program(ctx, &cfg.text_path).await;
     let region = PagedRegion::map(ctx, cfg.footprint_pages).await;
-    let mut rng = SimRng::new(cfg.seed ^ (cfg.rank as u64) << 32);
     // Initialization sweeps the particle arrays once.
     region.touch_fraction(ctx, 0.0, 0.3).await;
-    let mut sim = tree::Leapfrog::new(tree::plummer(cfg.particles, &mut rng), cfg.theta);
     cost::flops(ctx, (cfg.particles * 50) as f64).await;
 
     let mut out = SimFile::open(ctx, &cfg.out_path, true, Placement::User).await;
     let step_us = (cfg.duration_s * 1e6 / cfg.steps as f64) as u64;
-    let mut total_interactions = 0u64;
+    let mut appends = traj.appends();
 
     for step in 0..cfg.steps {
         // Exchange top-cell summaries with every other node (the "locally
         // essential tree" handshake, collapsed to the root level).
         if cfg.ntasks > 1 {
-            let (m, com) = sim.root_summary();
-            let mut payload = Vec::with_capacity(32);
-            payload.extend_from_slice(&m.to_le_bytes());
-            for c in com {
-                payload.extend_from_slice(&c.to_le_bytes());
-            }
+            let payload = &traj.summaries[step * 32..(step + 1) * 32];
             for r in 0..cfg.ntasks {
                 if r != cfg.rank {
                     ctx.net(NetOp::Send {
                         to: cfg.task_base + r,
                         tag: TAG_CELLS,
-                        data: payload.clone(),
+                        data: payload.to_vec(),
                     })
                     .await;
                 }
@@ -575,43 +657,22 @@ pub async fn run(cfg: &NbodyConfig, ctx: &mut AppCtx) -> (u64, Vec<tree::Body>) 
         region.touch_fraction(ctx, 0.0, 0.3).await;
         let w0 = 0.3 + 0.7 * ((step % 7) as f64 / 7.0) * 0.6;
         region.touch_fraction(ctx, w0, (w0 + 0.35).min(1.0)).await;
-        total_interactions += sim.step(cfg.dt);
         ctx.compute(step_us).await;
 
         if (step + 1) % cfg.stats_every == 0 {
-            let p = tree::momentum(sim.bodies());
-            let line = format!(
-                "step {:>4} interactions {:>12} |p| {:.3e}\n",
-                step + 1,
-                total_interactions,
-                (p[0] * p[0] + p[1] * p[1] + p[2] * p[2]).sqrt()
-            );
-            out.append(ctx, line.into_bytes()).await;
+            let line = appends.next().expect("trajectory stats line");
+            out.append(ctx, line.to_vec()).await;
         }
         if cfg.snap_every > 0 && (step + 1) % cfg.snap_every == 0 {
-            // Particle-subset snapshot (restart seed): positions of the
-            // first k bodies, padded to the configured dump size.
-            let mut snap = Vec::with_capacity(cfg.snap_bytes);
-            'fill: for b in sim.bodies() {
-                for c in b.pos {
-                    snap.extend_from_slice(&c.to_le_bytes());
-                    if snap.len() >= cfg.snap_bytes {
-                        break 'fill;
-                    }
-                }
-            }
-            snap.resize(cfg.snap_bytes, 0);
-            out.append(ctx, snap).await;
+            let snap = appends.next().expect("trajectory snapshot");
+            out.append(ctx, snap.to_vec()).await;
         }
     }
-    let line = format!(
-        "final particles {} interactions {}\n",
-        cfg.particles, total_interactions
-    );
-    out.append(ctx, line.into_bytes()).await;
+    let last = appends.next().expect("trajectory final line");
+    out.append(ctx, last.to_vec()).await;
     out.fsync(ctx).await;
     out.close(ctx).await;
-    (total_interactions, sim.into_bodies())
+    traj.interactions
 }
 
 #[cfg(test)]
@@ -676,7 +737,7 @@ mod tests {
         let mut mag2 = 0.0;
         let mut inter = 0u64;
         for i in 0..bodies.len() {
-            let (a, n) = t.accel(&bodies[i], bodies, theta);
+            let (a, n) = t.accel(&bodies[i], theta);
             inter += n;
             let d = direct_accel(i, bodies);
             err2 += (a[0] - d[0]).powi(2) + (a[1] - d[1]).powi(2) + (a[2] - d[2]).powi(2);
@@ -798,8 +859,8 @@ mod tests {
         let b2 = sample(800, 9);
         let t1 = Octree::build(&b1);
         let t2 = Octree::build(&b2);
-        let i1: u64 = b1.iter().map(|b| t1.accel(b, &b1, 0.6).1).sum();
-        let i2: u64 = b2.iter().map(|b| t2.accel(b, &b2, 0.6).1).sum();
+        let i1: u64 = b1.iter().map(|b| t1.accel(b, 0.6).1).sum();
+        let i2: u64 = b2.iter().map(|b| t2.accel(b, 0.6).1).sum();
         let per1 = i1 as f64 / 100.0;
         let per2 = i2 as f64 / 800.0;
         // Per-body work grows slowly (log-ish), far below the 8× of O(N²).
@@ -812,7 +873,28 @@ mod tests {
         b[1].pos = b[0].pos; // exact duplicate position
         let t = Octree::build(&b);
         assert!(t.node_count() < 10_000, "runaway subdivision");
-        let (a, _) = t.accel(&b[0], &b, 0.6);
-        assert!(a.iter().all(|v| v.is_finite()));
+        // The merged leaf weighs both bodies.
+        assert!((t.total_mass() - 1.0).abs() < 1e-12, "{}", t.total_mass());
+        for x in &b {
+            let (a, _) = t.accel(x, 0.6);
+            assert!(a.iter().all(|v| v.is_finite()));
+        }
+    }
+
+    #[test]
+    fn fleet_trajectories_are_the_same_bits_in_parallel() {
+        use super::{NbodyConfig, Trajectory};
+        use rayon::prelude::*;
+        // The 16 paper-scale rank configs a fleet spawns.
+        let ranks: Vec<NbodyConfig> = (0..16)
+            .map(|n| NbodyConfig::default().for_rank(n, 16, 0))
+            .collect();
+        let serial: Vec<Trajectory> = ranks.iter().map(Trajectory::compute).collect();
+        let parallel: Vec<Trajectory> = ranks
+            .into_par_iter()
+            .map(|cfg| Trajectory::compute(&cfg))
+            .collect();
+        assert!(serial == parallel, "parallel trajectories differ");
+        assert!(serial[0] != serial[1], "ranks must sample their own bodies");
     }
 }

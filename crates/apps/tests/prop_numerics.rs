@@ -175,7 +175,7 @@ proptest! {
         prop_assume!(b.len() >= 2);
         let t = tree::Octree::build(&b);
         for (i, body) in b.iter().enumerate() {
-            let (a, n) = t.accel(body, &b, 0.7);
+            let (a, n) = t.accel(body, 0.7);
             prop_assert!(a.iter().all(|v| v.is_finite()));
             prop_assert!(n >= 1, "at least one interaction for body {i}");
             prop_assert!(n < (b.len() * b.len()) as u64);
@@ -186,7 +186,7 @@ proptest! {
     fn smaller_theta_never_uses_fewer_interactions(b in bodies(48)) {
         prop_assume!(b.len() >= 4);
         let t = tree::Octree::build(&b);
-        let count = |theta: f64| -> u64 { b.iter().map(|x| t.accel(x, &b, theta).1).sum() };
+        let count = |theta: f64| -> u64 { b.iter().map(|x| t.accel(x, theta).1).sum() };
         let tight = count(0.2);
         let loose = count(1.2);
         prop_assert!(tight >= loose, "θ=0.2 used {tight} < θ=1.2 {loose}");

@@ -18,11 +18,12 @@
 
 use std::sync::Arc;
 
-use essio_apps::nbody::NbodyConfig;
-use essio_apps::ppm::{PpmConfig, Trajectory};
+use essio_apps::nbody::{self, NbodyConfig};
+use essio_apps::ppm::{self, PpmConfig};
 use essio_apps::wavelet::WaveletConfig;
 use essio_kernel::Placement;
 use essio_sim::{SimRng, SimTime};
+use rayon::prelude::*;
 
 use crate::cluster::Beowulf;
 
@@ -83,12 +84,12 @@ pub fn install_assets(bw: &mut Beowulf, seed: u64) {
 
 /// Spawn one PPM rank per node. Returns the rank-0 task id.
 ///
-/// The fleet's one [`Trajectory`] is computed here, once per call, and
-/// every rank replays it (see [`Trajectory`] for why that is sound).
+/// The fleet's one [`ppm::Trajectory`] is computed here, once per call, and
+/// every rank replays it (see [`ppm::Trajectory`] for why that is sound).
 pub fn spawn_ppm_fleet(bw: &mut Beowulf, template: &PpmConfig, start: SimTime) -> u32 {
     let nodes = bw.nodes();
     let task_base = bw.next_task();
-    let trajectory = Arc::new(Trajectory::compute(template));
+    let trajectory = Arc::new(ppm::Trajectory::compute(template));
     for n in 0..nodes {
         let mut cfg = template.clone();
         cfg.rank = n as u32;
@@ -96,7 +97,7 @@ pub fn spawn_ppm_fleet(bw: &mut Beowulf, template: &PpmConfig, start: SimTime) -
         cfg.task_base = task_base;
         let trajectory = Arc::clone(&trajectory);
         bw.spawn(n, "ppm", start, move |mut ctx| async move {
-            essio_apps::ppm::run(&cfg, &trajectory, &mut ctx).await;
+            ppm::run(&cfg, &trajectory, &mut ctx).await;
             0
         });
     }
@@ -123,17 +124,26 @@ pub fn spawn_wavelet_fleet(bw: &mut Beowulf, template: &WaveletConfig, start: Si
 }
 
 /// Spawn one N-body rank per node. Returns the rank-0 task id.
+///
+/// Each rank's [`nbody::Trajectory`] is computed here, on the host's cores
+/// in parallel, and the rank replays it (see [`nbody::Trajectory`] for why
+/// that is sound).
 pub fn spawn_nbody_fleet(bw: &mut Beowulf, template: &NbodyConfig, start: SimTime) -> u32 {
     let nodes = bw.nodes();
     let task_base = bw.next_task();
-    for n in 0..nodes {
-        let mut cfg = template.clone();
-        cfg.rank = n as u32;
-        cfg.ntasks = nodes as u32;
-        cfg.task_base = task_base;
-        cfg.seed = template.seed.wrapping_add(n as u64 * 0x9E37);
+    let ranks: Vec<NbodyConfig> = (0..nodes)
+        .map(|n| template.for_rank(n as u32, nodes as u32, task_base))
+        .collect();
+    let ranks: Vec<(NbodyConfig, nbody::Trajectory)> = ranks
+        .into_par_iter()
+        .map(|cfg| {
+            let trajectory = nbody::Trajectory::compute(&cfg);
+            (cfg, trajectory)
+        })
+        .collect();
+    for (n, (cfg, trajectory)) in (0..nodes).zip(ranks) {
         bw.spawn(n, "nbody", start, move |mut ctx| async move {
-            let (interactions, _) = essio_apps::nbody::run(&cfg, &mut ctx).await;
+            let interactions = nbody::run(&cfg, &trajectory, &mut ctx).await;
             assert!(interactions > 0);
             0
         });

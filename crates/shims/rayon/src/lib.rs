@@ -9,7 +9,8 @@
 //!   `essio-stream`;
 //! * `vec.into_par_iter().map(f).collect::<Vec<_>>()` and
 //!   `.collect_into_vec(&mut v)` — order-preserving parallel maps, among
-//!   them the campaign runner's seed fan-out.
+//!   them the campaign runner's seed fan-out and the N-body fleet's
+//!   per-rank trajectories.
 //!
 //! Work is split into one contiguous block per worker thread (capped at
 //! [`max_threads`]); each block is processed on its own scoped thread and
