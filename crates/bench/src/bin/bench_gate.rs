@@ -12,9 +12,9 @@
 //!
 //! Medians are compared like-for-like against the `bench_gate.medians_us`
 //! section of the baseline file, written by `--record` with this same
-//! harness; a bench missing from it is an error. `--record` re-measures
-//! and rewrites only the `bench_gate` section, leaving the rest of the
-//! file byte-identical.
+//! harness; a bench missing from it, or a cell in it that no bench
+//! measures, is an error. `--record` re-measures and rewrites only the
+//! `bench_gate` section, leaving the rest of the file byte-identical.
 //!
 //! Shared CI hosts are noisy, so each bench is sampled in `--rounds`
 //! interleaved rounds and the *best* round median is compared — transient
@@ -22,8 +22,8 @@
 //! printed and, when `$GITHUB_STEP_SUMMARY` is set, appended there as
 //! GitHub-flavored markdown.
 //!
-//! Exit codes: `0` within threshold, `2` I/O or argument error, `3`
-//! regression.
+//! Exit codes: `0` within threshold, `2` I/O, argument or baseline error,
+//! `3` regression.
 
 use std::hint::black_box;
 use std::io::Write as _;
@@ -67,22 +67,6 @@ fn engine_schedule_pop() -> u64 {
     n
 }
 
-fn engine_schedule_cancel_pop() -> u64 {
-    let mut e: Engine<Payload> = Engine::new();
-    let mut ids = Vec::with_capacity(N as usize);
-    for i in 0..N {
-        ids.push(e.schedule_at(i / 4, Payload::new(i)));
-    }
-    for id in ids.iter().step_by(2) {
-        black_box(e.cancel(*id));
-    }
-    let mut acc = 0u64;
-    while let Some((_, v)) = e.pop() {
-        acc = acc.wrapping_add(v.tag);
-    }
-    acc
-}
-
 fn engine_same_instant_fifo() -> u64 {
     let mut e: Engine<Payload> = Engine::new();
     for i in 0..N {
@@ -110,10 +94,6 @@ fn gates() -> Vec<Gate> {
         gate(
             "engine/schedule_pop_10k",
             Box::new(|| black_box(engine_schedule_pop())),
-        ),
-        gate(
-            "engine/schedule_cancel_pop_10k",
-            Box::new(|| black_box(engine_schedule_cancel_pop())),
         ),
         gate(
             "engine/same_instant_fifo_10k",
@@ -162,8 +142,10 @@ fn numeric(v: &serde::Value) -> Option<f64> {
 }
 
 /// The recorded median (µs) of each named bench, from the
-/// `bench_gate.medians_us` section of the parsed baseline; `Err` names the
-/// first bench the section lacks.
+/// `bench_gate.medians_us` section of the parsed baseline. The section must
+/// name exactly these benches: `Err` names the first one it lacks, or else
+/// the first cell it records that no bench measures (a stale median would
+/// otherwise sit in the baseline unchecked).
 fn baselines(doc: &serde::Value, names: &[&str]) -> Result<Vec<f64>, String> {
     let medians = doc
         .as_object()
@@ -171,7 +153,7 @@ fn baselines(doc: &serde::Value, names: &[&str]) -> Result<Vec<f64>, String> {
         .and_then(serde::Value::as_object)
         .and_then(|gate| serde::field(gate, "medians_us").ok())
         .and_then(serde::Value::as_object);
-    names
+    let base = names
         .iter()
         .map(|name| {
             medians
@@ -179,7 +161,17 @@ fn baselines(doc: &serde::Value, names: &[&str]) -> Result<Vec<f64>, String> {
                 .and_then(numeric)
                 .ok_or_else(|| format!("{name} missing from bench_gate.medians_us"))
         })
-        .collect()
+        .collect::<Result<_, _>>()?;
+    let stale = medians
+        .unwrap_or_default()
+        .iter()
+        .find(|(cell, _)| !names.contains(&cell.as_str()));
+    if let Some((cell, _)) = stale {
+        return Err(format!(
+            "{cell} in bench_gate.medians_us is measured by no bench"
+        ));
+    }
+    Ok(base)
 }
 
 /// Render the `bench_gate` section `--record` commits.
@@ -366,7 +358,7 @@ fn main() {
 
 #[cfg(test)]
 mod tests {
-    use super::{baselines, upsert_bench_gate};
+    use super::{baselines, gates, upsert_bench_gate};
     use proptest::prelude::*;
 
     const SECTION: &str =
@@ -392,6 +384,16 @@ mod tests {
         assert!(err.contains("c missing"), "{err}");
         let empty: serde::Value = serde_json::from_str("{}").unwrap();
         assert!(baselines(&empty, &["a"]).unwrap_err().contains("a missing"));
+    }
+
+    #[test]
+    fn a_cell_no_bench_measures_is_named() {
+        let doc: serde::Value =
+            serde_json::from_str("{\"bench_gate\": {\"medians_us\": {\"a\": 5, \"gone\": 3}}}")
+                .unwrap();
+        let err = baselines(&doc, &["a"]).unwrap_err();
+        assert!(err.contains("gone in bench_gate.medians_us"), "{err}");
+        assert_eq!(baselines(&doc, &["gone", "a"]), Ok(vec![3.0, 5.0]));
     }
 
     #[test]
@@ -455,7 +457,8 @@ mod tests {
     #[test]
     fn the_committed_baseline_reads() {
         let doc: serde::Value = serde_json::from_str(BASELINE).unwrap();
-        assert!(baselines(&doc, &["trace_codec/decode_columnar"]).is_ok());
+        let names: Vec<&str> = gates().iter().map(|g| g.name).collect();
+        baselines(&doc, &names).unwrap();
         assert!(upsert_bench_gate(BASELINE, SECTION).is_ok());
     }
 

@@ -5,9 +5,10 @@
 //! * **Binaries** (`src/bin/`) regenerate the paper's evaluation:
 //!   `paper` writes every figure and table (or the ones named with
 //!   `--only fig1` … `fig8`, `table1`), `experiment` and `campaign` run
-//!   one experiment kind, `ablations` sweeps the design knobs. Each accepts
-//!   `--full` to run at paper scale (16 nodes, full durations; seconds of
-//!   host time) and defaults to a quick 2-node variant.
+//!   one experiment kind. Each accepts `--full` to run at paper scale
+//!   (16 nodes, full durations; seconds of host time) and defaults to a
+//!   quick 2-node variant. The design-knob ablations are asserted in the
+//!   root package's `tests/ablations.rs`.
 //! * **Criterion benches** (`benches/`) measure the host-side performance
 //!   of every subsystem (driver scheduling, buffer cache, VM paging,
 //!   read-ahead, the three numerical kernels, trace codecs, the analysis

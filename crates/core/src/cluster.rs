@@ -374,8 +374,8 @@ impl Beowulf {
         }
         // The steady-state event population is one in-flight completion or
         // timer per daemon per node plus a few network messages per node;
-        // sizing the slab for that up front avoids rehash/regrow churn in
-        // the first simulated seconds of every run.
+        // sizing the event heap for that up front avoids regrowing it in the
+        // first simulated seconds of every run.
         let event_capacity = nodes.len() * (DaemonKind::ALL.len() + 4);
         Self {
             cfg,

@@ -94,12 +94,6 @@ impl Obs {
         Obs::On(Rc::new(RefCell::new(NodeObs::new(node))))
     }
 
-    /// Whether this sink records anything.
-    #[inline]
-    pub fn is_enabled(&self) -> bool {
-        matches!(self, Obs::On(_))
-    }
-
     /// The shared collector, if enabled (used by the cluster to drain).
     pub fn handle(&self) -> Option<&Rc<RefCell<NodeObs>>> {
         match self {

@@ -2,89 +2,47 @@
 //!
 //! [`Engine`] is deliberately minimal: it orders `(time, payload)` pairs and
 //! advances a clock. Everything domain-specific (what an event *means*) lives
-//! in the crates layered above. Two properties matter here:
+//! in the crates layered above.
 //!
-//! 1. **Determinism.** Events scheduled for the same instant are delivered in
-//!    the order they were scheduled (FIFO tie-break via a monotone sequence
-//!    number), so simulation outcomes never depend on heap internals.
-//! 2. **Cancellation.** Timers that may be superseded (e.g. a write-back
-//!    flush rescheduled because the cache was synced explicitly) are removed
-//!    in O(1): [`Engine::cancel`] invalidates the event's slab slot, and the
-//!    heap entry pointing at it is discarded when it surfaces.
-//!
-//! # Design: slab + generation tags + 4-ary heap
-//!
-//! This is the hottest structure in the tree — every disk completion, daemon
-//! tick, process resume and network delivery passes through it — so it is
-//! built for allocation-free, cache-friendly operation:
-//!
-//! * **Slab.** Event payloads live in a slot vector recycled through a free
-//!   list; steady-state scheduling allocates nothing.
-//! * **Generation tags.** An [`EventId`] is `(slot, generation)`. Ending a
-//!   slot's incarnation (fire or cancel) bumps its generation, so stale
-//!   handles fail an O(1) equality check — no `HashSet` of live ids, no
-//!   per-event hashing anywhere.
-//! * **Implicit 4-ary min-heap** of `(time, seq, slot)` entries: shallower
-//!   than a binary heap (fewer cache lines touched per sift) and branch-
-//!   predictable. Cancelled entries stay in the heap as corpses and are
-//!   freed when they reach the top; the top itself is kept live eagerly
-//!   (`prune_top` after every `pop`/`cancel`), which makes
-//!   [`Engine::peek_time`] and [`Engine::is_idle`] non-mutating `&self`
-//!   reads. Each corpse is pruned exactly once, so the cost of a
-//!   cancellation is O(1) amortized.
+//! Events are delivered in the total order of `(time, seq)`, where `seq` is
+//! a counter bumped on every schedule: time order, and FIFO among events
+//! scheduled for the same instant. Simulation outcomes therefore never
+//! depend on heap internals. Payloads sit inline in the entries of a
+//! [`BinaryHeap`]. There is no cancellation: a caller whose timer goes
+//! stale drops it on delivery (the simulator tags such events with a node
+//! epoch).
+
+use std::cmp::{Ordering, Reverse};
+use std::collections::BinaryHeap;
 
 use crate::time::SimTime;
 
-/// Opaque handle identifying a scheduled event, usable for cancellation.
-///
-/// Packs a slab slot index (low 32 bits) and that slot's generation at
-/// scheduling time (high 32 bits); a handle is dead as soon as the event
-/// fires or is cancelled, and dead handles are rejected in O(1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct EventId(u64);
-
-impl EventId {
-    #[inline]
-    fn new(slot: u32, gen: u32) -> Self {
-        EventId(((gen as u64) << 32) | slot as u64)
-    }
-
-    #[inline]
-    fn slot(self) -> u32 {
-        self.0 as u32
-    }
-
-    #[inline]
-    fn gen(self) -> u32 {
-        (self.0 >> 32) as u32
-    }
-}
-
-/// One heap entry: the ordering key plus the slab slot holding the payload.
-#[derive(Debug, Clone, Copy)]
-struct HeapEntry {
-    time: SimTime,
-    seq: u64,
-    slot: u32,
-}
-
-impl HeapEntry {
-    /// Min-heap key: time order, FIFO within an instant.
-    #[inline]
-    fn key(&self) -> (SimTime, u64) {
-        (self.time, self.seq)
-    }
-}
-
-/// Slab slot: payload storage plus the liveness/generation bookkeeping.
+/// One queued event. Ordered by `Reverse((time, seq))` alone, so the std
+/// max-heap pops the earliest event and the payload needs no `Ord`.
 #[derive(Debug)]
-struct Slot<E> {
-    /// Incremented when an incarnation ends (fire or cancel); stale
-    /// [`EventId`]s fail the generation check.
-    gen: u32,
-    /// Scheduled and not yet fired or cancelled.
-    live: bool,
-    payload: Option<E>,
+struct Entry<E> {
+    key: Reverse<(SimTime, u64)>,
+    payload: E,
+}
+
+impl<E> PartialEq for Entry<E> {
+    fn eq(&self, other: &Self) -> bool {
+        self.key == other.key
+    }
+}
+
+impl<E> Eq for Entry<E> {}
+
+impl<E> PartialOrd for Entry<E> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<E> Ord for Entry<E> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.key.cmp(&other.key)
+    }
 }
 
 /// A time-ordered event queue with a virtual clock.
@@ -94,17 +52,9 @@ struct Slot<E> {
 pub struct Engine<E> {
     now: SimTime,
     seq: u64,
-    heap: Vec<HeapEntry>,
-    slots: Vec<Slot<E>>,
-    free: Vec<u32>,
-    /// Live (scheduled, not cancelled) events; corpses in the heap do not
-    /// count.
-    live: usize,
+    heap: BinaryHeap<Entry<E>>,
     delivered: u64,
 }
-
-/// 4-ary heap arity.
-const ARITY: usize = 4;
 
 impl<E> Default for Engine<E> {
     fn default() -> Self {
@@ -121,16 +71,12 @@ impl<E> Engine<E> {
     }
 
     /// Create an empty engine pre-sized for `capacity` concurrently
-    /// scheduled events (heap and slab both reserved; no reallocation
-    /// until the population exceeds it).
+    /// scheduled events (no reallocation until the population exceeds it).
     pub fn with_capacity(capacity: usize) -> Self {
         Self {
             now: 0,
             seq: 0,
-            heap: Vec::with_capacity(capacity),
-            slots: Vec::with_capacity(capacity),
-            free: Vec::with_capacity(capacity.min(1024)),
-            live: 0,
+            heap: BinaryHeap::with_capacity(capacity),
             delivered: 0,
         }
     }
@@ -147,10 +93,10 @@ impl<E> Engine<E> {
         self.delivered
     }
 
-    /// Number of live (scheduled, not cancelled) events.
+    /// Number of scheduled events not yet delivered.
     #[inline]
     pub fn pending(&self) -> usize {
-        self.live
+        self.heap.len()
     }
 
     /// Schedule `payload` at absolute time `at`.
@@ -159,205 +105,45 @@ impl<E> Engine<E> {
     /// logic error in the caller and panics in debug builds. In release
     /// builds the event is clamped to `now` so a long simulation degrades
     /// rather than wedges.
-    pub fn schedule_at(&mut self, at: SimTime, payload: E) -> EventId {
+    pub fn schedule_at(&mut self, at: SimTime, payload: E) {
         debug_assert!(
             at >= self.now,
             "event scheduled in the past: {at} < {}",
             self.now
         );
-        let at = at.max(self.now);
-        let seq = self.seq;
+        let key = Reverse((at.max(self.now), self.seq));
         self.seq += 1;
-        let slot = match self.free.pop() {
-            Some(slot) => {
-                let s = &mut self.slots[slot as usize];
-                debug_assert!(!s.live && s.payload.is_none());
-                s.live = true;
-                s.payload = Some(payload);
-                slot
-            }
-            None => {
-                let slot = self.slots.len() as u32;
-                self.slots.push(Slot {
-                    gen: 0,
-                    live: true,
-                    payload: Some(payload),
-                });
-                slot
-            }
-        };
-        self.live += 1;
-        self.heap.push(HeapEntry {
-            time: at,
-            seq,
-            slot,
-        });
-        self.sift_up(self.heap.len() - 1);
-        EventId::new(slot, self.slots[slot as usize].gen)
+        self.heap.push(Entry { key, payload });
     }
 
     /// Schedule `payload` at `now + delay`.
     #[inline]
-    pub fn schedule_in(&mut self, delay: SimTime, payload: E) -> EventId {
+    pub fn schedule_in(&mut self, delay: SimTime, payload: E) {
         self.schedule_at(self.now.saturating_add(delay), payload)
     }
 
-    /// Cancel a previously scheduled event. Returns `true` if the event was
-    /// still pending (it will be silently dropped), `false` if it had already
-    /// fired or been cancelled. O(1) amortized: the handle's slot is
-    /// invalidated; its heap entry is reaped when it surfaces at the top.
-    pub fn cancel(&mut self, id: EventId) -> bool {
-        let Some(s) = self.slots.get_mut(id.slot() as usize) else {
-            return false;
-        };
-        if s.gen != id.gen() || !s.live {
-            return false;
-        }
-        s.live = false;
-        s.payload = None;
-        s.gen = s.gen.wrapping_add(1);
-        self.live -= 1;
-        // Once corpses outnumber live events, lazy top-pruning would make
-        // every subsequent pop sift a heap that is mostly dead weight;
-        // rebuild without them instead. The O(heap) rebuild is paid for by
-        // the ≥ heap/2 corpses it retires, so cancel stays O(1) amortized.
-        if self.heap.len() - self.live >= self.live {
-            self.compact();
-        } else {
-            // Keep the heap top live so `peek_time`/`is_idle` stay `&self`.
-            self.prune_top();
-        }
-        true
-    }
-
-    /// Pop the next live event, advancing the clock to its timestamp.
+    /// Pop the next event, advancing the clock to its timestamp.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        // Invariant: the top of the heap is always live (corpses are pruned
-        // as soon as they surface), so no skip loop is needed here.
-        let entry = *self.heap.first()?;
-        self.remove_top();
-        let s = &mut self.slots[entry.slot as usize];
-        debug_assert!(s.live, "heap top must be live");
-        let payload = s.payload.take().expect("live slot has a payload");
-        s.live = false;
-        s.gen = s.gen.wrapping_add(1);
-        self.free.push(entry.slot);
-        self.live -= 1;
-        debug_assert!(entry.time >= self.now);
-        self.now = entry.time;
+        let Entry {
+            key: Reverse((time, _)),
+            payload,
+        } = self.heap.pop()?;
+        debug_assert!(time >= self.now);
+        self.now = time;
         self.delivered += 1;
-        self.prune_top();
-        Some((entry.time, payload))
+        Some((time, payload))
     }
 
-    /// Timestamp of the next live event without popping it.
+    /// Timestamp of the next event without popping it.
     #[inline]
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.first().map(|e| e.time)
+        self.heap.peek().map(|e| e.key.0 .0)
     }
 
-    /// True when no live events remain.
+    /// True when no events remain.
     #[inline]
     pub fn is_idle(&self) -> bool {
         self.heap.is_empty()
-    }
-
-    /// Discard cancelled entries off the heap top until a live event (or
-    /// nothing) is exposed. Each corpse is visited exactly once over the
-    /// engine's lifetime, so this is O(1) amortized per cancellation — and
-    /// free when nothing is cancelled (the common case): the heap length
-    /// equalling the live count proves there are no corpses anywhere, so
-    /// the slot probe is skipped entirely.
-    #[inline]
-    fn prune_top(&mut self) {
-        if self.heap.len() == self.live {
-            return;
-        }
-        while let Some(top) = self.heap.first() {
-            let slot = top.slot;
-            if self.slots[slot as usize].live {
-                break;
-            }
-            self.remove_top();
-            self.free.push(slot);
-        }
-    }
-
-    /// Drop every corpse and re-heapify the survivors in O(live). Delivery
-    /// order is untouched: the heap layout changes, but pops are ordered by
-    /// the total `(time, seq)` key, which no rebuild can alter.
-    fn compact(&mut self) {
-        let Self {
-            heap, slots, free, ..
-        } = self;
-        heap.retain(|e| {
-            let alive = slots[e.slot as usize].live;
-            if !alive {
-                free.push(e.slot);
-            }
-            alive
-        });
-        let n = self.heap.len();
-        if n > 1 {
-            for i in (0..=(n - 2) / ARITY).rev() {
-                self.sift_down(i);
-            }
-        }
-        debug_assert_eq!(self.heap.len(), self.live);
-    }
-
-    /// Remove the heap root, restoring heap order.
-    fn remove_top(&mut self) {
-        let last = self.heap.pop().expect("non-empty");
-        if !self.heap.is_empty() {
-            self.heap[0] = last;
-            self.sift_down(0);
-        }
-    }
-
-    fn sift_up(&mut self, mut i: usize) {
-        let entry = self.heap[i];
-        let key = entry.key();
-        while i > 0 {
-            let parent = (i - 1) / ARITY;
-            if self.heap[parent].key() <= key {
-                break;
-            }
-            self.heap[i] = self.heap[parent];
-            i = parent;
-        }
-        self.heap[i] = entry;
-    }
-
-    fn sift_down(&mut self, mut i: usize) {
-        let heap = &mut self.heap[..];
-        let entry = heap[i];
-        let key = entry.key();
-        let len = heap.len();
-        loop {
-            let first_child = i * ARITY + 1;
-            if first_child >= len {
-                break;
-            }
-            // One slice per level: the bounds check happens once here, not
-            // per child probe.
-            let end = (first_child + ARITY).min(len);
-            let mut min_child = first_child;
-            let mut min_key = heap[first_child].key();
-            for (off, e) in heap[first_child + 1..end].iter().enumerate() {
-                let k = e.key();
-                if k < min_key {
-                    min_child = first_child + 1 + off;
-                    min_key = k;
-                }
-            }
-            if key <= min_key {
-                break;
-            }
-            heap[i] = heap[min_child];
-            i = min_child;
-        }
-        heap[i] = entry;
     }
 }
 
@@ -399,59 +185,6 @@ mod tests {
     }
 
     #[test]
-    fn cancel_removes_pending_event() {
-        let mut e: Engine<u32> = Engine::new();
-        let a = e.schedule_at(10, 1);
-        e.schedule_at(20, 2);
-        assert!(e.cancel(a));
-        assert_eq!(e.pop(), Some((20, 2)));
-    }
-
-    #[test]
-    fn cancel_twice_or_after_fire_is_false() {
-        let mut e: Engine<u32> = Engine::new();
-        let a = e.schedule_at(10, 1);
-        assert!(e.cancel(a));
-        assert!(!e.cancel(a));
-        let b = e.schedule_at(11, 2);
-        assert_eq!(e.pop(), Some((11, 2)));
-        // `b` already fired: cancellation reports false and does not poison
-        // the pending count or future events.
-        assert!(!e.cancel(b));
-        assert_eq!(e.pending(), 0);
-        assert_eq!(e.pop(), None);
-    }
-
-    #[test]
-    fn cancel_unknown_id_is_false() {
-        let mut e: Engine<u32> = Engine::new();
-        assert!(!e.cancel(EventId(42)));
-    }
-
-    #[test]
-    fn stale_id_against_reused_slot_is_false() {
-        // After `a` fires, its slab slot is recycled by `b`. The stale
-        // handle must not cancel the new tenant.
-        let mut e: Engine<u32> = Engine::new();
-        let a = e.schedule_at(10, 1);
-        assert_eq!(e.pop(), Some((10, 1)));
-        let b = e.schedule_at(20, 2);
-        assert_eq!(b.slot(), a.slot(), "slot is recycled");
-        assert!(!e.cancel(a), "stale generation must be rejected");
-        assert_eq!(e.pop(), Some((20, 2)));
-    }
-
-    #[test]
-    fn peek_skips_cancelled() {
-        let mut e: Engine<u32> = Engine::new();
-        let a = e.schedule_at(10, 1);
-        e.schedule_at(20, 2);
-        e.cancel(a);
-        assert_eq!(e.peek_time(), Some(20));
-        assert_eq!(e.pop(), Some((20, 2)));
-    }
-
-    #[test]
     fn peek_and_is_idle_take_shared_refs() {
         let mut e: Engine<u32> = Engine::new();
         e.schedule_at(10, 1);
@@ -464,83 +197,6 @@ mod tests {
         let shared: &Engine<u32> = &e;
         assert_eq!(shared.peek_time(), None);
         assert!(shared.is_idle());
-    }
-
-    #[test]
-    fn cancel_then_peek_then_pop_interleavings() {
-        // Regression for the old lazy-tombstone engine, where `peek_time`
-        // dropped a cancelled queue entry while `pop` separately consulted
-        // the tombstone set: every interleaving of cancel/peek/pop must
-        // agree on the surviving events.
-        //
-        // Case 1: cancel head, peek (prunes), then pop.
-        let mut e: Engine<u32> = Engine::new();
-        let a = e.schedule_at(10, 1);
-        e.schedule_at(20, 2);
-        assert!(e.cancel(a));
-        assert_eq!(e.peek_time(), Some(20));
-        assert_eq!(e.pop(), Some((20, 2)));
-        assert_eq!(e.pop(), None);
-
-        // Case 2: cancel head twice with a peek between; second cancel is
-        // a no-op, nothing else is lost.
-        let mut e: Engine<u32> = Engine::new();
-        let a = e.schedule_at(10, 1);
-        e.schedule_at(20, 2);
-        assert!(e.cancel(a));
-        assert_eq!(e.peek_time(), Some(20));
-        assert!(!e.cancel(a));
-        assert_eq!(e.peek_time(), Some(20));
-        assert_eq!(e.pop(), Some((20, 2)));
-
-        // Case 3: cancel after fire, then peek/pop the rest — the stale
-        // cancellation must not consume the remaining entry.
-        let mut e: Engine<u32> = Engine::new();
-        let a = e.schedule_at(10, 1);
-        e.schedule_at(20, 2);
-        assert_eq!(e.pop(), Some((10, 1)));
-        assert!(!e.cancel(a));
-        assert_eq!(e.peek_time(), Some(20));
-        assert_eq!(e.pop(), Some((20, 2)));
-        assert_eq!(e.pop(), None);
-        assert!(e.is_idle());
-
-        // Case 4: cancel a buried (non-top) entry, peek, pop everything;
-        // the corpse is skipped exactly once, FIFO preserved.
-        let mut e: Engine<u32> = Engine::new();
-        e.schedule_at(10, 1);
-        let b = e.schedule_at(20, 2);
-        e.schedule_at(20, 3);
-        e.schedule_at(30, 4);
-        assert!(e.cancel(b));
-        assert_eq!(e.peek_time(), Some(10));
-        assert_eq!(e.pop(), Some((10, 1)));
-        assert_eq!(e.pop(), Some((20, 3)));
-        assert_eq!(e.pop(), Some((30, 4)));
-        assert_eq!(e.pop(), None);
-    }
-
-    #[test]
-    fn cancel_everything_leaves_engine_idle() {
-        let mut e: Engine<u32> = Engine::new();
-        let ids: Vec<EventId> = (0..50).map(|i| e.schedule_at(i, i as u32)).collect();
-        for id in ids {
-            assert!(e.cancel(id));
-        }
-        assert!(e.is_idle());
-        assert_eq!(e.pending(), 0);
-        assert_eq!(e.peek_time(), None);
-        assert_eq!(e.pop(), None);
-    }
-
-    #[test]
-    fn pending_count_excludes_cancelled() {
-        let mut e: Engine<u32> = Engine::new();
-        let a = e.schedule_at(10, 1);
-        e.schedule_at(20, 2);
-        assert_eq!(e.pending(), 2);
-        e.cancel(a);
-        assert_eq!(e.pending(), 1);
     }
 
     #[test]
@@ -600,21 +256,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn slab_recycles_slots_under_churn() {
-        let mut e: Engine<u64> = Engine::new();
-        for round in 0..100u64 {
-            for i in 0..8 {
-                e.schedule_at(round * 10 + i, i);
-            }
-            for _ in 0..8 {
-                e.pop();
-            }
-        }
-        // 800 events through an 8-deep queue: the slab stays 8 slots.
-        assert!(e.slots.len() <= 8, "slab grew to {}", e.slots.len());
-        assert_eq!(e.delivered(), 800);
     }
 }

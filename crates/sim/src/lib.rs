@@ -43,7 +43,7 @@ pub mod process;
 pub mod rng;
 pub mod time;
 
-pub use engine::{Engine, EventId};
+pub use engine::Engine;
 pub use process::{BodyLedger, ProcConfig, ProcCtx, ProcMsg, ProcessHost, Vpn};
 pub use rng::SimRng;
 pub use time::{SimTime, MICROS_PER_MILLI, MICROS_PER_SEC};

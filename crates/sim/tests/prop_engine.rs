@@ -1,8 +1,8 @@
 #![cfg(feature = "proptests")]
 
 //! Property tests over the event engine: total order, FIFO tie-break,
-//! cancellation soundness, and clock monotonicity under arbitrary
-//! schedule/cancel/pop interleavings.
+//! clock monotonicity and the pending count under arbitrary schedule/pop
+//! interleavings, checked against a `BTreeMap<(time, seq), payload>` model.
 
 use essio_sim::Engine;
 use proptest::prelude::*;
@@ -10,15 +10,19 @@ use proptest::prelude::*;
 #[derive(Debug, Clone)]
 enum EngineOp {
     ScheduleIn(u64),
-    CancelNth(usize),
     Pop,
 }
 
 fn ops() -> impl Strategy<Value = Vec<EngineOp>> {
+    // Two of three schedules use a delay under 4 µs, so same-instant ties
+    // (the FIFO tie-break) are common rather than rare.
     prop::collection::vec(
         prop_oneof![
+            (0u64..4).prop_map(EngineOp::ScheduleIn),
+            (0u64..4).prop_map(EngineOp::ScheduleIn),
             (0u64..1000).prop_map(EngineOp::ScheduleIn),
-            (0usize..32).prop_map(EngineOp::CancelNth),
+            Just(EngineOp::Pop),
+            Just(EngineOp::Pop),
             Just(EngineOp::Pop),
         ],
         1..300,
@@ -31,53 +35,34 @@ proptest! {
     #[test]
     fn engine_is_a_faithful_priority_queue(ops in ops()) {
         let mut engine: Engine<u64> = Engine::new();
-        // Reference model: (time, seq) -> payload for live events.
+        // Reference model: (time, seq) -> payload for pending events.
         let mut model: std::collections::BTreeMap<(u64, u64), u64> = Default::default();
-        let mut ids: Vec<(essio_sim::EventId, (u64, u64))> = Vec::new();
         let mut seq = 0u64;
         let mut last_popped = 0u64;
         for op in ops {
             match op {
                 EngineOp::ScheduleIn(delay) => {
-                    let at = engine.now() + delay;
-                    let id = engine.schedule_in(delay, seq);
-                    model.insert((at, seq), seq);
-                    ids.push((id, (at, seq)));
+                    model.insert((engine.now() + delay, seq), seq);
+                    engine.schedule_in(delay, seq);
                     seq += 1;
                 }
-                EngineOp::CancelNth(n) => {
-                    if ids.is_empty() {
-                        continue;
-                    }
-                    let (id, key) = ids[n % ids.len()];
-                    let was_live = model.remove(&key).is_some();
-                    let cancelled = engine.cancel(id);
-                    if was_live {
-                        prop_assert!(cancelled, "live event refused cancellation");
-                    }
-                }
                 EngineOp::Pop => {
-                    let expected = model.iter().next().map(|((t, _), v)| (*t, *v));
-                    match engine.pop() {
-                        Some((t, v)) => {
-                            let (et, ev) = expected.expect("engine had an event the model lacked");
-                            prop_assert_eq!((t, v), (et, ev), "wrong order");
-                            prop_assert!(t >= last_popped, "clock went backward");
-                            last_popped = t;
-                            let key = model.iter().next().map(|(k, _)| *k).unwrap();
-                            model.remove(&key);
-                        }
-                        None => prop_assert!(model.is_empty(), "engine empty while model has events"),
+                    let expected = model.pop_first().map(|((t, _), v)| (t, v));
+                    let popped = engine.pop();
+                    prop_assert_eq!(popped, expected, "wrong order");
+                    if let Some((t, _)) = popped {
+                        prop_assert!(t >= last_popped, "clock went backward");
+                        prop_assert_eq!(engine.now(), t);
+                        last_popped = t;
                     }
                 }
             }
             prop_assert_eq!(engine.pending(), model.len());
         }
         // Drain: remaining events come out in model order.
-        while let Some((t, v)) = engine.pop() {
-            let key = *model.iter().next().map(|(k, _)| k).expect("model tracks engine");
-            prop_assert_eq!((key.0, model[&key]), (t, v));
-            model.remove(&key);
+        while let Some(popped) = engine.pop() {
+            let expected = model.pop_first().map(|((t, _), v)| (t, v));
+            prop_assert_eq!(Some(popped), expected);
         }
         prop_assert!(model.is_empty());
     }

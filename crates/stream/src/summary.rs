@@ -185,11 +185,6 @@ impl NodeShards {
         self.shards.is_empty()
     }
 
-    /// Consume the router, yielding the per-node shards.
-    pub fn into_shards(self) -> Vec<StreamSummary> {
-        self.shards
-    }
-
     /// Cluster-wide reduction of all shards.
     pub fn reduce(self) -> StreamSummary {
         merge_all(self.shards).expect("NodeShards always holds >= 1 shard")

@@ -69,6 +69,26 @@ fn frame_pool_size_controls_paging_volume() {
 }
 
 #[test]
+fn buffer_cache_size_does_not_add_physical_writes() {
+    // Write absorption: a larger cache coalesces more rewrites of a dirty
+    // block before it is flushed, so growing it never adds physical writes.
+    let writes = |blocks: usize| {
+        let r = Experiment::wavelet()
+            .quick()
+            .seed(99)
+            .cache_blocks(blocks)
+            .run();
+        r.trace.iter().filter(|t| t.op == Op::Write).count()
+    };
+    let counts = [256, 1536, 4096].map(writes);
+    assert!(counts[2] > 0, "the wavelet writes its output");
+    assert!(
+        counts.windows(2).all(|w| w[1] <= w[0]),
+        "physical writes rose with cache size: {counts:?} for 256/1536/4096 blocks"
+    );
+}
+
+#[test]
 fn scheduler_policy_preserves_work_but_changes_order() {
     let elevator = Experiment::nbody()
         .quick()
