@@ -13,7 +13,8 @@
 //! Medians are compared like-for-like against the `bench_gate.medians_us`
 //! section of the baseline file, written by `--record` with this same
 //! harness; a bench missing from it, or a cell in it that no bench
-//! measures, is an error. `--record` re-measures and rewrites only the
+//! measures, is an error, reported before any bench runs. `--record`
+//! re-measures and rewrites only the
 //! `bench_gate` section, leaving the rest of the file byte-identical.
 //!
 //! Shared CI hosts are noisy, so each bench is sampled in `--rounds`
@@ -279,12 +280,17 @@ fn main() {
     }
 
     let gates = gates();
-    if record {
-        // Fail on a file `--record` cannot edit before spending the rounds.
+    let names = || gates.iter().map(|g| g.name).collect::<Vec<&str>>();
+    // Fail on a file `--record` cannot edit, or on a baseline missing a
+    // gated bench or keeping a stale cell, before spending the rounds.
+    let checked = if record {
         let placeholder = record_section(&gates, &vec![0.0; gates.len()], rounds, samples);
-        if let Err(e) = upsert_bench_gate(&raw, &placeholder) {
-            die(format!("{baseline_path}: {e}"));
-        }
+        upsert_bench_gate(&raw, &placeholder).map(drop)
+    } else {
+        baselines(&doc, &names()).map(drop)
+    };
+    if let Err(e) = checked {
+        die(format!("{baseline_path}: {e}"));
     }
     // Interleave rounds across all benches so a transient host stall hits
     // every bench's round equally, then keep each bench's best round.
@@ -311,10 +317,10 @@ fn main() {
         return;
     }
 
-    // Looked up only now: allocating before the rounds moves the heap
-    // layout the codec benches run in, and with it their medians.
-    let names: Vec<&str> = gates.iter().map(|g| g.name).collect();
-    let base = baselines(&doc, &names).unwrap_or_else(|e| die(format!("{baseline_path}: {e}")));
+    // Values are kept only from now on (the check above freed what it
+    // allocated): allocating before the rounds moves the heap layout the
+    // codec benches run in, and with it their medians.
+    let base = baselines(&doc, &names()).unwrap_or_else(|e| die(format!("{baseline_path}: {e}")));
     let mut table = String::from(
         "| bench | baseline µs | current µs | Δ | status |\n|---|---:|---:|---:|---|\n",
     );

@@ -3,10 +3,10 @@
 //! This is where the effect-style subsystem APIs meet the event queue.
 //! The invariants the loop maintains:
 //!
-//! * **One outstanding disk event per node.** The kernel/driver pair only
-//!   reports a completion deadline when the drive goes idle → busy; every
-//!   `Some(deadline)` is scheduled exactly once, and each completion either
-//!   reports the next deadline or the drive is idle.
+//! * **One outstanding disk event per node.** The kernel alone notes when
+//!   its drive goes idle → busy (or a completion dispatches the next
+//!   request); after every kernel call the loop takes that deadline once,
+//!   in `schedule_disk`, and schedules it.
 //! * **One thread of control.** Process bodies are futures the loop polls
 //!   on its own thread, from `resume()` to the next yield, so identical
 //!   seeds give bit-identical traces.
@@ -486,7 +486,7 @@ impl Beowulf {
         self.booted = true;
         let now = self.engine.now();
         for n in 0..self.cfg.nodes {
-            self.schedule_kernel_events(n, now);
+            self.schedule_daemons(n, now);
         }
         for crash in self.cfg.faults.crashes.clone() {
             if crash.node < self.cfg.nodes {
@@ -498,20 +498,13 @@ impl Beowulf {
             .schedule_in(self.cfg.drain_every_us, Event::DrainTraces);
     }
 
-    /// (Re)schedule a node's daemon timers and any pending disk deadline —
-    /// at boot and again after a restart.
-    fn schedule_kernel_events(&mut self, node: u8, now: SimTime) {
+    /// (Re)schedule a node's daemon timers — at boot and again after a
+    /// restart.
+    fn schedule_daemons(&mut self, node: u8, now: SimTime) {
         let epoch = self.nodes[node as usize].epoch;
-        for (at, ev) in self.nodes[node as usize].kernel.boot_deadlines(now) {
-            match ev {
-                essio_kernel::KernelEvent::Daemon(kind) => {
-                    self.engine
-                        .schedule_at(at, Event::Daemon { node, kind, epoch });
-                }
-                essio_kernel::KernelEvent::DiskComplete => {
-                    self.engine.schedule_at(at, Event::Disk { node, epoch });
-                }
-            }
+        for (at, kind) in self.nodes[node as usize].kernel.boot_deadlines(now) {
+            self.engine
+                .schedule_at(at, Event::Daemon { node, kind, epoch });
         }
     }
 
@@ -712,9 +705,12 @@ impl Beowulf {
         );
     }
 
-    fn schedule_disk(&mut self, node: u8, deadline: Option<SimTime>) {
-        if let Some(at) = deadline {
-            let epoch = self.nodes[node as usize].epoch;
+    /// Schedule the completion of the request the node's last kernel call
+    /// started, if it started the drive.
+    fn schedule_disk(&mut self, node: u8) {
+        let ns = &mut self.nodes[node as usize];
+        if let Some(at) = ns.kernel.take_disk_deadline() {
+            let epoch = ns.epoch;
             self.engine.schedule_at(at, Event::Disk { node, epoch });
         }
     }
@@ -736,8 +732,8 @@ impl Beowulf {
                 if !self.current(node, epoch) {
                     return; // the node died; its timers died with it
                 }
-                let (disk, next) = self.nodes[node as usize].kernel.daemon_tick(now, kind);
-                self.schedule_disk(node, disk);
+                let next = self.nodes[node as usize].kernel.daemon_tick(now, kind);
+                self.schedule_disk(node);
                 self.engine
                     .schedule_at(next, Event::Daemon { node, kind, epoch });
             }
@@ -745,8 +741,8 @@ impl Beowulf {
                 if !self.current(node, epoch) {
                     return; // in-flight request lost with the node
                 }
-                let (wakes, next) = self.nodes[node as usize].kernel.disk_complete(now);
-                self.schedule_disk(node, next);
+                let wakes = self.nodes[node as usize].kernel.disk_complete(now);
+                self.schedule_disk(node);
                 for (pid, wake) in wakes {
                     self.handle_wake(now, node, pid, wake);
                 }
@@ -857,7 +853,7 @@ impl Beowulf {
         }
         ns.alive = true;
         ns.restarted = true;
-        self.schedule_kernel_events(node, now);
+        self.schedule_daemons(node, now);
         self.last_activity = now;
     }
 
@@ -883,8 +879,8 @@ impl Beowulf {
     fn process_msg(&mut self, now: SimTime, node: u8, pid: Pid, mut msg: ProcMsg<AppCall>) {
         // Touches first, in program order.
         let touches = msg.take_touches();
-        let (outcome, disk) = self.nodes[node as usize].kernel.touches(now, pid, touches);
-        self.schedule_disk(node, disk);
+        let outcome = self.nodes[node as usize].kernel.touches(now, pid, touches);
+        self.schedule_disk(node);
         match outcome {
             TouchOutcome::Done { cpu_us } => self.carry_out(now, cpu_us, node, pid, msg),
             TouchOutcome::Blocked => {
@@ -910,8 +906,8 @@ impl Beowulf {
     fn dispatch_call(&mut self, now: SimTime, node: u8, pid: Pid, call: AppCall) {
         match call {
             AppCall::Sys(sys) => {
-                let (outcome, disk) = self.nodes[node as usize].kernel.syscall(now, pid, sys);
-                self.schedule_disk(node, disk);
+                let outcome = self.nodes[node as usize].kernel.syscall(now, pid, sys);
+                self.schedule_disk(node);
                 match outcome {
                     Outcome::Done { result, cpu_us } => {
                         self.engine.schedule_at(

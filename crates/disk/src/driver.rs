@@ -154,11 +154,6 @@ impl IdeDriver {
         self.faults = faults;
     }
 
-    /// The installed fault oracle, if any.
-    pub fn faults(&self) -> Option<&DiskFaultState> {
-        self.faults.as_ref()
-    }
-
     /// Power failure: the in-flight command and every queued request vanish
     /// (no completions will be delivered); buffered trace records are lost
     /// with the node's RAM. Returns the number of trace records discarded.
@@ -169,11 +164,6 @@ impl IdeDriver {
         let lost = self.trace.len() as u64;
         self.trace.drain(usize::MAX);
         lost
-    }
-
-    /// Current instrumentation level.
-    pub fn instrumentation(&self) -> InstrumentationLevel {
-        self.trace.level()
     }
 
     /// Whether a request is in flight.
@@ -189,11 +179,6 @@ impl IdeDriver {
     /// Lifetime statistics.
     pub fn stats(&self) -> &DriverStats {
         &self.stats
-    }
-
-    /// Merge count from the scheduler.
-    pub fn merges(&self) -> u64 {
-        self.queue.merges()
     }
 
     /// Drain up to `max` trace records (the proc-fs read).

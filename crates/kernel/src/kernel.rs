@@ -7,16 +7,18 @@
 //! * Process verbs arrive via [`Kernel::syscall`] and [`Kernel::touches`].
 //!   Either completes immediately (`Done`, with a CPU cost the caller bills
 //!   to virtual time) or parks the process (`Blocked`).
-//! * Any call may start the disk: when the returned `Option<SimTime>` is
-//!   `Some(t)`, the caller must schedule [`KernelEvent::DiskComplete`] at
-//!   `t`. At most one completion is ever outstanding per node (one drive,
-//!   one in-flight request).
+//! * Any call may start the disk. The kernel alone notes when its one drive
+//!   goes idle → busy; after every call the caller asks
+//!   [`Kernel::take_disk_deadline`] and, on `Some(t)`, schedules
+//!   [`Kernel::disk_complete`] at `t`. At most one completion is ever
+//!   outstanding per node (one drive, one in-flight request).
 //! * [`Kernel::disk_complete`] retires the in-flight request, unparks any
-//!   processes whose last awaited transfer finished, resumes parked touch
-//!   streams (which may block again), and reports the next completion time
-//!   if the driver dispatched more work.
-//! * Daemons run off [`KernelEvent::Daemon`] ticks; each tick returns the
-//!   next tick time, self-scheduling forever.
+//!   processes whose last awaited transfer finished, and resumes parked
+//!   touch streams (which may block again). If the driver dispatched more
+//!   work, its deadline is the next one to take.
+//! * Daemons run off the ticks [`Kernel::boot_deadlines`] seeds; each
+//!   [`Kernel::daemon_tick`] returns the next tick time, self-scheduling
+//!   forever.
 
 use std::collections::HashMap;
 
@@ -31,15 +33,6 @@ use crate::fs::{BlockNo, Fs, SECTORS_PER_BLOCK};
 use crate::readahead::ReadAhead;
 use crate::syscall::{Fd, Ino, Pid, Placement, SysError, SysResult, Syscall};
 use crate::vm::{FaultIo, TouchResult, Vm, PAGE_BYTES, SECTORS_PER_PAGE};
-
-/// Events the world loop schedules on the kernel's behalf.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum KernelEvent {
-    /// The in-flight disk request finishes.
-    DiskComplete,
-    /// A daemon's periodic tick.
-    Daemon(DaemonKind),
-}
 
 /// Result of a syscall entry.
 #[derive(Debug)]
@@ -174,13 +167,6 @@ struct Proc {
     wait: Option<Wait>,
 }
 
-#[derive(Debug)]
-struct TokenInfo {
-    /// Blocks to mark resident-clean in the cache when the transfer lands.
-    fill_blocks: Vec<BlockNo>,
-    waiter: Option<Pid>,
-}
-
 /// A failed physical request being retried: the fresh driver token maps back
 /// to every original logical token it stands in for. The originals stay in
 /// `tokens` (their waiters stay blocked) until a retry finally succeeds.
@@ -219,10 +205,14 @@ pub struct Kernel {
     driver: IdeDriver,
     rng: SimRng,
     procs: HashMap<Pid, Proc>,
-    tokens: HashMap<u64, TokenInfo>,
+    /// In-flight logical requests: token → the process waiting on it.
+    tokens: HashMap<u64, Option<Pid>>,
     retries: HashMap<u64, RetryGroup>,
     retry_stats: RetryStats,
     next_token: u64,
+    /// Completion time of the request that last started the drive, until
+    /// the world loop takes it.
+    disk_due: Option<SimTime>,
     syslog_ino: Ino,
     ktable_ino: Ino,
     spool_ino: Ino,
@@ -268,6 +258,7 @@ impl Kernel {
             retries: HashMap::new(),
             retry_stats: RetryStats::default(),
             next_token: 0,
+            disk_due: None,
             syslog_ino,
             ktable_ino,
             spool_ino,
@@ -323,6 +314,7 @@ impl Kernel {
         self.cache.stats = stats;
         self.tokens.clear();
         self.retries.clear();
+        self.disk_due = None;
         for proc in self.procs.values_mut() {
             proc.wait = None;
         }
@@ -383,31 +375,47 @@ impl Kernel {
         self.vm.release(pid);
         self.procs.remove(&pid);
         // Orphan any in-flight tokens pointing at it.
-        for t in self.tokens.values_mut() {
-            if t.waiter == Some(pid) {
-                t.waiter = None;
+        for waiter in self.tokens.values_mut() {
+            if *waiter == Some(pid) {
+                *waiter = None;
             }
         }
     }
 
     /// Initial daemon schedule; call once at boot.
-    pub fn boot_deadlines(&mut self, now: SimTime) -> Vec<(SimTime, KernelEvent)> {
+    pub fn boot_deadlines(&mut self, now: SimTime) -> Vec<(SimTime, DaemonKind)> {
         DaemonKind::ALL
             .iter()
-            .map(|k| {
-                (
-                    self.cfg.daemons.next_tick(*k, now, &mut self.rng),
-                    KernelEvent::Daemon(*k),
-                )
-            })
+            .map(|&k| (self.cfg.daemons.next_tick(k, now, &mut self.rng), k))
             .collect()
+    }
+
+    /// When the last call started the idle drive, the time its request
+    /// completes: the caller schedules [`Kernel::disk_complete`] then. Each
+    /// start is handed out once; `None` otherwise.
+    pub fn take_disk_deadline(&mut self) -> Option<SimTime> {
+        self.disk_due.take()
     }
 
     // ------------------------------------------------------------------
     // Request submission plumbing
     // ------------------------------------------------------------------
 
-    #[allow(clippy::too_many_arguments)]
+    /// Note that a freshly dispatched request occupies the drive until `at`.
+    fn busy_until(&mut self, at: SimTime) {
+        debug_assert!(self.disk_due.is_none(), "two outstanding disk deadlines");
+        self.disk_due = Some(at);
+    }
+
+    /// Hand one physical request to the driver: the only place the drive
+    /// starts outside a completion.
+    fn start(&mut self, now: SimTime, req: BlockRequest) {
+        match self.driver.submit(now, req) {
+            SubmitOutcome::Dispatched { completes_at } => self.busy_until(completes_at),
+            SubmitOutcome::Queued | SubmitOutcome::Merged => {}
+        }
+    }
+
     fn submit(
         &mut self,
         now: SimTime,
@@ -415,18 +423,11 @@ impl Kernel {
         nsectors: u16,
         op: Op,
         origin: Origin,
-        fill_blocks: Vec<BlockNo>,
         waiter: Option<Pid>,
-    ) -> Option<SimTime> {
+    ) {
         let token = self.next_token;
         self.next_token += 1;
-        self.tokens.insert(
-            token,
-            TokenInfo {
-                fill_blocks,
-                waiter,
-            },
-        );
+        self.tokens.insert(token, waiter);
         if let Some(pid) = waiter {
             let proc = self.procs.get_mut(&pid).expect("waiter registered");
             proc.wait
@@ -434,7 +435,7 @@ impl Kernel {
                 .expect("wait created before submit")
                 .outstanding += 1;
         }
-        match self.driver.submit(
+        self.start(
             now,
             BlockRequest {
                 sector,
@@ -444,10 +445,7 @@ impl Kernel {
                 token,
                 relocated: false,
             },
-        ) {
-            SubmitOutcome::Dispatched { completes_at } => Some(completes_at),
-            SubmitOutcome::Queued | SubmitOutcome::Merged => None,
-        }
+        );
     }
 
     /// Group blocks into physically contiguous runs.
@@ -472,6 +470,7 @@ impl Kernel {
         out
     }
 
+    /// One request per contiguous run of `blocks`.
     fn submit_block_runs(
         &mut self,
         now: SimTime,
@@ -479,61 +478,56 @@ impl Kernel {
         op: Op,
         origin: Origin,
         waiter: Option<Pid>,
-        fill: bool,
-    ) -> (u32, Option<SimTime>) {
-        let mut deadline = None;
-        let mut issued = 0;
+    ) {
         for (start, len) in Self::runs(blocks) {
-            let fill_blocks = if fill {
-                (start..start + len as u32).collect()
-            } else {
-                Vec::new()
-            };
-            let d = self.submit(
+            let (sector, nsectors) = (start * SECTORS_PER_BLOCK, len * SECTORS_PER_BLOCK as u16);
+            self.submit(now, sector, nsectors, op, origin, waiter);
+        }
+    }
+
+    /// Write `blocks` back one block per request, in order.
+    fn flush_blocks(&mut self, now: SimTime, blocks: &[(BlockNo, Origin)], waiter: Option<Pid>) {
+        self.obs.writeback_blocks(blocks.len() as u64);
+        for &(b, origin) in blocks {
+            let sector = b * SECTORS_PER_BLOCK;
+            self.submit(
                 now,
-                start * SECTORS_PER_BLOCK,
-                len * SECTORS_PER_BLOCK as u16,
-                op,
+                sector,
+                SECTORS_PER_BLOCK as u16,
+                Op::Write,
                 origin,
-                fill_blocks,
                 waiter,
             );
-            deadline = deadline.or(d);
-            issued += 1;
         }
-        (issued, deadline)
     }
 
     /// Write back evicted dirty blocks (asynchronous, nobody waits).
-    fn writeback(&mut self, now: SimTime, blocks: &[(BlockNo, Origin)]) -> Option<SimTime> {
+    fn writeback(&mut self, now: SimTime, blocks: &[(BlockNo, Origin)]) {
         if blocks.is_empty() {
-            return None;
+            return;
         }
         let scope = self.obs.begin(now, SpanKind::Writeback, None);
-        self.obs.writeback_blocks(blocks.len() as u64);
-        let mut deadline = None;
-        for (b, origin) in blocks {
-            let d = self.submit(
-                now,
-                *b * SECTORS_PER_BLOCK,
-                SECTORS_PER_BLOCK as u16,
-                Op::Write,
-                *origin,
-                Vec::new(),
-                None,
-            );
-            deadline = deadline.or(d);
-        }
+        self.flush_blocks(now, blocks, None);
         self.obs.finish(now, scope);
-        deadline
+    }
+
+    /// Cache `b` clean (it is being fetched), writing back what it evicts.
+    fn fill(&mut self, now: SimTime, b: BlockNo, origin: Origin) {
+        let wb = self.cache.insert_clean(b, origin);
+        self.writeback(now, &wb);
+    }
+
+    /// Dirty `b` in the cache, writing back what it evicts.
+    fn dirty(&mut self, now: SimTime, b: BlockNo, origin: Origin) {
+        let wb = self.cache.mark_dirty(b, origin);
+        self.writeback(now, &wb);
     }
 
     // ------------------------------------------------------------------
     // Internal file helpers (used by syscalls and daemons)
     // ------------------------------------------------------------------
 
-    /// Dirty the blocks of a write in the cache; returns a disk deadline if
-    /// an eviction write-back started the drive.
+    /// Dirty the blocks of a write in the cache.
     fn apply_write(
         &mut self,
         now: SimTime,
@@ -541,31 +535,26 @@ impl Kernel {
         offset: u64,
         data: &[u8],
         origin: Origin,
-    ) -> Result<Option<SimTime>, SysError> {
+    ) -> Result<(), SysError> {
         let outcome = self.fs.write_at(ino, offset, data)?;
-        let mut deadline = None;
         for b in outcome.data_blocks {
-            let wb = self.cache.mark_dirty(b, origin);
-            deadline = deadline.or(self.writeback(now, &wb));
+            self.dirty(now, b, origin);
         }
         for b in outcome.meta_blocks {
-            let wb = self.cache.mark_dirty(b, Origin::Metadata);
-            deadline = deadline.or(self.writeback(now, &wb));
+            self.dirty(now, b, Origin::Metadata);
         }
-        Ok(deadline)
+        Ok(())
     }
 
     /// Append to the syslog file (syslogd and `LogMsg`).
-    fn append_log(&mut self, now: SimTime, len: u32) -> Option<SimTime> {
+    fn append_log(&mut self, now: SimTime, len: u32) {
         let scope = self.obs.begin(now, SpanKind::Log, None);
         let line = vec![b'#'; len as usize];
         let off = self.log_offset;
         self.log_offset += len as u64;
-        let d = self
-            .apply_write(now, self.syslog_ino, off, &line, Origin::Log)
+        self.apply_write(now, self.syslog_ino, off, &line, Origin::Log)
             .expect("log region has space");
         self.obs.finish(now, scope);
-        d
     }
 
     /// Multiprogramming level (for the read-ahead boost): how many user
@@ -576,17 +565,50 @@ impl Kernel {
         self.procs.len()
     }
 
+    /// The inode behind `pid`'s descriptor `fd`.
+    fn open_file(&self, pid: Pid, fd: Fd) -> Result<Ino, SysError> {
+        (self.procs.get(&pid).and_then(|p| p.fds.get(&fd)))
+            .map(|of| of.ino)
+            .ok_or(SysError::BadFd)
+    }
+
+    /// Give `pid` its next descriptor, open on `ino`.
+    fn new_fd(&mut self, pid: Pid, ino: Ino) -> Fd {
+        let proc = self.procs.get_mut(&pid).expect("registered");
+        let fd = proc.next_fd;
+        proc.next_fd += 1;
+        let ra = ReadAhead::new();
+        proc.fds.insert(fd, OpenFile { ino, ra });
+        fd
+    }
+
+    /// Park `pid` until every request submitted for it from now on lands.
+    fn park(&mut self, pid: Pid, kind: WaitKind) {
+        let wait = Wait {
+            outstanding: 0,
+            kind,
+        };
+        self.procs.get_mut(&pid).expect("registered").wait = Some(wait);
+    }
+
+    /// A synchronous result that cost only the syscall entry.
+    fn done(&self, result: SysResult) -> Outcome {
+        Outcome::Done {
+            result,
+            cpu_us: self.cfg.syscall_us,
+        }
+    }
+
     // ------------------------------------------------------------------
     // Syscalls
     // ------------------------------------------------------------------
 
-    /// Handle a syscall from `pid`. Returns the outcome plus a disk deadline
-    /// to schedule, if this call started the drive.
+    /// Handle a syscall from `pid`. An error costs the entry alone.
     ///
     /// I/O syscalls open a request span here, at the boundary; the span
     /// stays open past a `Blocked` return and closes when the last disk
     /// token it spawned completes (readahead tails included).
-    pub fn syscall(&mut self, now: SimTime, pid: Pid, call: Syscall) -> (Outcome, Option<SimTime>) {
+    pub fn syscall(&mut self, now: SimTime, pid: Pid, call: Syscall) -> Outcome {
         let kind = match &call {
             Syscall::Open { .. } => Some(SpanKind::Open),
             Syscall::ReadAt { .. } => Some(SpanKind::Read),
@@ -601,7 +623,10 @@ impl Kernel {
             Some(k) => self.obs.begin(now, k, Some(pid)),
             None => SpanScope::NONE,
         };
-        let out = self.syscall_inner(now, pid, call);
+        let out = match self.syscall_inner(now, pid, call) {
+            Ok(out) => out,
+            Err(e) => self.done(SysResult::Err(e)),
+        };
         self.obs.finish(now, scope);
         out
     }
@@ -611,9 +636,8 @@ impl Kernel {
         now: SimTime,
         pid: Pid,
         call: Syscall,
-    ) -> (Outcome, Option<SimTime>) {
+    ) -> Result<Outcome, SysError> {
         debug_assert!(self.procs.contains_key(&pid), "unregistered pid {pid}");
-        let base = self.cfg.syscall_us;
         match call {
             Syscall::Open {
                 path,
@@ -622,52 +646,15 @@ impl Kernel {
             } => {
                 let ino = match self.fs.lookup(&path) {
                     Some(ino) => ino,
-                    None if create => match self.fs.create(&path, placement) {
-                        Ok(ino) => {
-                            // Creating dirties the directory + inode table.
-                            let d = self.cache.mark_dirty(self.fs.dir_block(), Origin::Metadata);
-                            let mut deadline = self.writeback(now, &d);
-                            let d2 = self
-                                .cache
-                                .mark_dirty(self.fs.inode_block(ino), Origin::Metadata);
-                            deadline = deadline.or(self.writeback(now, &d2));
-                            let proc = self.procs.get_mut(&pid).expect("registered");
-                            let fd = proc.next_fd;
-                            proc.next_fd += 1;
-                            proc.fds.insert(
-                                fd,
-                                OpenFile {
-                                    ino,
-                                    ra: ReadAhead::new(),
-                                },
-                            );
-                            return (
-                                Outcome::Done {
-                                    result: SysResult::Fd(fd),
-                                    cpu_us: base,
-                                },
-                                deadline,
-                            );
-                        }
-                        Err(e) => {
-                            return (
-                                Outcome::Done {
-                                    result: SysResult::Err(e),
-                                    cpu_us: base,
-                                },
-                                None,
-                            )
-                        }
-                    },
-                    None => {
-                        return (
-                            Outcome::Done {
-                                result: SysResult::Err(SysError::NotFound),
-                                cpu_us: base,
-                            },
-                            None,
-                        )
+                    None if create => {
+                        let ino = self.fs.create(&path, placement)?;
+                        // Creating dirties the directory + inode table.
+                        self.dirty(now, self.fs.dir_block(), Origin::Metadata);
+                        self.dirty(now, self.fs.inode_block(ino), Origin::Metadata);
+                        let fd = self.new_fd(pid, ino);
+                        return Ok(self.done(SysResult::Fd(fd)));
                     }
+                    None => return Err(SysError::NotFound),
                 };
                 // Existing file: the lookup reads directory + inode blocks.
                 let meta = [self.fs.dir_block(), self.fs.inode_block(ino)];
@@ -678,127 +665,49 @@ impl Kernel {
                     .collect();
                 self.obs
                     .cache_access((meta.len() - misses.len()) as u32, misses.len() as u32);
-                for b in &misses {
-                    let wb = self.cache.insert_clean(*b, Origin::Metadata);
-                    // Evictions from metadata fill are rare; handle anyway.
-                    let _ = self.writeback(now, &wb);
+                for &b in &misses {
+                    self.fill(now, b, Origin::Metadata);
                 }
-                let proc = self.procs.get_mut(&pid).expect("registered");
-                let fd = proc.next_fd;
-                proc.next_fd += 1;
-                proc.fds.insert(
-                    fd,
-                    OpenFile {
-                        ino,
-                        ra: ReadAhead::new(),
-                    },
-                );
+                let fd = self.new_fd(pid, ino);
                 if misses.is_empty() {
-                    return (
-                        Outcome::Done {
-                            result: SysResult::Fd(fd),
-                            cpu_us: base,
-                        },
-                        None,
-                    );
+                    return Ok(self.done(SysResult::Fd(fd)));
                 }
-                let proc = self.procs.get_mut(&pid).expect("registered");
-                proc.wait = Some(Wait {
-                    outstanding: 0,
-                    kind: WaitKind::Syscall {
-                        result: SysResult::Fd(fd),
-                    },
-                });
-                let (_, deadline) = self.submit_block_runs(
-                    now,
-                    &misses,
-                    Op::Read,
-                    Origin::Metadata,
-                    Some(pid),
-                    false,
-                );
-                (Outcome::Blocked, deadline)
+                let result = SysResult::Fd(fd);
+                self.park(pid, WaitKind::Syscall { result });
+                self.submit_block_runs(now, &misses, Op::Read, Origin::Metadata, Some(pid));
+                Ok(Outcome::Blocked)
             }
 
             Syscall::Close { fd } => {
                 let proc = self.procs.get_mut(&pid).expect("registered");
-                let result = if proc.fds.remove(&fd).is_some() {
-                    SysResult::Unit
-                } else {
-                    SysResult::Err(SysError::BadFd)
-                };
-                (
-                    Outcome::Done {
-                        result,
-                        cpu_us: base,
-                    },
-                    None,
-                )
+                proc.fds.remove(&fd).ok_or(SysError::BadFd)?;
+                Ok(self.done(SysResult::Unit))
             }
 
             Syscall::ReadAt { fd, offset, len } => self.sys_read(now, pid, fd, offset, len),
 
             Syscall::WriteAt { fd, offset, data } => {
-                let Some(of) = self.procs.get(&pid).and_then(|p| p.fds.get(&fd)) else {
-                    return (
-                        Outcome::Done {
-                            result: SysResult::Err(SysError::BadFd),
-                            cpu_us: base,
-                        },
-                        None,
-                    );
-                };
-                let ino = of.ino;
+                let ino = self.open_file(pid, fd)?;
                 let origin = match self.fs.inode(ino).map(|i| i.placement) {
                     Some(Placement::Log) => Origin::Log,
                     _ => Origin::FileData,
                 };
-                let n = data.len() as u32;
-                let cpu = base + (data.len() as u64 * self.cfg.copy_us_per_kb) / 1024;
-                match self.apply_write(now, ino, offset, &data, origin) {
-                    Ok(deadline) => (
-                        Outcome::Done {
-                            result: SysResult::Written(n),
-                            cpu_us: cpu,
-                        },
-                        deadline,
-                    ),
-                    Err(e) => (
-                        Outcome::Done {
-                            result: SysResult::Err(e),
-                            cpu_us: base,
-                        },
-                        None,
-                    ),
-                }
+                self.apply_write(now, ino, offset, &data, origin)?;
+                Ok(Outcome::Done {
+                    result: SysResult::Written(data.len() as u32),
+                    cpu_us: self.cfg.syscall_us
+                        + (data.len() as u64 * self.cfg.copy_us_per_kb) / 1024,
+                })
             }
 
             Syscall::Append { fd, data } => {
-                let Some(of) = self.procs.get(&pid).and_then(|p| p.fds.get(&fd)) else {
-                    return (
-                        Outcome::Done {
-                            result: SysResult::Err(SysError::BadFd),
-                            cpu_us: base,
-                        },
-                        None,
-                    );
-                };
-                let ino = of.ino;
+                let ino = self.open_file(pid, fd)?;
                 let offset = self.fs.inode(ino).map(|i| i.size).unwrap_or(0);
-                self.syscall(now, pid, Syscall::WriteAt { fd, offset, data })
+                Ok(self.syscall(now, pid, Syscall::WriteAt { fd, offset, data }))
             }
 
             Syscall::Fsync { fd } => {
-                let Some(of) = self.procs.get(&pid).and_then(|p| p.fds.get(&fd)) else {
-                    return (
-                        Outcome::Done {
-                            result: SysResult::Err(SysError::BadFd),
-                            cpu_us: base,
-                        },
-                        None,
-                    );
-                };
-                let ino = of.ino;
+                let ino = self.open_file(pid, fd)?;
                 let mut blocks = self
                     .fs
                     .inode(ino)
@@ -807,161 +716,61 @@ impl Kernel {
                 blocks.push(self.fs.inode_block(ino));
                 let dirty = self.cache.take_dirty_among(&blocks);
                 if dirty.is_empty() {
-                    return (
-                        Outcome::Done {
-                            result: SysResult::Unit,
-                            cpu_us: base,
-                        },
-                        None,
-                    );
+                    return Ok(self.done(SysResult::Unit));
                 }
-                let proc = self.procs.get_mut(&pid).expect("registered");
-                proc.wait = Some(Wait {
-                    outstanding: 0,
-                    kind: WaitKind::Syscall {
-                        result: SysResult::Unit,
-                    },
-                });
+                let result = SysResult::Unit;
+                self.park(pid, WaitKind::Syscall { result });
                 let blocks: Vec<BlockNo> = dirty.iter().map(|(b, _)| *b).collect();
                 let origin = dirty.first().map(|(_, o)| *o).unwrap_or(Origin::FileData);
                 self.obs.writeback_blocks(blocks.len() as u64);
-                let (_, deadline) =
-                    self.submit_block_runs(now, &blocks, Op::Write, origin, Some(pid), false);
-                (Outcome::Blocked, deadline)
+                // Unlike `Sync`, one physical request per contiguous run.
+                self.submit_block_runs(now, &blocks, Op::Write, origin, Some(pid));
+                Ok(Outcome::Blocked)
             }
 
             Syscall::Sync => {
                 let dirty = self.cache.take_dirty();
                 if dirty.is_empty() {
-                    return (
-                        Outcome::Done {
-                            result: SysResult::Unit,
-                            cpu_us: base,
-                        },
-                        None,
-                    );
+                    return Ok(self.done(SysResult::Unit));
                 }
-                let proc = self.procs.get_mut(&pid).expect("registered");
-                proc.wait = Some(Wait {
-                    outstanding: 0,
-                    kind: WaitKind::Syscall {
-                        result: SysResult::Unit,
-                    },
-                });
-                self.obs.writeback_blocks(dirty.len() as u64);
-                let mut deadline = None;
-                for (b, origin) in dirty {
-                    let d = self.submit(
-                        now,
-                        b * SECTORS_PER_BLOCK,
-                        SECTORS_PER_BLOCK as u16,
-                        Op::Write,
-                        origin,
-                        Vec::new(),
-                        Some(pid),
-                    );
-                    deadline = deadline.or(d);
-                }
-                (Outcome::Blocked, deadline)
+                let result = SysResult::Unit;
+                self.park(pid, WaitKind::Syscall { result });
+                self.flush_blocks(now, &dirty, Some(pid));
+                Ok(Outcome::Blocked)
             }
 
             Syscall::Stat { path } => {
-                let result = match self.fs.lookup(&path) {
-                    Some(ino) => SysResult::Stat {
-                        size: self.fs.inode(ino).map(|i| i.size).unwrap_or(0),
-                    },
-                    None => SysResult::Err(SysError::NotFound),
-                };
-                (
-                    Outcome::Done {
-                        result,
-                        cpu_us: base,
-                    },
-                    None,
-                )
+                let ino = self.fs.lookup(&path).ok_or(SysError::NotFound)?;
+                let size = self.fs.inode(ino).map(|i| i.size).unwrap_or(0);
+                Ok(self.done(SysResult::Stat { size }))
             }
 
-            Syscall::Unlink { path } => match self.fs.unlink(&path) {
-                Ok(meta) => {
-                    let mut deadline = None;
-                    for b in meta {
-                        let wb = self.cache.mark_dirty(b, Origin::Metadata);
-                        deadline = deadline.or(self.writeback(now, &wb));
-                    }
-                    (
-                        Outcome::Done {
-                            result: SysResult::Unit,
-                            cpu_us: base,
-                        },
-                        deadline,
-                    )
+            Syscall::Unlink { path } => {
+                for b in self.fs.unlink(&path)? {
+                    self.dirty(now, b, Origin::Metadata);
                 }
-                Err(e) => (
-                    Outcome::Done {
-                        result: SysResult::Err(e),
-                        cpu_us: base,
-                    },
-                    None,
-                ),
-            },
+                Ok(self.done(SysResult::Unit))
+            }
 
             Syscall::MapAnon { pages } => {
                 if pages == 0 {
-                    return (
-                        Outcome::Done {
-                            result: SysResult::Err(SysError::Invalid),
-                            cpu_us: base,
-                        },
-                        None,
-                    );
+                    return Err(SysError::Invalid);
                 }
-                let basevpn = self.vm.map_anon(pid, pages);
-                (
-                    Outcome::Done {
-                        result: SysResult::Mapped {
-                            base: basevpn,
-                            pages,
-                        },
-                        cpu_us: base,
-                    },
-                    None,
-                )
+                let base = self.vm.map_anon(pid, pages);
+                Ok(self.done(SysResult::Mapped { base, pages }))
             }
 
             Syscall::MapText { path } => {
-                let Some(ino) = self.fs.lookup(&path) else {
-                    return (
-                        Outcome::Done {
-                            result: SysResult::Err(SysError::NotFound),
-                            cpu_us: base,
-                        },
-                        None,
-                    );
-                };
+                let ino = self.fs.lookup(&path).ok_or(SysError::NotFound)?;
                 let size = self.fs.inode(ino).map(|i| i.size).unwrap_or(0);
                 let pages = (size as u32).div_ceil(PAGE_BYTES).max(1);
-                let basevpn = self.vm.map_text(pid, ino, pages);
-                (
-                    Outcome::Done {
-                        result: SysResult::Mapped {
-                            base: basevpn,
-                            pages,
-                        },
-                        cpu_us: base,
-                    },
-                    None,
-                )
+                let base = self.vm.map_text(pid, ino, pages);
+                Ok(self.done(SysResult::Mapped { base, pages }))
             }
 
             Syscall::LogMsg { len } => {
-                let deadline = self.append_log(now, len.clamp(1, 4096));
-                (
-                    Outcome::Done {
-                        result: SysResult::Unit,
-                        cpu_us: base,
-                    },
-                    deadline,
-                )
+                self.append_log(now, len.clamp(1, 4096));
+                Ok(self.done(SysResult::Unit))
             }
         }
     }
@@ -973,31 +782,10 @@ impl Kernel {
         fd: Fd,
         offset: u64,
         len: u32,
-    ) -> (Outcome, Option<SimTime>) {
-        let base = self.cfg.syscall_us;
-        let Some(of) = self.procs.get(&pid).and_then(|p| p.fds.get(&fd)) else {
-            return (
-                Outcome::Done {
-                    result: SysResult::Err(SysError::BadFd),
-                    cpu_us: base,
-                },
-                None,
-            );
-        };
-        let ino = of.ino;
-        let plan = match self.fs.read_plan(ino, offset, len) {
-            Ok(p) => p,
-            Err(e) => {
-                return (
-                    Outcome::Done {
-                        result: SysResult::Err(e),
-                        cpu_us: base,
-                    },
-                    None,
-                )
-            }
-        };
-        let cpu = base + (plan.data.len() as u64 * self.cfg.copy_us_per_kb) / 1024;
+    ) -> Result<Outcome, SysError> {
+        let ino = self.open_file(pid, fd)?;
+        let plan = self.fs.read_plan(ino, offset, len)?;
+        let cpu = self.cfg.syscall_us + (plan.data.len() as u64 * self.cfg.copy_us_per_kb) / 1024;
 
         // Read-ahead bookkeeping (before cache checks, like the real path).
         let cap = if self.cfg.readahead {
@@ -1033,8 +821,7 @@ impl Kernel {
             if !self.cache.touch(ind) {
                 self.obs.cache_access(0, 1);
                 meta_misses.push(ind);
-                let wb = self.cache.insert_clean(ind, Origin::Metadata);
-                let _ = self.writeback(now, &wb);
+                self.fill(now, ind, Origin::Metadata);
             } else {
                 self.obs.cache_access(1, 0);
             }
@@ -1048,65 +835,33 @@ impl Kernel {
             self.obs.readahead(ra_window, ra_misses.len() as u32);
         }
 
-        let mut deadline = None;
         // Fill cache entries for everything being fetched.
-        for b in misses.iter().chain(ra_misses.iter()) {
-            let wb = self.cache.insert_clean(*b, Origin::FileData);
-            deadline = deadline.or(self.writeback(now, &wb));
+        for &b in misses.iter().chain(ra_misses.iter()) {
+            self.fill(now, b, Origin::FileData);
         }
 
         if misses.is_empty() && meta_misses.is_empty() {
-            // Pure cache hit; read-ahead may still go to disk (async).
-            if !ra_misses.is_empty() {
-                // Demand block contiguous with read-ahead? Submit as one
-                // run starting from the RA blocks only (demand was cached).
-                let (_, d) = self.submit_block_runs(
-                    now,
-                    &ra_misses,
-                    Op::Read,
-                    Origin::FileData,
-                    None,
-                    false,
-                );
-                deadline = deadline.or(d);
-            }
-            return (
-                Outcome::Done {
-                    result: SysResult::Data(plan.data),
-                    cpu_us: cpu,
-                },
-                deadline,
-            );
+            // Pure cache hit; read-ahead may still go to disk (async), as
+            // runs of the RA blocks only (demand was cached).
+            self.submit_block_runs(now, &ra_misses, Op::Read, Origin::FileData, None);
+            return Ok(Outcome::Done {
+                result: SysResult::Data(plan.data),
+                cpu_us: cpu,
+            });
         }
 
         // Blocking path: demand + read-ahead fetched together — contiguous
         // runs spanning both become single large physical requests (the
         // "cache-fill" transfers of Figures 3/5).
-        self.procs.get_mut(&pid).expect("registered").wait = Some(Wait {
-            outstanding: 0,
-            kind: WaitKind::Syscall {
-                result: SysResult::Data(plan.data),
-            },
-        });
+        let result = SysResult::Data(plan.data);
+        self.park(pid, WaitKind::Syscall { result });
         let mut fetch: Vec<BlockNo> = misses;
         fetch.extend_from_slice(&ra_misses);
         fetch.sort_unstable();
         fetch.dedup();
-        let (_, d) =
-            self.submit_block_runs(now, &fetch, Op::Read, Origin::FileData, Some(pid), false);
-        deadline = deadline.or(d);
-        if !meta_misses.is_empty() {
-            let (_, d2) = self.submit_block_runs(
-                now,
-                &meta_misses,
-                Op::Read,
-                Origin::Metadata,
-                Some(pid),
-                false,
-            );
-            deadline = deadline.or(d2);
-        }
-        (Outcome::Blocked, deadline)
+        self.submit_block_runs(now, &fetch, Op::Read, Origin::FileData, Some(pid));
+        self.submit_block_runs(now, &meta_misses, Op::Read, Origin::Metadata, Some(pid));
+        Ok(Outcome::Blocked)
     }
 
     // ------------------------------------------------------------------
@@ -1114,12 +869,7 @@ impl Kernel {
     // ------------------------------------------------------------------
 
     /// Feed a batch of page touches from `pid`.
-    pub fn touches(
-        &mut self,
-        now: SimTime,
-        pid: Pid,
-        touches: Vec<Vpn>,
-    ) -> (TouchOutcome, Option<SimTime>) {
+    pub fn touches(&mut self, now: SimTime, pid: Pid, touches: Vec<Vpn>) -> TouchOutcome {
         self.drive_touches(now, pid, touches, 0, 0)
     }
 
@@ -1131,17 +881,14 @@ impl Kernel {
         touches: Vec<Vpn>,
         mut next: usize,
         mut cpu_us: u64,
-    ) -> (TouchOutcome, Option<SimTime>) {
-        let mut deadline = None;
+    ) -> TouchOutcome {
         while let Some(&vpn) = touches.get(next) {
             next += 1;
             let (io, swap_outs) = match self.vm.touch(pid, vpn) {
                 TouchResult::Hit => continue,
-                TouchResult::BadAddress => {
-                    return (TouchOutcome::Fatal("segmentation fault"), deadline)
-                }
+                TouchResult::BadAddress => return TouchOutcome::Fatal("segmentation fault"),
                 TouchResult::OutOfMemory => {
-                    return (TouchOutcome::Fatal("out of memory (swap full)"), deadline)
+                    return TouchOutcome::Fatal("out of memory (swap full)")
                 }
                 TouchResult::Fault { io, swap_outs } => (io, swap_outs),
             };
@@ -1150,16 +897,8 @@ impl Kernel {
                 let scope = self.obs.begin(now, SpanKind::SwapOut, Some(pid));
                 for slot in swap_outs {
                     let sector = self.vm.slot_sector(slot);
-                    let d = self.submit(
-                        now,
-                        sector,
-                        SECTORS_PER_PAGE as u16,
-                        Op::Write,
-                        Origin::SwapOut,
-                        Vec::new(),
-                        None,
-                    );
-                    deadline = deadline.or(d);
+                    let nsectors = SECTORS_PER_PAGE as u16;
+                    self.submit(now, sector, nsectors, Op::Write, Origin::SwapOut, None);
                 }
                 self.obs.finish(now, scope);
             }
@@ -1174,41 +913,36 @@ impl Kernel {
                     (block * SECTORS_PER_BLOCK, SpanKind::PageIn, Origin::PageIn)
                 }
             };
-            self.procs.get_mut(&pid).expect("registered").wait = Some(Wait {
-                outstanding: 0,
-                kind: WaitKind::Touches {
-                    touches,
-                    next,
-                    cpu_us,
-                },
-            });
+            let kind = WaitKind::Touches {
+                touches,
+                next,
+                cpu_us,
+            };
+            self.park(pid, kind);
             let scope = self.obs.begin(now, span, Some(pid));
-            let d = self.submit(
-                now,
-                sector,
-                SECTORS_PER_PAGE as u16,
-                Op::Read,
-                origin,
-                Vec::new(),
-                Some(pid),
-            );
+            let nsectors = SECTORS_PER_PAGE as u16;
+            self.submit(now, sector, nsectors, Op::Read, origin, Some(pid));
             self.obs.finish(now, scope);
-            return (TouchOutcome::Blocked, deadline.or(d));
+            return TouchOutcome::Blocked;
         }
-        (TouchOutcome::Done { cpu_us }, deadline)
+        TouchOutcome::Done { cpu_us }
     }
 
     // ------------------------------------------------------------------
     // Disk completions
     // ------------------------------------------------------------------
 
-    /// Retire the in-flight request. Returns processes to wake and the next
-    /// completion deadline if the drive picked up more work.
-    pub fn disk_complete(&mut self, now: SimTime) -> (Vec<(Pid, WakeKind)>, Option<SimTime>) {
-        let (completion, mut deadline) = self.driver.on_complete(now);
+    /// Retire the in-flight request (whose deadline was taken). Returns the
+    /// processes to wake; the next deadline, if the drive picked up more
+    /// work, waits in [`Kernel::take_disk_deadline`].
+    pub fn disk_complete(&mut self, now: SimTime) -> Vec<(Pid, WakeKind)> {
+        let (completion, next) = self.driver.on_complete(now);
+        if let Some(at) = next {
+            self.busy_until(at);
+        }
         if completion.failed {
-            let d = self.retry_failed(now, &completion);
-            return (Vec::new(), deadline.or(d));
+            self.retry_failed(now, &completion);
+            return Vec::new();
         }
         // Expand retry-group tokens back to the original logical tokens
         // they stood in for before fanning out.
@@ -1222,14 +956,9 @@ impl Kernel {
         }
         let mut wakes = Vec::new();
         for token in tokens {
-            let Some(info) = self.tokens.remove(&token) else {
+            let Some(Some(pid)) = self.tokens.remove(&token) else {
                 continue;
             };
-            for b in info.fill_blocks {
-                let wb = self.cache.insert_clean(b, Origin::FileData);
-                deadline = deadline.or(self.writeback(now, &wb));
-            }
-            let Some(pid) = info.waiter else { continue };
             let Some(proc) = self.procs.get_mut(&pid) else {
                 continue;
             };
@@ -1249,20 +978,16 @@ impl Kernel {
                     touches,
                     next,
                     cpu_us,
-                } => {
-                    let (outcome, d) = self.drive_touches(now, pid, touches, next, cpu_us);
-                    deadline = deadline.or(d);
-                    match outcome {
-                        TouchOutcome::Done { cpu_us } => {
-                            wakes.push((pid, WakeKind::TouchDone { cpu_us }))
-                        }
-                        TouchOutcome::Blocked => {}
-                        TouchOutcome::Fatal(m) => wakes.push((pid, WakeKind::Fatal(m))),
+                } => match self.drive_touches(now, pid, touches, next, cpu_us) {
+                    TouchOutcome::Done { cpu_us } => {
+                        wakes.push((pid, WakeKind::TouchDone { cpu_us }))
                     }
-                }
+                    TouchOutcome::Blocked => {}
+                    TouchOutcome::Fatal(m) => wakes.push((pid, WakeKind::Fatal(m))),
+                },
             }
         }
-        (wakes, deadline)
+        wakes
     }
 
     /// Resubmit a failed physical request. Bounded recovery: up to
@@ -1272,7 +997,7 @@ impl Kernel {
     /// physical request — exactly what the instrumented driver would have
     /// recorded on hardware. The original logical tokens stay pending (and
     /// their waiters blocked) until a retry succeeds.
-    fn retry_failed(&mut self, now: SimTime, completion: &Completion) -> Option<SimTime> {
+    fn retry_failed(&mut self, now: SimTime, completion: &Completion) {
         let mut originals = Vec::new();
         let mut attempts = 0u32;
         for t in &completion.tokens {
@@ -1305,7 +1030,7 @@ impl Kernel {
                 attempts,
             },
         );
-        match self.driver.submit(
+        self.start(
             now,
             BlockRequest {
                 sector: completion.sector,
@@ -1315,45 +1040,28 @@ impl Kernel {
                 token,
                 relocated,
             },
-        ) {
-            SubmitOutcome::Dispatched { completes_at } => Some(completes_at),
-            SubmitOutcome::Queued | SubmitOutcome::Merged => None,
-        }
+        );
     }
 
     // ------------------------------------------------------------------
     // Daemons
     // ------------------------------------------------------------------
 
-    /// Run one daemon tick. Returns a disk deadline (if the tick started the
-    /// drive) and the absolute time of the daemon's next tick.
-    pub fn daemon_tick(&mut self, now: SimTime, kind: DaemonKind) -> (Option<SimTime>, SimTime) {
-        let deadline = match kind {
+    /// Run one daemon tick. Returns the absolute time of the daemon's next
+    /// tick.
+    pub fn daemon_tick(&mut self, now: SimTime, kind: DaemonKind) -> SimTime {
+        match kind {
             DaemonKind::Update => {
                 let dirty = self.cache.take_dirty();
-                let mut deadline = None;
                 if !dirty.is_empty() {
                     let scope = self.obs.begin(now, SpanKind::DaemonFlush, None);
-                    self.obs.writeback_blocks(dirty.len() as u64);
-                    for (b, origin) in dirty {
-                        let d = self.submit(
-                            now,
-                            b * SECTORS_PER_BLOCK,
-                            SECTORS_PER_BLOCK as u16,
-                            Op::Write,
-                            origin,
-                            Vec::new(),
-                            None,
-                        );
-                        deadline = deadline.or(d);
-                    }
+                    self.flush_blocks(now, &dirty, None);
                     self.obs.finish(now, scope);
                 }
-                deadline
             }
             DaemonKind::Syslog => {
                 let len = self.cfg.daemons.syslog_line_len(&mut self.rng);
-                self.append_log(now, len)
+                self.append_log(now, len);
             }
             DaemonKind::KTable => {
                 // Rotating fixed-size table: overwrites in place, so it
@@ -1362,29 +1070,23 @@ impl Kernel {
                 let off = self.ktable_offset;
                 self.ktable_offset = (self.ktable_offset + rec.len() as u64) % (64 * 1024);
                 self.apply_write(now, self.ktable_ino, off, &rec, Origin::Log)
-                    .expect("table region has space")
+                    .expect("table region has space");
             }
-            DaemonKind::TraceSpool => {
-                if !self.cfg.spool_trace {
-                    None
-                } else {
-                    let total = self.driver.stats().dispatched;
-                    let new = total.saturating_sub(self.spooled_records);
-                    self.spooled_records = total;
-                    if new == 0 {
-                        None
-                    } else {
-                        let bytes = new * essio_trace::codec::RECORD_BYTES as u64;
-                        let off = self.fs.inode(self.spool_ino).map(|i| i.size).unwrap_or(0);
-                        let data = vec![0x55u8; bytes as usize];
-                        self.apply_write(now, self.spool_ino, off, &data, Origin::TraceDump)
-                            .expect("spool region has space")
-                    }
+            DaemonKind::TraceSpool if self.cfg.spool_trace => {
+                let total = self.driver.stats().dispatched;
+                let new = total.saturating_sub(self.spooled_records);
+                self.spooled_records = total;
+                if new > 0 {
+                    let bytes = new * essio_trace::codec::RECORD_BYTES as u64;
+                    let off = self.fs.inode(self.spool_ino).map(|i| i.size).unwrap_or(0);
+                    let data = vec![0x55u8; bytes as usize];
+                    self.apply_write(now, self.spool_ino, off, &data, Origin::TraceDump)
+                        .expect("spool region has space");
                 }
             }
-        };
-        let next = self.cfg.daemons.next_tick(kind, now, &mut self.rng);
-        (deadline, next)
+            DaemonKind::TraceSpool => {}
+        }
+        self.cfg.daemons.next_tick(kind, now, &mut self.rng)
     }
 }
 
@@ -1392,61 +1094,42 @@ impl Kernel {
 mod tests {
     use super::*;
 
-    /// Pump the node's single disk to quiescence, collecting wakes.
-    fn pump(k: &mut Kernel, mut deadline: Option<SimTime>) -> (Vec<(Pid, WakeKind)>, SimTime) {
+    /// Pump the node's single disk to quiescence, collecting wakes and
+    /// the time of the last completion.
+    fn pump(k: &mut Kernel) -> (Vec<(Pid, WakeKind)>, SimTime) {
         let mut wakes = Vec::new();
         let mut last = 0;
-        while let Some(t) = deadline {
+        while let Some(t) = k.take_disk_deadline() {
             last = t;
-            let (w, d) = k.disk_complete(t);
-            wakes.extend(w);
-            deadline = d;
+            wakes.extend(k.disk_complete(t));
         }
         (wakes, last)
     }
 
-    /// Test harness that tracks the node's single outstanding disk deadline
-    /// across operations — async effects (write-back, read-ahead, swap-out)
-    /// return a deadline even on `Done` outcomes, and it must be pumped.
+    /// Test harness that runs each operation to quiescence: async effects
+    /// (write-back, read-ahead, swap-out) may start the drive even on
+    /// `Done` outcomes, so every call is followed by a pump. The kernel
+    /// itself asserts that at most one disk deadline is outstanding.
     struct Pump {
         k: Kernel,
-        pending: Option<SimTime>,
         now: SimTime,
     }
 
     impl Pump {
         fn new(k: Kernel) -> Self {
-            Self {
-                k,
-                pending: None,
-                now: 0,
-            }
-        }
-
-        fn merge(&mut self, d: Option<SimTime>) {
-            if let Some(t) = d {
-                assert!(self.pending.is_none(), "two outstanding disk deadlines");
-                self.pending = Some(t);
-            }
+            Self { k, now: 0 }
         }
 
         fn drain(&mut self) -> Vec<(Pid, WakeKind)> {
-            let mut wakes = Vec::new();
-            while let Some(t) = self.pending.take() {
-                self.now = self.now.max(t);
-                let (w, d) = self.k.disk_complete(t);
-                wakes.extend(w);
-                self.pending = d;
-            }
+            let (wakes, last) = pump(&mut self.k);
+            self.now = self.now.max(last);
             wakes
         }
 
         /// Run a syscall, draining the disk as needed; returns the result.
         fn sys(&mut self, pid: Pid, call: Syscall) -> SysResult {
             self.now += 1_000;
-            let (o, d) = self.k.syscall(self.now, pid, call);
-            self.merge(d);
-            match o {
+            match self.k.syscall(self.now, pid, call) {
                 Outcome::Done { result, .. } => {
                     self.drain();
                     result
@@ -1468,9 +1151,7 @@ mod tests {
         /// Feed touches, draining the disk as needed.
         fn touch(&mut self, pid: Pid, vpns: Vec<Vpn>) {
             self.now += 100;
-            let (o, d) = self.k.touches(self.now, pid, vpns);
-            self.merge(d);
-            match o {
+            match self.k.touches(self.now, pid, vpns) {
                 TouchOutcome::Done { .. } => {
                     self.drain();
                 }
@@ -1485,6 +1166,16 @@ mod tests {
                 }
                 TouchOutcome::Fatal(m) => panic!("unexpected fatal: {m}"),
             }
+        }
+    }
+
+    impl Kernel {
+        /// Run a syscall for pid 1 that must complete at once.
+        fn sys_done(&mut self, now: SimTime, call: Syscall) -> SysResult {
+            let Outcome::Done { result, .. } = self.syscall(now, 1, call) else {
+                panic!("unexpected block")
+            };
+            result
         }
     }
 
@@ -1554,10 +1245,53 @@ mod tests {
     }
 
     #[test]
+    fn a_write_back_started_by_a_metadata_fill_is_completed() {
+        let mut cfg = KernelConfig::beowulf(0);
+        cfg.spool_trace = false;
+        cfg.cache_blocks = 8;
+        let mut k = Kernel::new(cfg);
+        k.set_instrumentation(InstrumentationLevel::Full);
+        let payload: Vec<u8> = (0..16 * 1024u32).map(|i| (i % 251) as u8).collect();
+        k.install_file("/data", Placement::User, &payload);
+        k.register_process(1);
+        let mut p = Pump::new(k);
+        let open = |path: &str, create| Syscall::Open {
+            path: path.into(),
+            create,
+            placement: Placement::User,
+        };
+        let fd = p.sys(1, open("/data", false)).fd();
+        let out = p.sys(1, open("/o", true)).fd();
+        // Fill the whole cache with dirty blocks; the drive goes idle.
+        p.sys(
+            1,
+            Syscall::WriteAt {
+                fd: out,
+                offset: 0,
+                data: vec![1; 8 * 1024],
+            },
+        );
+        assert_eq!(p.k.cache.dirty_count(), 8);
+        // Block 12 sits behind the indirect block: caching that evicts a
+        // dirty block, and its write-back starts the idle drive.
+        let data = p
+            .sys(
+                1,
+                Syscall::ReadAt {
+                    fd,
+                    offset: 12 * 1024,
+                    len: 1024,
+                },
+            )
+            .data();
+        assert_eq!(data, payload[12 * 1024..13 * 1024]);
+    }
+
+    #[test]
     fn power_fail_drops_volatile_state_but_keeps_the_fs() {
         let mut k = kernel();
         k.register_process(1);
-        let (o, d) = k.syscall(
+        let o = k.syscall(
             0,
             1,
             Syscall::Open {
@@ -1570,8 +1304,8 @@ mod tests {
             panic!()
         };
         let fd = result.fd();
-        pump(&mut k, d);
-        let (_, d) = k.syscall(
+        pump(&mut k);
+        k.syscall(
             1_000,
             1,
             Syscall::WriteAt {
@@ -1580,7 +1314,7 @@ mod tests {
                 data: vec![3u8; 4096],
             },
         );
-        pump(&mut k, d);
+        pump(&mut k);
         let report = k.power_fail();
         assert!(report.dirty_blocks_lost > 0, "unflushed writes were lost");
         assert_eq!(k.drain_trace().len(), 0, "ring discarded");
@@ -1591,7 +1325,7 @@ mod tests {
     fn open_create_write_read_roundtrip() {
         let mut k = kernel();
         k.register_process(1);
-        let (o, d) = k.syscall(
+        let o = k.syscall(
             0,
             1,
             Syscall::Open {
@@ -1604,10 +1338,10 @@ mod tests {
             panic!("create cannot block")
         };
         let fd = result.fd();
-        pump(&mut k, d);
+        pump(&mut k);
 
         let payload: Vec<u8> = (0..5000u32).map(|i| (i & 0xFF) as u8).collect();
-        let (o, d) = k.syscall(
+        let o = k.syscall(
             1_000,
             1,
             Syscall::WriteAt {
@@ -1624,11 +1358,11 @@ mod tests {
             panic!()
         };
         assert_eq!(n, 5000);
-        pump(&mut k, d);
+        pump(&mut k);
 
         // Read back while still cached: no disk read.
         let before = k.driver_stats().dispatched;
-        let (o, d) = k.syscall(
+        let o = k.syscall(
             2_000,
             1,
             Syscall::ReadAt {
@@ -1641,7 +1375,7 @@ mod tests {
             panic!("cached read must not block")
         };
         assert_eq!(result.data(), payload);
-        assert!(d.is_none());
+        assert_eq!(k.take_disk_deadline(), None);
         assert_eq!(k.driver_stats().dispatched, before);
     }
 
@@ -1651,7 +1385,7 @@ mod tests {
         let payload = vec![7u8; 3000];
         k.install_file("/data", Placement::User, &payload);
         k.register_process(1);
-        let (o, d) = k.syscall(
+        let o = k.syscall(
             0,
             1,
             Syscall::Open {
@@ -1663,14 +1397,14 @@ mod tests {
         let fd = match o {
             Outcome::Done { result, .. } => result.fd(),
             Outcome::Blocked => {
-                let (wakes, _) = pump(&mut k, d);
+                let (wakes, _) = pump(&mut k);
                 let WakeKind::Syscall(r) = &wakes[0].1 else {
                     panic!()
                 };
                 r.clone().fd()
             }
         };
-        let (o, d) = k.syscall(
+        let o = k.syscall(
             10_000,
             1,
             Syscall::ReadAt {
@@ -1680,7 +1414,7 @@ mod tests {
             },
         );
         assert!(matches!(o, Outcome::Blocked), "cold read must hit the disk");
-        let (wakes, _) = pump(&mut k, d);
+        let (wakes, _) = pump(&mut k);
         assert_eq!(wakes.len(), 1);
         let WakeKind::Syscall(SysResult::Data(data)) = &wakes[0].1 else {
             panic!()
@@ -1788,7 +1522,7 @@ mod tests {
     fn writes_are_asynchronous_and_flushed_by_update() {
         let mut k = kernel();
         k.register_process(1);
-        let (o, _) = k.syscall(
+        let o = k.syscall(
             0,
             1,
             Syscall::Open {
@@ -1801,7 +1535,7 @@ mod tests {
             panic!()
         };
         let fd = result.fd();
-        let (o, d) = k.syscall(
+        let o = k.syscall(
             1,
             1,
             Syscall::WriteAt {
@@ -1814,11 +1548,11 @@ mod tests {
             matches!(o, Outcome::Done { .. }),
             "write-back write returns immediately"
         );
-        assert!(d.is_none(), "no disk I/O yet");
+        assert_eq!(k.take_disk_deadline(), None, "no disk I/O yet");
         // update daemon flushes the dirty blocks.
-        let (d, _next) = k.daemon_tick(5_000_000, DaemonKind::Update);
-        assert!(d.is_some(), "flush starts the drive");
-        pump(&mut k, d);
+        k.daemon_tick(5_000_000, DaemonKind::Update);
+        let (_, last) = pump(&mut k);
+        assert!(last >= 5_000_000, "flush starts the drive");
         let recs = k.drain_trace();
         let writes: Vec<_> = recs.iter().filter(|r| r.op == Op::Write).collect();
         assert!(!writes.is_empty());
@@ -1833,7 +1567,7 @@ mod tests {
     fn fsync_blocks_until_file_blocks_are_on_disk() {
         let mut k = kernel();
         k.register_process(1);
-        let (o, _) = k.syscall(
+        let o = k.syscall(
             0,
             1,
             Syscall::Open {
@@ -1855,12 +1589,12 @@ mod tests {
                 data: vec![9u8; 2048],
             },
         );
-        let (o, d) = k.syscall(2, 1, Syscall::Fsync { fd });
+        let o = k.syscall(2, 1, Syscall::Fsync { fd });
         assert!(matches!(o, Outcome::Blocked));
-        let (wakes, _) = pump(&mut k, d);
+        let (wakes, _) = pump(&mut k);
         assert!(matches!(wakes[0].1, WakeKind::Syscall(SysResult::Unit)));
         // Second fsync: nothing dirty → immediate.
-        let (o, d) = k.syscall(100_000, 1, Syscall::Fsync { fd });
+        let o = k.syscall(100_000, 1, Syscall::Fsync { fd });
         assert!(matches!(
             o,
             Outcome::Done {
@@ -1868,24 +1602,24 @@ mod tests {
                 ..
             }
         ));
-        assert!(d.is_none());
+        assert_eq!(k.take_disk_deadline(), None);
     }
 
     #[test]
     fn anon_touch_zero_fill_is_synchronous() {
         let mut k = kernel();
         k.register_process(1);
-        let (o, _) = k.syscall(0, 1, Syscall::MapAnon { pages: 4 });
+        let o = k.syscall(0, 1, Syscall::MapAnon { pages: 4 });
         let Outcome::Done { result, .. } = o else {
             panic!()
         };
         let (base, _) = result.mapped();
-        let (o, d) = k.touches(10, 1, vec![base, base + 1, base + 2]);
+        let o = k.touches(10, 1, vec![base, base + 1, base + 2]);
         let TouchOutcome::Done { cpu_us } = o else {
             panic!("zero-fill needs no I/O")
         };
         assert_eq!(cpu_us, 3 * 300);
-        assert!(d.is_none());
+        assert_eq!(k.take_disk_deadline(), None);
     }
 
     #[test]
@@ -1893,7 +1627,7 @@ mod tests {
         let mut k = kernel();
         k.install_file("/bin/app", Placement::User, &vec![0x90u8; 20 * 1024]);
         k.register_process(1);
-        let (o, _) = k.syscall(
+        let o = k.syscall(
             0,
             1,
             Syscall::MapText {
@@ -1905,12 +1639,12 @@ mod tests {
         };
         let (base, pages) = result.mapped();
         assert_eq!(pages, 5);
-        let (o, d) = k.touches(10, 1, vec![base]);
+        let o = k.touches(10, 1, vec![base]);
         assert!(
             matches!(o, TouchOutcome::Blocked),
             "text page-in hits the disk"
         );
-        let (wakes, _) = pump(&mut k, d);
+        let (wakes, _) = pump(&mut k);
         assert!(matches!(wakes[0].1, WakeKind::TouchDone { .. }));
         let recs = k.drain_trace();
         let pageins: Vec<_> = recs.iter().filter(|r| r.origin == Origin::PageIn).collect();
@@ -1962,7 +1696,7 @@ mod tests {
     fn wild_touch_is_fatal() {
         let mut k = kernel();
         k.register_process(1);
-        let (o, _) = k.touches(0, 1, vec![0xDEAD_BEEF]);
+        let o = k.touches(0, 1, vec![0xDEAD_BEEF]);
         assert!(matches!(o, TouchOutcome::Fatal(_)));
     }
 
@@ -1972,7 +1706,10 @@ mod tests {
         cfg.spool_trace = true;
         let mut k = Kernel::new(cfg);
         k.set_instrumentation(InstrumentationLevel::Full);
-        let mut ticks = k.boot_deadlines(0);
+        // Pending events: a daemon's tick, or `None` for the disk completion.
+        let mut ticks: Vec<(SimTime, Option<DaemonKind>)> = (k.boot_deadlines(0).into_iter())
+            .map(|(t, kind)| (t, Some(kind)))
+            .collect();
         let mut guard = 0;
         // Run ~200 virtual seconds of daemon activity.
         while guard < 10_000 {
@@ -1983,19 +1720,11 @@ mod tests {
                 break;
             }
             match ev {
-                KernelEvent::Daemon(kind) => {
-                    let (d, next) = k.daemon_tick(t, kind);
-                    ticks.push((next, KernelEvent::Daemon(kind)));
-                    if let Some(dl) = d {
-                        ticks.push((dl, KernelEvent::DiskComplete));
-                    }
-                }
-                KernelEvent::DiskComplete => {
-                    let (_, d) = k.disk_complete(t);
-                    if let Some(dl) = d {
-                        ticks.push((dl, KernelEvent::DiskComplete));
-                    }
-                }
+                Some(kind) => ticks.push((k.daemon_tick(t, kind), Some(kind))),
+                None => assert!(k.disk_complete(t).is_empty(), "no process waits"),
+            }
+            if let Some(due) = k.take_disk_deadline() {
+                ticks.push((due, None));
             }
         }
         let recs = k.drain_trace();
@@ -2028,7 +1757,7 @@ mod tests {
         let mut k = kernel();
         k.install_file("/bin/app", Placement::User, &vec![0u8; 8 * 1024]);
         k.register_process(1);
-        let (o, _) = k.syscall(
+        let o = k.syscall(
             0,
             1,
             Syscall::MapText {
@@ -2039,43 +1768,131 @@ mod tests {
             panic!()
         };
         let (base, _) = result.mapped();
-        let (o, d) = k.touches(1, 1, vec![base]);
+        let o = k.touches(1, 1, vec![base]);
         assert!(matches!(o, TouchOutcome::Blocked));
         k.process_exit(1);
         // Completion of the orphaned page-in must not wake anyone or panic.
-        let (wakes, _) = pump(&mut k, d);
+        let (wakes, _) = pump(&mut k);
         assert!(wakes.is_empty());
     }
 
     #[test]
-    fn unknown_fd_errors() {
+    fn syscall_errors_cost_the_entry_and_start_no_io() {
         let mut k = kernel();
         k.register_process(1);
-        let (o, _) = k.syscall(
-            0,
-            1,
-            Syscall::ReadAt {
-                fd: 99,
-                offset: 0,
-                len: 10,
-            },
-        );
-        let Outcome::Done { result, .. } = o else {
-            panic!()
+        let missing = || "/missing".to_string();
+        let cases = [
+            (
+                Syscall::ReadAt {
+                    fd: 99,
+                    offset: 0,
+                    len: 10,
+                },
+                SysError::BadFd,
+            ),
+            (
+                Syscall::WriteAt {
+                    fd: 99,
+                    offset: 0,
+                    data: vec![1; 10],
+                },
+                SysError::BadFd,
+            ),
+            (
+                Syscall::Append {
+                    fd: 99,
+                    data: vec![1; 10],
+                },
+                SysError::BadFd,
+            ),
+            (Syscall::Fsync { fd: 99 }, SysError::BadFd),
+            (Syscall::Close { fd: 99 }, SysError::BadFd),
+            (
+                Syscall::Open {
+                    path: missing(),
+                    create: false,
+                    placement: Placement::User,
+                },
+                SysError::NotFound,
+            ),
+            (Syscall::Stat { path: missing() }, SysError::NotFound),
+            (Syscall::MapText { path: missing() }, SysError::NotFound),
+            (Syscall::Unlink { path: missing() }, SysError::NotFound),
+            (Syscall::MapAnon { pages: 0 }, SysError::Invalid),
+        ];
+        for (call, err) in cases {
+            let what = format!("{call:?}");
+            let Outcome::Done { result, cpu_us } = k.syscall(0, 1, call) else {
+                panic!("{what} blocked")
+            };
+            assert_eq!(result, SysResult::Err(err), "{what}");
+            assert_eq!(cpu_us, k.cfg.syscall_us, "{what}");
+            assert_eq!(k.take_disk_deadline(), None, "{what}");
+        }
+        assert_eq!(k.driver_stats().submitted, 0);
+    }
+
+    #[test]
+    fn the_disk_deadline_is_handed_out_once_per_drive_start() {
+        let mut k = kernel();
+        k.register_process(1);
+        assert_eq!(k.take_disk_deadline(), None, "a fresh drive is idle");
+        let fd = k
+            .sys_done(
+                0,
+                Syscall::Open {
+                    path: "/o".into(),
+                    create: true,
+                    placement: Placement::User,
+                },
+            )
+            .fd();
+        let write = |offset| Syscall::WriteAt {
+            fd,
+            offset,
+            data: vec![5u8; 8192],
         };
-        assert_eq!(result, SysResult::Err(SysError::BadFd));
-        let (o, _) = k.syscall(0, 1, Syscall::Close { fd: 99 });
-        let Outcome::Done { result, .. } = o else {
-            panic!()
-        };
-        assert_eq!(result, SysResult::Err(SysError::BadFd));
+        k.sys_done(1, write(0));
+        assert_eq!(k.take_disk_deadline(), None, "write-back only dirties");
+
+        // The flush starts the idle drive: one deadline, taken once.
+        k.daemon_tick(10, DaemonKind::Update);
+        let first = k.take_disk_deadline().expect("the flush starts the drive");
+        assert_eq!(k.take_disk_deadline(), None, "handed out once");
+
+        // More work while the drive is busy queues behind it.
+        k.sys_done(20, write(8192));
+        assert!(matches!(
+            k.syscall(30, 1, Syscall::Fsync { fd }),
+            Outcome::Blocked
+        ));
+        assert_eq!(k.take_disk_deadline(), None, "busy drive: queued");
+
+        // The completion dispatches the next queued request.
+        assert!(k.disk_complete(first).is_empty());
+        let second = k.take_disk_deadline().expect("the queue keeps it busy");
+        assert!(second > first);
+        assert_eq!(k.take_disk_deadline(), None);
+        let mut wakes = k.disk_complete(second);
+        wakes.extend(pump(&mut k).0);
+        assert_eq!(wakes.len(), 1, "the fsync wakes once the drive drains");
+
+        // A power failure loses the in-flight request with its untaken
+        // deadline; the idle drive then starts afresh.
+        k.sys_done(10_000_000, write(16384));
+        k.daemon_tick(10_000_001, DaemonKind::Update);
+        k.power_fail();
+        assert_eq!(k.take_disk_deadline(), None, "nothing left to complete");
+        k.sys_done(20_000_000, write(24576));
+        k.daemon_tick(20_000_001, DaemonKind::Update);
+        assert!(k.take_disk_deadline().is_some(), "the drive starts again");
     }
 
     #[test]
     fn sync_flushes_everything() {
         let mut k = kernel();
         k.register_process(1);
-        let (o, _) = k.syscall(
+        let o = k.syscall(
             0,
             1,
             Syscall::Open {
@@ -2097,13 +1914,13 @@ mod tests {
                 data: vec![1u8; 3072],
             },
         );
-        let (o, d) = k.syscall(2, 1, Syscall::Sync);
+        let o = k.syscall(2, 1, Syscall::Sync);
         assert!(matches!(o, Outcome::Blocked));
-        let (wakes, _) = pump(&mut k, d);
+        let (wakes, _) = pump(&mut k);
         assert_eq!(wakes.len(), 1);
         // Everything clean now.
-        let (o, d) = k.syscall(1_000_000, 1, Syscall::Sync);
+        let o = k.syscall(1_000_000, 1, Syscall::Sync);
         assert!(matches!(o, Outcome::Done { .. }));
-        assert!(d.is_none());
+        assert_eq!(k.take_disk_deadline(), None);
     }
 }

@@ -38,6 +38,6 @@ pub mod syscall;
 pub mod vm;
 
 pub use kernel::{
-    Kernel, KernelConfig, KernelEvent, Outcome, PowerFailReport, RetryStats, TouchOutcome, WakeKind,
+    Kernel, KernelConfig, Outcome, PowerFailReport, RetryStats, TouchOutcome, WakeKind,
 };
 pub use syscall::{Fd, Ino, Pid, Placement, SysError, SysResult, Syscall};

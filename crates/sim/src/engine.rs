@@ -139,12 +139,6 @@ impl<E> Engine<E> {
     pub fn peek_time(&self) -> Option<SimTime> {
         self.heap.peek().map(|e| e.key.0 .0)
     }
-
-    /// True when no events remain.
-    #[inline]
-    pub fn is_idle(&self) -> bool {
-        self.heap.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -185,18 +179,16 @@ mod tests {
     }
 
     #[test]
-    fn peek_and_is_idle_take_shared_refs() {
+    fn peek_takes_a_shared_ref() {
         let mut e: Engine<u32> = Engine::new();
         e.schedule_at(10, 1);
         // &self access: usable through a shared reference while other
         // shared borrows are alive.
         let shared: &Engine<u32> = &e;
         assert_eq!(shared.peek_time(), Some(10));
-        assert!(!shared.is_idle());
         e.pop();
         let shared: &Engine<u32> = &e;
         assert_eq!(shared.peek_time(), None);
-        assert!(shared.is_idle());
     }
 
     #[test]

@@ -62,11 +62,6 @@ impl TraceBuffer {
         self.level = level;
     }
 
-    /// Current instrumentation level.
-    pub fn level(&self) -> InstrumentationLevel {
-        self.level
-    }
-
     /// Driver hook: record a dispatched request (if instrumentation is on).
     ///
     /// Returns `true` if the record was captured. At `Basic` level the
