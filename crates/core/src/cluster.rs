@@ -108,8 +108,6 @@ pub struct BeowulfConfig {
     pub cache_blocks: usize,
     /// Network parameters.
     pub net: NetConfig,
-    /// Interval between host-side trace drains, µs.
-    pub drain_every_us: SimTime,
     /// Deterministic fault plan (disk media faults, frame loss, node
     /// crashes). The default plan is empty and the fault plane is then
     /// completely inert: traces are bit-identical with or without it.
@@ -132,7 +130,6 @@ impl Default for BeowulfConfig {
             frames_user: 3072,
             cache_blocks: 1536,
             net: NetConfig::default(),
-            drain_every_us: 5_000_000,
             faults: FaultPlan::none(),
             obs: false,
         }
@@ -312,6 +309,10 @@ pub struct Beowulf {
     /// plane is on; linked to the receiver's next request span.
     net_events: Vec<NetEvent>,
 }
+
+/// Interval between host-side trace drains (virtual µs): the proc-fs
+/// reader wakes every 5 s and empties every node's ring.
+const DRAIN_EVERY_US: SimTime = 5_000_000;
 
 /// How long surviving processes may sit with no progress after a crash
 /// before the watchdog reaps them (virtual µs). Only armed when the fault
@@ -494,8 +495,7 @@ impl Beowulf {
                     .schedule_at(crash.at_us, Event::Crash { node: crash.node });
             }
         }
-        self.engine
-            .schedule_in(self.cfg.drain_every_us, Event::DrainTraces);
+        self.engine.schedule_in(DRAIN_EVERY_US, Event::DrainTraces);
     }
 
     /// (Re)schedule a node's daemon timers — at boot and again after a
@@ -725,8 +725,7 @@ impl Beowulf {
         match ev {
             Event::DrainTraces => {
                 self.drain_traces();
-                self.engine
-                    .schedule_in(self.cfg.drain_every_us, Event::DrainTraces);
+                self.engine.schedule_in(DRAIN_EVERY_US, Event::DrainTraces);
             }
             Event::Daemon { node, kind, epoch } => {
                 if !self.current(node, epoch) {
@@ -1040,7 +1039,6 @@ mod tests {
     fn small_cluster(nodes: u8) -> Beowulf {
         let cfg = BeowulfConfig {
             nodes,
-            drain_every_us: 1_000_000,
             ..Default::default()
         };
         Beowulf::new(cfg)
@@ -1220,7 +1218,6 @@ mod tests {
         let run = |faults: FaultPlan| {
             let cfg = BeowulfConfig {
                 nodes: 2,
-                drain_every_us: 1_000_000,
                 faults,
                 ..Default::default()
             };
@@ -1252,7 +1249,6 @@ mod tests {
         use essio_faults::DiskFaultConfig;
         let cfg = BeowulfConfig {
             nodes: 1,
-            drain_every_us: 1_000_000,
             faults: FaultPlan::none().disk(DiskFaultConfig {
                 media_error_every: 5,
                 ..Default::default()
@@ -1282,7 +1278,6 @@ mod tests {
     fn node_crash_kills_its_processes_and_cluster_survives() {
         let cfg = BeowulfConfig {
             nodes: 2,
-            drain_every_us: 1_000_000,
             faults: FaultPlan::none().crash(1, 5_000_000),
             ..Default::default()
         };
@@ -1313,7 +1308,6 @@ mod tests {
     fn crashed_node_can_restart_and_its_daemons_tick_again() {
         let cfg = BeowulfConfig {
             nodes: 2,
-            drain_every_us: 1_000_000,
             faults: FaultPlan::none().crash_restart(1, 5_000_000, 10_000_000),
             ..Default::default()
         };
@@ -1335,7 +1329,6 @@ mod tests {
     fn watchdog_reaps_survivors_blocked_on_a_dead_peer() {
         let cfg = BeowulfConfig {
             nodes: 2,
-            drain_every_us: 1_000_000,
             faults: FaultPlan::none().crash(1, 2_000_000),
             ..Default::default()
         };
@@ -1481,7 +1474,6 @@ mod tests {
         // Node crash: the body is blocked in a receive nobody answers.
         let mut bw = Beowulf::new(BeowulfConfig {
             nodes: 2,
-            drain_every_us: 1_000_000,
             faults: FaultPlan::none().crash(1, 2_000_000),
             ..Default::default()
         });

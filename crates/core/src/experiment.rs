@@ -164,12 +164,6 @@ impl Experiment {
         self
     }
 
-    /// Set the post-exit write-back settling window.
-    pub fn settle_secs(mut self, secs: u64) -> Self {
-        self.settle_secs = secs;
-        self
-    }
-
     /// Set the disk scheduler policy (ablation knob).
     pub fn sched(mut self, sched: essio_disk::SchedPolicy) -> Self {
         self.cluster.sched = sched;
@@ -688,7 +682,6 @@ mod tests {
         let e = Experiment::combined()
             .nodes(4)
             .seed(11)
-            .settle_secs(5)
             .sched(essio_disk::SchedPolicy::Fifo)
             .readahead(false)
             .cache_blocks(256)
@@ -702,7 +695,6 @@ mod tests {
             );
         assert_eq!(e.cluster.nodes, 4);
         assert_eq!(e.cluster.seed, 11);
-        assert_eq!(e.settle_secs, 5);
         assert_eq!(e.cluster.sched, essio_disk::SchedPolicy::Fifo);
         assert!(!e.cluster.readahead);
         assert_eq!(e.cluster.cache_blocks, 256);

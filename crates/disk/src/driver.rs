@@ -161,9 +161,7 @@ impl IdeDriver {
         self.in_flight = None;
         self.in_flight_failed = false;
         self.queue.clear();
-        let lost = self.trace.len() as u64;
-        self.trace.drain(usize::MAX);
-        lost
+        self.trace.drain_into(&mut ()) as u64
     }
 
     /// Whether a request is in flight.
@@ -181,17 +179,10 @@ impl IdeDriver {
         &self.stats
     }
 
-    /// Drain up to `max` trace records (the proc-fs read).
-    pub fn drain_trace(&mut self, max: usize) -> Vec<TraceRecord> {
-        self.trace.drain(max)
-    }
-
-    /// Stream up to `max` trace records into `sink` — the live tap used by
-    /// online analytics. Same FIFO drain as [`IdeDriver::drain_trace`], but
-    /// records go straight from the kernel ring into the sink with no
-    /// intermediate `Vec`.
-    pub fn drain_trace_into(&mut self, max: usize, mut sink: &mut dyn RecordSink) -> usize {
-        self.trace.drain_into(max, &mut sink)
+    /// Stream every buffered trace record into `sink` (the proc-fs read),
+    /// straight from the kernel ring with no intermediate `Vec`.
+    pub fn drain_trace_into(&mut self, mut sink: &mut dyn RecordSink) -> usize {
+        self.trace.drain_into(&mut sink)
     }
 
     /// Records currently buffered in the trace ring.
@@ -419,7 +410,8 @@ mod tests {
         d.submit(1, breq(2, 5000, 2, Op::Read));
         d.submit(2, breq(3, 9000, 2, Op::Read));
         let (_, next) = d.on_complete(completes_at);
-        let recs = d.drain_trace(usize::MAX);
+        let mut recs: Vec<TraceRecord> = Vec::new();
+        d.drain_trace_into(&mut recs);
         assert_eq!(recs.len(), 2, "two dispatches so far");
         assert_eq!(recs[0].pending, 0, "first dispatched from an empty queue");
         assert_eq!(recs[1].pending, 1, "one request still waiting");

@@ -111,7 +111,8 @@ proptest! {
     #[test]
     fn trace_matches_physical_dispatches(reqs in prop::collection::vec(gen_req(), 1..150)) {
         let (mut d, completions, _) = run_driver(SchedPolicy::Elevator, &reqs);
-        let recs = d.drain_trace(usize::MAX);
+        let mut recs: Vec<essio_trace::TraceRecord> = Vec::new();
+        d.drain_trace_into(&mut recs);
         prop_assert_eq!(recs.len() as u64, d.stats().dispatched);
         prop_assert_eq!(recs.len(), completions.len());
         // Trace timestamps are nondecreasing (dispatch order).

@@ -292,19 +292,6 @@ impl BufferCache {
         out.sort_unstable_by_key(|(b, _)| *b);
         out
     }
-
-    /// Forget blocks entirely (unlink): dirty data of a deleted file is
-    /// dropped, not written.
-    pub fn invalidate(&mut self, blocks: &[BlockNo]) {
-        for b in blocks {
-            if let Some(slot) = self.map.remove(b) {
-                if self.nodes[slot as usize].dirty {
-                    self.dirty -= 1;
-                }
-                self.release(slot);
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -385,20 +372,6 @@ mod tests {
     }
 
     #[test]
-    fn invalidate_removes_without_writeback() {
-        let mut c = BufferCache::new(4);
-        c.mark_dirty(1, O);
-        c.invalidate(&[1]);
-        assert!(!c.contains(1));
-        assert!(c.take_dirty().is_empty());
-        // LRU list stays consistent: inserting more works fine.
-        for b in 10..20 {
-            c.insert_clean(b, O);
-        }
-        assert_eq!(c.len(), 4);
-    }
-
-    #[test]
     fn capacity_is_respected_under_churn() {
         let mut c = BufferCache::new(16);
         for b in 0..1000u32 {
@@ -424,19 +397,20 @@ mod tests {
 
     #[test]
     fn eviction_order_tracks_full_recency_history() {
-        // Interleave touches, dirtying and invalidation, then check the
-        // exact eviction sequence (the old BTreeMap index semantics).
+        // Interleave touches and dirtying, then check the exact eviction
+        // sequence (the old BTreeMap index semantics).
         let mut c = BufferCache::new(4);
         for b in [1u32, 2, 3, 4] {
             c.insert_clean(b, O);
         }
         c.touch(1); // recency: 1,4,3,2 (MRU..LRU)
         c.mark_dirty(3, Origin::Log); // 3,1,4,2
-        c.invalidate(&[4]); // 3,1,2
-        c.insert_clean(5, O); // 5,3,1,2 — full again
-        let wb = c.insert_clean(6, O); // evicts 2 (clean)
+        let wb = c.insert_clean(5, O); // evicts 2 (clean): 5,3,1,4
         assert!(wb.is_empty());
         assert!(!c.contains(2));
+        let wb = c.insert_clean(6, O); // evicts 4 (clean): 6,5,3,1
+        assert!(wb.is_empty());
+        assert!(!c.contains(4));
         let wb = c.insert_clean(7, O); // evicts 1 (clean)
         assert!(wb.is_empty());
         assert!(!c.contains(1));

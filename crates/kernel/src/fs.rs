@@ -222,11 +222,6 @@ impl Fs {
     // repeatedly-rewritten log-file metadata near sector 45,000 — the
     // paper's hottest sector (Figure 8) — rather than at the disk front.
 
-    /// Device block holding the superblock.
-    pub fn superblock_block(&self) -> BlockNo {
-        self.meta_base
-    }
-
     /// Device block holding the root directory entries.
     pub fn dir_block(&self) -> BlockNo {
         self.meta_base + 1
@@ -418,27 +413,6 @@ impl Fs {
         node.blocks[start..end].to_vec()
     }
 
-    /// Blocks directly following `block` in this file's map (for read-ahead),
-    /// up to `max`, stopping at the first physical discontiguity.
-    pub fn contiguous_following(&self, ino: Ino, block: BlockNo, max: usize) -> Vec<BlockNo> {
-        let Some(node) = self.inode(ino) else {
-            return Vec::new();
-        };
-        let Some(pos) = node.blocks.iter().position(|&b| b == block) else {
-            return Vec::new();
-        };
-        let mut out = Vec::with_capacity(max);
-        let mut prev = block;
-        for &b in node.blocks.iter().skip(pos + 1).take(max) {
-            if b != prev + 1 {
-                break;
-            }
-            out.push(b);
-            prev = b;
-        }
-        out
-    }
-
     /// The device blocks backing `nblocks` file blocks starting at byte
     /// `offset` (clipped at EOF) — the prefetch resolution path.
     pub fn blocks_in_range(&self, ino: Ino, offset: u64, nblocks: u32) -> Vec<BlockNo> {
@@ -619,29 +593,11 @@ mod tests {
     }
 
     #[test]
-    fn contiguous_following_stops_at_gap() {
-        let mut f = fs();
-        let a = f.create("/a", Placement::User).unwrap();
-        f.write_at(a, 0, &[0u8; 3 * 1024]).unwrap();
-        // Interleave another file to force a gap in /a's later blocks.
-        let b = f.create("/b", Placement::User).unwrap();
-        f.write_at(b, 0, &[0u8; 1024]).unwrap();
-        f.write_at(a, 3 * 1024, &[0u8; 1024]).unwrap();
-        let blocks = f.inode(a).unwrap().blocks.clone();
-        let follow = f.contiguous_following(a, blocks[0], 8);
-        assert_eq!(follow, vec![blocks[1], blocks[2]], "stops before the gap");
-    }
-
-    #[test]
     fn metadata_addresses_follow_block_groups() {
         let mut f = fs();
         let layout = f.layout().clone();
         // Core metadata + user-group tables live at the disk front.
-        for blk in [
-            f.superblock_block(),
-            f.dir_block(),
-            f.bitmap_block_for(200_000),
-        ] {
+        for blk in [f.dir_block(), f.bitmap_block_for(200_000)] {
             let sector = blk * SECTORS_PER_BLOCK;
             assert_eq!(
                 layout.region_of(sector),

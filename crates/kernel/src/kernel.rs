@@ -25,7 +25,7 @@ use std::collections::HashMap;
 use essio_disk::{BlockRequest, Completion, IdeDriver, SubmitOutcome};
 use essio_obs::{Obs, SpanKind, SpanScope};
 use essio_sim::{SimRng, SimTime, Vpn};
-use essio_trace::{InstrumentationLevel, Op, Origin, RecordSink, TraceRecord};
+use essio_trace::{InstrumentationLevel, Op, Origin, RecordSink};
 
 use crate::cache::BufferCache;
 use crate::daemons::{DaemonConfig, DaemonKind};
@@ -330,15 +330,10 @@ impl Kernel {
         self.driver.set_instrumentation(level);
     }
 
-    /// Drain captured trace records (the experiment's proc-fs reader).
-    pub fn drain_trace(&mut self) -> Vec<TraceRecord> {
-        self.driver.drain_trace(usize::MAX)
-    }
-
-    /// Stream captured trace records into `sink` without materialising a
-    /// `Vec` — the live-tap path for online analytics.
+    /// Stream every captured trace record into `sink` (the experiment's
+    /// proc-fs reader) without materialising a `Vec`.
     pub fn drain_trace_into(&mut self, sink: &mut dyn RecordSink) -> usize {
-        self.driver.drain_trace_into(usize::MAX, sink)
+        self.driver.drain_trace_into(sink)
     }
 
     /// Records currently buffered in the trace ring, waiting to be drained.
@@ -1093,6 +1088,14 @@ impl Kernel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use essio_trace::TraceRecord;
+
+    /// Every trace record the kernel has captured, oldest first.
+    fn trace(k: &mut Kernel) -> Vec<TraceRecord> {
+        let mut out = Vec::new();
+        k.drain_trace_into(&mut out);
+        out
+    }
 
     /// Pump the node's single disk to quiescence, collecting wakes and
     /// the time of the last completion.
@@ -1234,7 +1237,7 @@ mod tests {
         let retries = p.k.retry_stats();
         assert_eq!(retries.retries, 3 * retries.relocations);
         // The retries are *real* duplicate physical requests in the trace.
-        let recs = p.k.drain_trace();
+        let recs = trace(&mut p.k);
         assert_eq!(recs.len() as u64, s.dispatched);
         let first = recs[0];
         let dups = recs
@@ -1317,7 +1320,7 @@ mod tests {
         pump(&mut k);
         let report = k.power_fail();
         assert!(report.dirty_blocks_lost > 0, "unflushed writes were lost");
-        assert_eq!(k.drain_trace().len(), 0, "ring discarded");
+        assert_eq!(trace(&mut k).len(), 0, "ring discarded");
         assert!(k.fs().lookup("/out").is_some(), "the disk survived");
     }
 
@@ -1421,7 +1424,7 @@ mod tests {
         };
         assert_eq!(data, &payload);
         // And the trace saw read requests.
-        let recs = k.drain_trace();
+        let recs = trace(&mut k);
         assert!(recs.iter().any(|r| r.op == Op::Read));
     }
 
@@ -1456,7 +1459,7 @@ mod tests {
                 .data();
             assert_eq!(data.len(), 1024);
         }
-        let recs = p.k.drain_trace();
+        let recs = trace(&mut p.k);
         let reads: Vec<_> = recs
             .iter()
             .filter(|r| r.op == Op::Read && r.origin == Origin::FileData)
@@ -1505,7 +1508,7 @@ mod tests {
                 },
             );
         }
-        let recs = p.k.drain_trace();
+        let recs = trace(&mut p.k);
         let reads: Vec<_> = recs
             .iter()
             .filter(|r| r.op == Op::Read && r.origin == Origin::FileData)
@@ -1553,7 +1556,7 @@ mod tests {
         k.daemon_tick(5_000_000, DaemonKind::Update);
         let (_, last) = pump(&mut k);
         assert!(last >= 5_000_000, "flush starts the drive");
-        let recs = k.drain_trace();
+        let recs = trace(&mut k);
         let writes: Vec<_> = recs.iter().filter(|r| r.op == Op::Write).collect();
         assert!(!writes.is_empty());
         // Contiguous dirty data blocks merged into multi-KB physical writes.
@@ -1646,7 +1649,7 @@ mod tests {
         );
         let (wakes, _) = pump(&mut k);
         assert!(matches!(wakes[0].1, WakeKind::TouchDone { .. }));
-        let recs = k.drain_trace();
+        let recs = trace(&mut k);
         let pageins: Vec<_> = recs.iter().filter(|r| r.origin == Origin::PageIn).collect();
         assert_eq!(pageins.len(), 1);
         assert_eq!(pageins[0].bytes(), 4096, "page-ins are the 4 KB class");
@@ -1669,7 +1672,7 @@ mod tests {
                 p.touch(1, vec![base + i]);
             }
         }
-        let recs = p.k.drain_trace();
+        let recs = trace(&mut p.k);
         let swap_outs: Vec<_> = recs
             .iter()
             .filter(|r| r.origin == Origin::SwapOut)
@@ -1727,7 +1730,7 @@ mod tests {
                 ticks.push((due, None));
             }
         }
-        let recs = k.drain_trace();
+        let recs = trace(&mut k);
         assert!(!recs.is_empty(), "daemons must generate traffic");
         assert!(
             recs.iter().all(|r| r.op == Op::Write),

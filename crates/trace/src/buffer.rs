@@ -36,7 +36,6 @@ pub struct TraceBuffer {
     capacity: usize,
     level: InstrumentationLevel,
     dropped: u64,
-    total: u64,
 }
 
 impl TraceBuffer {
@@ -53,7 +52,6 @@ impl TraceBuffer {
             capacity,
             level: InstrumentationLevel::Off,
             dropped: 0,
-            total: 0,
         }
     }
 
@@ -78,36 +76,21 @@ impl TraceBuffer {
             self.dropped += 1;
         }
         self.ring.push_back(rec);
-        self.total += 1;
         true
     }
 
-    /// Proc-fs read: stream up to `max` records (oldest first) straight
-    /// into `sink`, with no intermediate buffer. Both the batch [`drain`]
-    /// path and the live tap used by streaming analytics share this loop,
-    /// so a record leaves "kernel memory" exactly once either way.
+    /// Proc-fs read, the only way records leave the ring: stream every
+    /// buffered record (oldest first) straight into `sink`, with no
+    /// intermediate buffer. The batch trace, the live tap and a power
+    /// failure's discard (the `()` sink) all drain through here.
     ///
     /// Returns the number of records delivered.
-    ///
-    /// [`drain`]: TraceBuffer::drain
-    pub fn drain_into(&mut self, max: usize, sink: &mut impl RecordSink) -> usize {
-        let n = max.min(self.ring.len());
-        for rec in self.ring.drain(..n) {
+    pub fn drain_into(&mut self, sink: &mut impl RecordSink) -> usize {
+        let n = self.ring.len();
+        for rec in self.ring.drain(..) {
             sink.observe(&rec);
         }
         n
-    }
-
-    /// Proc-fs read: drain up to `max` records (oldest first).
-    pub fn drain(&mut self, max: usize) -> Vec<TraceRecord> {
-        let mut out = Vec::with_capacity(max.min(self.ring.len()));
-        self.drain_into(max, &mut out);
-        out
-    }
-
-    /// Drain everything.
-    pub fn drain_all(&mut self) -> Vec<TraceRecord> {
-        self.drain(usize::MAX)
     }
 
     /// Records currently buffered.
@@ -124,17 +107,19 @@ impl TraceBuffer {
     pub fn dropped(&self) -> u64 {
         self.dropped
     }
-
-    /// Records captured since creation (including later-dropped ones).
-    pub fn total_logged(&self) -> u64 {
-        self.total
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::record::Op;
+
+    /// Everything buffered, oldest first.
+    fn drain(b: &mut TraceBuffer) -> Vec<TraceRecord> {
+        let mut out = Vec::new();
+        b.drain_into(&mut out);
+        out
+    }
 
     fn rec(ts: u64) -> TraceRecord {
         TraceRecord {
@@ -153,7 +138,6 @@ mod tests {
         let mut b = TraceBuffer::new(8);
         assert!(!b.log(rec(1)));
         assert!(b.is_empty());
-        assert_eq!(b.total_logged(), 0);
     }
 
     #[test]
@@ -165,7 +149,7 @@ mod tests {
         assert!(!b.log(rec(2)));
         b.set_level(InstrumentationLevel::Basic);
         assert!(b.log(rec(3)));
-        let drained = b.drain_all();
+        let drained = drain(&mut b);
         assert_eq!(drained.iter().map(|r| r.ts).collect::<Vec<_>>(), vec![1, 3]);
     }
 
@@ -174,7 +158,7 @@ mod tests {
         let mut b = TraceBuffer::new(8);
         b.set_level(InstrumentationLevel::Basic);
         b.log(rec(1));
-        assert_eq!(b.drain_all()[0].origin, Origin::Unknown);
+        assert_eq!(drain(&mut b)[0].origin, Origin::Unknown);
     }
 
     #[test]
@@ -182,7 +166,7 @@ mod tests {
         let mut b = TraceBuffer::new(8);
         b.set_level(InstrumentationLevel::Full);
         b.log(rec(1));
-        assert_eq!(b.drain_all()[0].origin, Origin::Log);
+        assert_eq!(drain(&mut b)[0].origin, Origin::Log);
     }
 
     #[test]
@@ -193,31 +177,16 @@ mod tests {
             b.log(rec(t));
         }
         assert_eq!(b.dropped(), 2);
-        assert_eq!(b.total_logged(), 5);
-        let ts: Vec<u64> = b.drain_all().iter().map(|r| r.ts).collect();
+        let ts: Vec<u64> = drain(&mut b).iter().map(|r| r.ts).collect();
         assert_eq!(ts, vec![2, 3, 4]);
     }
 
     #[test]
-    fn drain_is_fifo_and_partial() {
-        let mut b = TraceBuffer::new(8);
+    fn drain_into_streams_fifo_and_empties_the_ring() {
+        let mut b = TraceBuffer::new(4);
         b.set_level(InstrumentationLevel::Full);
+        // Overflow has wrapped the ring.
         for t in 0..6 {
-            b.log(rec(t));
-        }
-        let first = b.drain(2);
-        assert_eq!(first.iter().map(|r| r.ts).collect::<Vec<_>>(), vec![0, 1]);
-        assert_eq!(b.len(), 4);
-        let rest = b.drain(100);
-        assert_eq!(rest.len(), 4);
-        assert!(b.is_empty());
-    }
-
-    #[test]
-    fn drain_into_streams_fifo_without_copy_buffer() {
-        let mut b = TraceBuffer::new(8);
-        b.set_level(InstrumentationLevel::Full);
-        for t in 0..5 {
             b.log(rec(t));
         }
         struct LastTs(Option<u64>, usize);
@@ -229,11 +198,13 @@ mod tests {
             }
         }
         let mut sink = LastTs(None, 0);
-        assert_eq!(b.drain_into(3, &mut sink), 3);
-        assert_eq!(b.len(), 2);
-        assert_eq!(b.drain_into(usize::MAX, &mut sink), 2);
-        assert_eq!(sink.1, 5);
-        assert_eq!(sink.0, Some(4));
+        assert_eq!(b.drain_into(&mut sink), 4);
+        assert_eq!(sink.1, 4);
+        assert_eq!(sink.0, Some(5));
+        assert!(b.is_empty());
+        assert_eq!(b.drain_into(&mut sink), 0);
+        b.log(rec(6));
+        assert_eq!(b.drain_into(&mut ()), 1, "the () sink discards");
         assert!(b.is_empty());
     }
 
@@ -247,7 +218,7 @@ mod tests {
             b.log(rec(t));
         }
         let mut enc = crate::codec::ColumnarEncoder::with_frame_records(16);
-        assert_eq!(b.drain_into(usize::MAX, &mut enc), 40);
+        assert_eq!(b.drain_into(&mut enc), 40);
         let decoded = crate::codec::decode_columnar(&enc.finish()).unwrap();
         assert_eq!(decoded.len(), 40);
         assert_eq!(decoded, (0..40).map(rec).collect::<Vec<_>>());

@@ -7,7 +7,8 @@
 //! combined-workload run across 16 nodes produces on the order of 10⁵–10⁶
 //! records, a few bytes each, so a trace is cheap to persist and analyses
 //! can be re-run without re-simulating. [`decode_columnar`] reads a whole
-//! trace; [`ChunkedDecoder`] reads one frame at a time.
+//! trace and [`ChunkedDecoder`] one frame at a time, through the same frame
+//! reader, so the two agree record for record and error for error.
 //!
 //! [`canonical_record_bytes`] is not a file format: it is the fixed 20-byte
 //! form of one record that conformance fingerprints hash, and
@@ -134,7 +135,40 @@ fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
 }
 
-/// Cursor over a byte slice with varint reads; `None` means overrun.
+/// Why [`varint`] returned no value.
+enum VarintError {
+    /// The input ended inside the varint.
+    End,
+    /// An overlong or overflowing encoding, which the encoder never writes.
+    Invalid,
+}
+
+/// The one LEB128 reader: frame headers and column streams both go
+/// through it. `next` yields the following byte, or `None` at the end of
+/// the input.
+#[inline]
+fn varint(mut next: impl FnMut() -> Option<u8>) -> Result<u64, VarintError> {
+    let mut v = 0u64;
+    let mut shift = 0u32;
+    loop {
+        let byte = next().ok_or(VarintError::End)?;
+        if shift >= 64 || (shift == 63 && byte > 1) {
+            return Err(VarintError::Invalid); // would overflow u64
+        }
+        v |= ((byte & 0x7F) as u64) << shift;
+        if byte & 0x80 == 0 {
+            // A zero final byte after the first is overlong.
+            if byte == 0 && shift > 0 {
+                return Err(VarintError::Invalid);
+            }
+            return Ok(v);
+        }
+        shift += 7;
+    }
+}
+
+/// Cursor over a frame body; `None` means overrun or a bad varint, which
+/// inside a body are both corruption.
 struct ColCursor<'a> {
     b: &'a [u8],
     pos: usize,
@@ -152,21 +186,7 @@ impl<'a> ColCursor<'a> {
     }
 
     fn varint(&mut self) -> Option<u64> {
-        let mut v = 0u64;
-        let mut shift = 0u32;
-        loop {
-            let byte = self.u8()?;
-            if shift >= 64 || (shift == 63 && byte > 1) {
-                return None; // would overflow u64
-            }
-            v |= ((byte & 0x7F) as u64) << shift;
-            if byte & 0x80 == 0 {
-                // A zero final byte after the first is overlong: the
-                // encoder never writes one.
-                return (byte != 0 || shift == 0).then_some(v);
-            }
-            shift += 7;
-        }
+        varint(|| self.u8()).ok()
     }
 }
 
@@ -207,11 +227,6 @@ impl ColumnarEncoder {
             pending: Vec::with_capacity(frame_records),
             frame_records,
         }
-    }
-
-    /// Records buffered but not yet flushed into a frame.
-    pub fn pending(&self) -> usize {
-        self.pending.len()
     }
 
     /// Append one record.
@@ -366,31 +381,13 @@ fn decode_columnar_frame(
     Ok(())
 }
 
-/// Decode a columnar trace produced by [`encode_columnar`].
+/// Decode a columnar trace produced by [`encode_columnar`]: the
+/// [`ChunkedDecoder`] frame reader run over the whole slice, so both
+/// decoders give the same records or the same error.
 pub fn decode_columnar(data: &[u8]) -> Result<Vec<TraceRecord>, DecodeError> {
-    if data.len() < MAGIC_COLUMNAR.len() || data[..MAGIC_COLUMNAR.len()] != MAGIC_COLUMNAR {
-        return Err(DecodeError::BadMagic);
-    }
-    let mut pos = MAGIC_COLUMNAR.len();
+    let mut dec = ChunkedDecoder::new(data, 0);
     let mut out = Vec::new();
-    while pos < data.len() {
-        let frame_at = pos as u64;
-        let mut c = ColCursor::new(&data[pos..]);
-        let n = c.varint().ok_or(DecodeError::Truncated { at: frame_at })?;
-        let body_len = c.varint().ok_or(DecodeError::Truncated { at: frame_at })? as usize;
-        if n == 0 {
-            return Err(DecodeError::Corrupt { at: frame_at });
-        }
-        let body_start = pos + c.pos;
-        let body_end = body_start
-            .checked_add(body_len)
-            .ok_or(DecodeError::Corrupt { at: frame_at })?;
-        if body_end > data.len() {
-            return Err(DecodeError::Truncated { at: frame_at });
-        }
-        decode_columnar_frame(&data[body_start..body_end], n as usize, &mut out, frame_at)?;
-        pos = body_end;
-    }
+    while dec.read_frame(&mut out)? > 0 {}
     Ok(out)
 }
 
@@ -405,7 +402,6 @@ pub fn decode_columnar(data: &[u8]) -> Result<Vec<TraceRecord>, DecodeError> {
 pub struct ChunkedDecoder<R: Read> {
     src: R,
     buf: Vec<u8>,
-    done: bool,
     /// Bytes consumed from the stream so far (magic included; 0 until the
     /// magic is read) — the basis of the offsets reported in [`DecodeError`].
     consumed: u64,
@@ -418,7 +414,6 @@ impl<R: Read> ChunkedDecoder<R> {
         Self {
             src,
             buf: Vec::new(),
-            done: false,
             consumed: 0,
         }
     }
@@ -437,40 +432,42 @@ impl<R: Read> ChunkedDecoder<R> {
         Ok(filled)
     }
 
-    /// Read one varint byte-by-byte. `Ok(None)` only when EOF hits before
-    /// the first byte; EOF mid-varint is `Truncated` at `frame_at`.
-    fn read_varint(&mut self, frame_at: u64) -> Result<Option<u64>, DecodeError> {
-        let mut v = 0u64;
-        let mut shift = 0u32;
-        loop {
-            let mut byte = [0u8; 1];
-            if Self::read_full(&mut self.src, &mut byte)? == 0 {
-                return if shift == 0 {
-                    Ok(None)
-                } else {
-                    Err(DecodeError::Truncated { at: frame_at })
-                };
-            }
-            self.consumed += 1;
-            if shift >= 64 || (shift == 63 && byte[0] > 1) {
-                return Err(DecodeError::Corrupt { at: frame_at });
-            }
-            v |= ((byte[0] & 0x7F) as u64) << shift;
-            if byte[0] & 0x80 == 0 {
-                if byte[0] == 0 && shift > 0 {
-                    return Err(DecodeError::Corrupt { at: frame_at }); // overlong
+    /// Read one frame-header varint off the stream. `Ok(None)` only when
+    /// the stream ends before its first byte; ending inside it is
+    /// `Truncated` and an overlong or overflowing one `Corrupt`, both at
+    /// `frame_at`.
+    fn header_varint(&mut self, frame_at: u64) -> Result<Option<u64>, DecodeError> {
+        let start = self.consumed;
+        let mut failed = None;
+        let v = varint(|| {
+            let mut byte = [0u8];
+            match Self::read_full(&mut self.src, &mut byte) {
+                Ok(0) => None,
+                Ok(_) => {
+                    self.consumed += 1;
+                    Some(byte[0])
                 }
-                return Ok(Some(v));
+                Err(e) => {
+                    failed = Some(e);
+                    None
+                }
             }
-            shift += 7;
+        });
+        if let Some(e) = failed {
+            return Err(e);
+        }
+        match v {
+            Ok(v) => Ok(Some(v)),
+            Err(VarintError::End) if self.consumed == start => Ok(None),
+            Err(VarintError::End) => Err(DecodeError::Truncated { at: frame_at }),
+            Err(VarintError::Invalid) => Err(DecodeError::Corrupt { at: frame_at }),
         }
     }
 
-    /// Decode the next frame into `out` (cleared first). Returns the number
-    /// of records produced; `Ok(0)` means the trace ended cleanly. A trace
-    /// that ends mid-frame yields [`DecodeError::Truncated`].
-    pub fn next_chunk(&mut self, out: &mut Vec<TraceRecord>) -> Result<usize, DecodeError> {
-        out.clear();
+    /// The frame reader both decoders share: decode the next frame,
+    /// appending its records to `out`. Returns the number appended; `Ok(0)`
+    /// means the trace ended cleanly.
+    fn read_frame(&mut self, out: &mut Vec<TraceRecord>) -> Result<usize, DecodeError> {
         if self.consumed == 0 {
             let mut magic = [0u8; MAGIC_COLUMNAR.len()];
             let n = Self::read_full(&mut self.src, &mut magic)?;
@@ -479,16 +476,12 @@ impl<R: Read> ChunkedDecoder<R> {
             }
             self.consumed = magic.len() as u64;
         }
-        if self.done {
-            return Ok(0);
-        }
         let frame_at = self.consumed;
-        let Some(n) = self.read_varint(frame_at)? else {
-            self.done = true;
+        let Some(n) = self.header_varint(frame_at)? else {
             return Ok(0);
         };
         let body_len = self
-            .read_varint(frame_at)?
+            .header_varint(frame_at)?
             .ok_or(DecodeError::Truncated { at: frame_at })?;
         if n == 0 {
             return Err(DecodeError::Corrupt { at: frame_at });
@@ -506,6 +499,14 @@ impl<R: Read> ChunkedDecoder<R> {
         self.consumed += body_len;
         decode_columnar_frame(&self.buf, n as usize, out, frame_at)?;
         Ok(n as usize)
+    }
+
+    /// Decode the next frame into `out` (cleared first). Returns the number
+    /// of records produced; `Ok(0)` means the trace ended cleanly. A trace
+    /// that ends mid-frame yields [`DecodeError::Truncated`].
+    pub fn next_chunk(&mut self, out: &mut Vec<TraceRecord>) -> Result<usize, DecodeError> {
+        out.clear();
+        self.read_frame(out)
     }
 }
 
@@ -660,10 +661,9 @@ mod tests {
         // Frames of 4; the second frame's first byte (its record count)
         // becomes an impossible 0.
         let encoded = framed(&many(10), 4);
-        let mut first = ColCursor::new(&encoded[MAGIC_COLUMNAR.len()..]);
-        let _n = first.varint().unwrap();
-        let body_len = first.varint().unwrap() as usize;
-        let second = MAGIC_COLUMNAR.len() + first.pos + body_len;
+        let mut dec = ChunkedDecoder::new(&encoded[..], 0);
+        dec.next_chunk(&mut Vec::new()).unwrap();
+        let second = dec.consumed as usize;
         let mut bad = encoded.to_vec();
         bad[second] = 0;
         let mut dec = ChunkedDecoder::new(&bad[..], 0);
@@ -778,15 +778,17 @@ mod tests {
     fn columnar_truncation_reports_frame_start_batch_and_chunked() {
         let full = framed(&many(40), 16).to_vec();
 
-        // Find the start of the last frame by walking the frame headers.
-        let mut pos = MAGIC_COLUMNAR.len();
-        let mut last_frame = pos;
-        while pos < full.len() {
-            last_frame = pos;
-            let mut c = ColCursor::new(&full[pos..]);
-            let _n = c.varint().unwrap();
-            let body_len = c.varint().unwrap() as usize;
-            pos += c.pos + body_len;
+        // Find the start of the last (third) frame: the bytes consumed
+        // before reading it.
+        let mut dec = ChunkedDecoder::new(&full[..], 0);
+        let mut frame = Vec::new();
+        let mut last_frame = 0;
+        loop {
+            let at = dec.consumed as usize;
+            if dec.next_chunk(&mut frame).unwrap() == 0 {
+                break;
+            }
+            last_frame = at;
         }
 
         // Chop into the last frame's body.
@@ -883,11 +885,24 @@ mod tests {
             assert_eq!(decode_columnar(&bad), Err(want.clone()), "{body:?}");
             assert_eq!(drain_chunked(&bad), Err(want), "{body:?}");
         }
-        // An overlong frame header (n = 1 in two bytes) is an error too.
+        // So is a frame header the encoder never writes: an overlong
+        // record count (1 in two bytes) or an overflowing one (11 × 0xff).
+        for header in [&[0x81, 0, 7][..], &[0xff; 11]] {
+            let mut bad = MAGIC_COLUMNAR.to_vec();
+            bad.extend_from_slice(header);
+            bad.extend_from_slice(&[0, 0, 2, 0, 0, 0, 0]);
+            let want = DecodeError::Corrupt { at: 4 };
+            assert_eq!(decode_columnar(&bad), Err(want.clone()), "{header:?}");
+            assert_eq!(drain_chunked(&bad), Err(want), "{header:?}");
+        }
+        // A body length of u64::MAX claims more than any input holds.
         let mut bad = MAGIC_COLUMNAR.to_vec();
-        bad.extend_from_slice(&[0x81, 0, 7, 0, 0, 2, 0, 0, 0, 0]);
-        assert!(decode_columnar(&bad).is_err());
-        assert_eq!(drain_chunked(&bad), Err(DecodeError::Corrupt { at: 4 }));
+        bad.push(1);
+        bad.extend_from_slice(&[0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01]);
+        bad.extend_from_slice(&[0, 0, 2, 0, 0, 0, 0]);
+        let want = DecodeError::Truncated { at: 4 };
+        assert_eq!(decode_columnar(&bad), Err(want.clone()));
+        assert_eq!(drain_chunked(&bad), Err(want));
     }
 
     #[test]

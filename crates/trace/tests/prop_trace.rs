@@ -220,10 +220,14 @@ proptest! {
 }
 
 /// Feed `data` to both decoders, batch and chunked. Each must return `Ok`
-/// or `Err`; a panic fails the property.
-fn decode_every_way(data: &[u8]) {
-    let _ = codec::decode_columnar(data);
-    let _ = codec::decode_chunked(data, &mut Vec::<TraceRecord>::new());
+/// or `Err` (a panic fails the property), and the two must agree: the
+/// same records or the same error.
+fn decode_every_way(data: &[u8]) -> Result<(), TestCaseError> {
+    let batch = codec::decode_columnar(data);
+    let mut recs = Vec::<TraceRecord>::new();
+    let chunked = codec::decode_chunked(data, &mut recs).map(|_| recs);
+    prop_assert_eq!(batch, chunked);
+    Ok(())
 }
 
 /// 1–4 edits `(kind, position, byte)` for [`mutate`].
@@ -255,14 +259,14 @@ proptest! {
     fn decoders_never_panic_on_arbitrary_bytes(
         bytes in prop::collection::vec(any::<u8>(), 0..512),
     ) {
-        decode_every_way(&bytes);
+        decode_every_way(&bytes)?;
     }
 
     #[test]
     fn decoders_never_panic_after_the_magic(
         bytes in prop::collection::vec(any::<u8>(), 0..512),
     ) {
-        decode_every_way(&[&codec::MAGIC_COLUMNAR[..], &bytes].concat());
+        decode_every_way(&[&codec::MAGIC_COLUMNAR[..], &bytes].concat())?;
     }
 
     #[test]
@@ -275,7 +279,7 @@ proptest! {
         for r in &t {
             enc.push(*r);
         }
-        decode_every_way(&mutate(enc.finish().to_vec(), &e));
+        decode_every_way(&mutate(enc.finish().to_vec(), &e))?;
     }
 }
 
