@@ -56,7 +56,7 @@ fn bench_batch_vs_streaming(c: &mut Criterion) {
                 b.iter(|| {
                     let mut s = StreamSummary::new(cfg());
                     s.observe_all(black_box(recs));
-                    black_box(s.records)
+                    black_box(s)
                 })
             },
         );
@@ -81,7 +81,7 @@ fn bench_merge_cost(c: &mut Criterion) {
             .collect();
         g.throughput(Throughput::Elements(shards as u64));
         g.bench_with_input(BenchmarkId::new("merge_all", shards), &built, |b, built| {
-            b.iter(|| black_box(merge_all(built.clone()).unwrap().records))
+            b.iter(|| black_box(merge_all(built.clone())))
         });
     }
     g.finish();

@@ -292,6 +292,19 @@ impl BufferCache {
         out.sort_unstable_by_key(|(b, _)| *b);
         out
     }
+
+    /// Forget blocks entirely (unlink): dirty data of a deleted file is
+    /// dropped, not written.
+    pub fn invalidate(&mut self, blocks: &[BlockNo]) {
+        for b in blocks {
+            if let Some(slot) = self.map.remove(b) {
+                if self.nodes[slot as usize].dirty {
+                    self.dirty -= 1;
+                }
+                self.release(slot);
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -369,6 +382,21 @@ mod tests {
         let flushed = c.take_dirty_among(&[2, 3]);
         assert_eq!(flushed, vec![(2, O)]);
         assert_eq!(c.dirty_count(), 1);
+    }
+
+    #[test]
+    fn invalidate_removes_without_writeback() {
+        let mut c = BufferCache::new(4);
+        c.mark_dirty(1, O);
+        c.invalidate(&[1]);
+        assert!(!c.contains(1));
+        assert_eq!(c.dirty_count(), 0);
+        assert!(c.take_dirty().is_empty());
+        // The recency list stays consistent: inserting more works fine.
+        for b in 10..20 {
+            c.insert_clean(b, O);
+        }
+        assert_eq!(c.len(), 4);
     }
 
     #[test]

@@ -289,23 +289,26 @@ impl Fs {
         self.inodes.get(ino as usize).and_then(|i| i.as_ref())
     }
 
-    /// Remove a file, releasing its blocks. Returns dirtied metadata blocks.
-    pub fn unlink(&mut self, path: &str) -> Result<Vec<BlockNo>, SysError> {
+    /// Remove a file, releasing its blocks. Returns the dirtied metadata
+    /// blocks and the freed ones (data blocks, then the indirect block).
+    pub fn unlink(&mut self, path: &str) -> Result<(Vec<BlockNo>, Vec<BlockNo>), SysError> {
         let ino = self.root.remove(path).ok_or(SysError::NotFound)?;
         let inode = self.inodes[ino as usize].take().ok_or(SysError::NotFound)?;
         let mut meta = vec![self.dir_block(), self.inode_block(ino)];
-        for b in &inode.blocks {
-            self.alloc.free(*b);
-            let bb = self.bitmap_block_for(*b);
+        for &b in &inode.blocks {
+            self.alloc.free(b);
+            let bb = self.bitmap_block_for(b);
             if !meta.contains(&bb) {
                 meta.push(bb);
             }
         }
+        let mut freed = inode.blocks;
         if let Some(ind) = inode.indirect {
             self.alloc.free(ind);
+            freed.push(ind);
         }
         self.stats.unlinked += 1;
-        Ok(meta)
+        Ok((meta, freed))
     }
 
     // ----- data ----------------------------------------------------------
@@ -442,8 +445,9 @@ mod tests {
         let ino = f.create("/data/image", Placement::User).unwrap();
         assert_eq!(f.lookup("/data/image"), Some(ino));
         assert!(f.create("/data/image", Placement::User).is_err());
-        let meta = f.unlink("/data/image").unwrap();
+        let (meta, freed) = f.unlink("/data/image").unwrap();
         assert!(meta.contains(&f.dir_block()));
+        assert!(freed.is_empty(), "an empty file holds no blocks");
         assert_eq!(f.lookup("/data/image"), None);
         assert!(f.unlink("/data/image").is_err());
     }
@@ -572,7 +576,7 @@ mod tests {
         let a = f.create("/a", Placement::User).unwrap();
         f.write_at(a, 0, &[0u8; 4096]).unwrap();
         let freed = f.inode(a).unwrap().blocks.clone();
-        f.unlink("/a").unwrap();
+        assert_eq!(f.unlink("/a").unwrap().1, freed);
         let b = f.create("/b", Placement::User).unwrap();
         f.write_at(b, 0, &[0u8; 1024]).unwrap();
         assert_eq!(

@@ -741,7 +741,11 @@ impl Kernel {
             }
 
             Syscall::Unlink { path } => {
-                for b in self.fs.unlink(&path)? {
+                let (meta, freed) = self.fs.unlink(&path)?;
+                // A deleted file's cached blocks are dropped, not written
+                // back into freed space.
+                self.cache.invalidate(&freed);
+                for b in meta {
                     self.dirty(now, b, Origin::Metadata);
                 }
                 Ok(self.done(SysResult::Unit))
@@ -1925,5 +1929,54 @@ mod tests {
         let o = k.syscall(1_000_000, 1, Syscall::Sync);
         assert!(matches!(o, Outcome::Done { .. }));
         assert_eq!(k.take_disk_deadline(), None);
+    }
+
+    #[test]
+    fn sync_after_unlink_writes_none_of_the_freed_blocks() {
+        let mut k = kernel();
+        k.register_process(1);
+        let fd = k
+            .sys_done(
+                0,
+                Syscall::Open {
+                    path: "/a".into(),
+                    create: true,
+                    placement: Placement::User,
+                },
+            )
+            .fd();
+        k.sys_done(
+            1,
+            Syscall::WriteAt {
+                fd,
+                offset: 0,
+                data: vec![1u8; 3072],
+            },
+        );
+        k.sys_done(2, Syscall::Close { fd });
+        let ino = k.fs.lookup("/a").expect("created");
+        let freed = k.fs.inode(ino).expect("live inode").blocks.clone();
+        assert_eq!(freed.len(), 3);
+        assert!(freed.iter().all(|&b| k.cache.contains(b)), "data is cached");
+        k.sys_done(3, Syscall::Unlink { path: "/a".into() });
+        assert!(!freed.iter().any(|&b| k.cache.contains(b)));
+
+        let o = k.syscall(4, 1, Syscall::Sync);
+        assert!(matches!(o, Outcome::Blocked), "metadata is still dirty");
+        pump(&mut k);
+        let writes: Vec<TraceRecord> = trace(&mut k)
+            .into_iter()
+            .filter(|r| r.op == Op::Write)
+            .collect();
+        assert!(!writes.is_empty());
+        for b in freed {
+            let sector = b * SECTORS_PER_BLOCK;
+            assert!(
+                !writes
+                    .iter()
+                    .any(|r| (r.sector..r.sector + r.nsectors as u32).contains(&sector)),
+                "freed block {b} written back by the sync"
+            );
+        }
     }
 }

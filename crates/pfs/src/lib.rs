@@ -14,11 +14,10 @@
 //!   an access ordering, giving sequentially-consistent semantics.
 //!
 //! This crate implements the metadata/planning layer — stripe mapping
-//! ([`plan_io`]), parafile registry ([`Registry`]) and the coordinator's
-//! admission queue ([`Coordinator`]). Execution (local FS reads/writes on
-//! each server, network transfers) is wired by the cluster world loop in
-//! the `essio` crate, which turns each [`SegmentIo`] into syscalls against
-//! that node's kernel.
+//! ([`plan_io`]) and the coordinator's admission queue ([`Coordinator`]).
+//! Execution (local FS reads/writes on each server, network transfers) is
+//! wired by the cluster world loop in the `essio` crate, which turns each
+//! [`SegmentIo`] into syscalls against that node's kernel.
 
 #![warn(missing_docs)]
 
@@ -93,46 +92,6 @@ pub fn plan_io(spec: &StripeSpec, offset: u64, len: u32) -> Vec<SegmentIo> {
 /// Segment file path for parafile `name` on `server`.
 pub fn segment_path(name: &str, server: ServerId) -> String {
     format!("/pfs/{name}.seg{server}")
-}
-
-/// The parafile registry (the PIOUS "parafile directory").
-#[derive(Debug, Default)]
-pub struct Registry {
-    files: HashMap<String, StripeSpec>,
-}
-
-impl Registry {
-    /// Empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Declare a parafile. Re-declaration with a different layout is a bug.
-    pub fn declare(&mut self, name: &str, spec: StripeSpec) {
-        if let Some(existing) = self.files.get(name) {
-            assert_eq!(
-                existing, &spec,
-                "parafile {name} re-declared with a different layout"
-            );
-            return;
-        }
-        self.files.insert(name.to_string(), spec);
-    }
-
-    /// Look up a parafile's layout.
-    pub fn spec(&self, name: &str) -> Option<&StripeSpec> {
-        self.files.get(name)
-    }
-
-    /// Number of declared parafiles.
-    pub fn len(&self) -> usize {
-        self.files.len()
-    }
-
-    /// True when nothing is declared.
-    pub fn is_empty(&self) -> bool {
-        self.files.is_empty()
-    }
 }
 
 /// Admission decision from the coordinator.
@@ -303,24 +262,6 @@ mod tests {
     fn segment_paths_are_per_server() {
         assert_eq!(segment_path("matrix", 3), "/pfs/matrix.seg3");
         assert_ne!(segment_path("matrix", 0), segment_path("matrix", 1));
-    }
-
-    #[test]
-    fn registry_declares_and_rejects_conflicts() {
-        let mut r = Registry::new();
-        r.declare("a", spec3());
-        r.declare("a", spec3()); // idempotent
-        assert_eq!(r.len(), 1);
-        assert_eq!(r.spec("a").unwrap().unit, 1024);
-        assert!(r.spec("b").is_none());
-    }
-
-    #[test]
-    #[should_panic(expected = "different layout")]
-    fn conflicting_redeclaration_panics() {
-        let mut r = Registry::new();
-        r.declare("a", spec3());
-        r.declare("a", StripeSpec::new(2048, vec![0]));
     }
 
     #[test]

@@ -3,10 +3,12 @@
 //! The build environment has no crates.io access, so the workspace vendors
 //! the parallel-iterator surface it actually uses:
 //!
-//! * `slice.par_chunks(n).fold(id, f).reduce(id, g)` — the temporal-locality
-//!   counting pipeline;
-//! * `slice.par_iter().map(f).reduce(id, g)` — shard merging in
+//! * `slice.par_chunks(n).fold(id, f).reduce(id, g)` — the batch trace
+//!   summary's fold over record chunks;
+//! * `vec.into_par_iter().map(f).reduce(id, g)` — shard merging in
 //!   `essio-stream`;
+//! * `slice.par_iter().map(f)` with `reduce` or `collect` — kept for
+//!   parity with rayon, with no caller in the workspace;
 //! * `vec.into_par_iter().map(f).collect::<Vec<_>>()` and
 //!   `.collect_into_vec(&mut v)` — order-preserving parallel maps, among
 //!   them the campaign runner's seed fan-out and the N-body fleet's

@@ -28,13 +28,6 @@ pub const fn millis(ms: u64) -> SimTime {
     ms * MICROS_PER_MILLI
 }
 
-/// Convert fractional seconds to [`SimTime`] microseconds (rounded).
-#[inline]
-pub fn secs_f64(s: f64) -> SimTime {
-    debug_assert!(s >= 0.0, "negative durations are not representable");
-    (s * MICROS_PER_SEC as f64).round() as SimTime
-}
-
 /// Convert a [`SimTime`] to fractional seconds (for reporting/plotting).
 #[inline]
 pub fn as_secs_f64(t: SimTime) -> f64 {
@@ -49,13 +42,6 @@ mod tests {
     fn unit_conversions_roundtrip() {
         assert_eq!(secs(3), 3_000_000);
         assert_eq!(millis(3), 3_000);
-        assert_eq!(secs_f64(0.5), 500_000);
         assert!((as_secs_f64(secs(7)) - 7.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn secs_f64_rounds_to_nearest_microsecond() {
-        assert_eq!(secs_f64(1e-6 * 0.4), 0);
-        assert_eq!(secs_f64(1e-6 * 0.6), 1);
     }
 }

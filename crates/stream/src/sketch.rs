@@ -1,160 +1,9 @@
-//! Bounded-memory mergeable sketches.
+//! A fixed-size, mergeable histogram for long-tailed quantities.
 //!
-//! The exact states in [`crate::state`] are small for this study's traces
-//! (a 500 MB disk has ~10⁶ sectors) but grow with the number of distinct
-//! keys. These sketches cap memory at a chosen constant while keeping
-//! useful guarantees, and both support `merge` for shard reduction:
-//!
-//! * [`SpaceSaving`] — the Metwally/Agrawal/El Abbadi top-k counter used
-//!   for temporal hot spots: `k` counters total, every tracked key's
-//!   estimate over-counts by at most its recorded `err`, and any key whose
-//!   true frequency exceeds `n/k` is guaranteed to be tracked.
-//! * [`LogHistogram`] — a base-2 log-bucket histogram (64 fixed buckets)
-//!   for long-tailed quantities like inter-arrival gaps; merge is exact
-//!   bucket-wise addition.
-
-use std::collections::HashMap;
-use std::hash::Hash;
-
-/// One Space-Saving counter.
-#[derive(Debug, Clone, Copy)]
-pub struct Counter {
-    /// Estimated count (never under the true count for a tracked key).
-    pub count: u64,
-    /// Maximum possible over-count folded into `count`.
-    pub err: u64,
-}
-
-/// Space-Saving heavy-hitters sketch with at most `capacity` counters.
-#[derive(Debug, Clone)]
-pub struct SpaceSaving<K: Eq + Hash + Ord + Copy> {
-    capacity: usize,
-    counters: HashMap<K, Counter>,
-    observed: u64,
-}
-
-impl<K: Eq + Hash + Ord + Copy> SpaceSaving<K> {
-    /// Sketch tracking at most `capacity` keys (≥ 1).
-    pub fn new(capacity: usize) -> Self {
-        let capacity = capacity.max(1);
-        Self {
-            capacity,
-            counters: HashMap::with_capacity(capacity + 1),
-            observed: 0,
-        }
-    }
-
-    /// Counter capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Total observations folded in (exact).
-    pub fn observed(&self) -> u64 {
-        self.observed
-    }
-
-    /// Record `weight` occurrences of `key`.
-    pub fn observe(&mut self, key: K, weight: u64) {
-        self.observed += weight;
-        if let Some(c) = self.counters.get_mut(&key) {
-            c.count += weight;
-            return;
-        }
-        if self.counters.len() < self.capacity {
-            self.counters.insert(
-                key,
-                Counter {
-                    count: weight,
-                    err: 0,
-                },
-            );
-            return;
-        }
-        // Evict the minimum counter: the newcomer inherits its count as the
-        // over-estimate bound (classic Space-Saving step).
-        // Tie-break on the key so eviction never depends on HashMap
-        // iteration order — sketch contents must be deterministic per seed.
-        let (&evict, &min) = self
-            .counters
-            .iter()
-            .min_by_key(|(&k, c)| (c.count, k))
-            .expect("capacity >= 1 so the map is non-empty");
-        self.counters.remove(&evict);
-        self.counters.insert(
-            key,
-            Counter {
-                count: min.count + weight,
-                err: min.count,
-            },
-        );
-    }
-
-    /// Estimated count for `key`, with its over-count bound; `None` if the
-    /// key is not tracked (true count then ≤ the minimum tracked count).
-    pub fn estimate(&self, key: K) -> Option<Counter> {
-        self.counters.get(&key).copied()
-    }
-
-    /// Tracked keys sorted by estimated count, highest first; ties break on
-    /// the key so the order is deterministic.
-    pub fn top(&self) -> Vec<(K, Counter)> {
-        let mut v: Vec<(K, Counter)> = self.counters.iter().map(|(&k, &c)| (k, c)).collect();
-        v.sort_unstable_by_key(|&(k, c)| (std::cmp::Reverse(c.count), k));
-        v
-    }
-
-    /// Smallest tracked count (0 when under capacity) — the upper bound on
-    /// the true count of any *untracked* key.
-    pub fn min_count(&self) -> u64 {
-        if self.counters.len() < self.capacity {
-            0
-        } else {
-            self.counters.values().map(|c| c.count).min().unwrap_or(0)
-        }
-    }
-
-    /// Combine with a sketch built over a disjoint observation stream.
-    ///
-    /// Follows the mergeable-summaries construction: estimates add (a key
-    /// missing from one side contributes that side's `min_count` as both
-    /// count and error bound), then the union is re-truncated to capacity.
-    /// The result still over-estimates: for every tracked key,
-    /// `count − err ≤ true ≤ count`, and total weight is preserved in
-    /// [`SpaceSaving::observed`]. Merge is *not* bit-exact associative —
-    /// that is inherent to the sketch; the exact states carry the
-    /// bit-identical guarantees.
-    pub fn merge(&mut self, other: &SpaceSaving<K>) {
-        let self_min = self.min_count();
-        let other_min = other.min_count();
-        let mut merged: HashMap<K, Counter> =
-            HashMap::with_capacity(self.counters.len() + other.counters.len());
-        for (&k, &c) in &self.counters {
-            let (oc, oe) = match other.counters.get(&k) {
-                Some(o) => (o.count, o.err),
-                None => (other_min, other_min),
-            };
-            merged.insert(
-                k,
-                Counter {
-                    count: c.count + oc,
-                    err: c.err + oe,
-                },
-            );
-        }
-        for (&k, &c) in &other.counters {
-            merged.entry(k).or_insert(Counter {
-                count: c.count + self_min,
-                err: c.err + self_min,
-            });
-        }
-        let mut v: Vec<(K, Counter)> = merged.into_iter().collect();
-        v.sort_unstable_by_key(|&(k, c)| (std::cmp::Reverse(c.count), k));
-        v.truncate(self.capacity);
-        self.counters = v.into_iter().collect();
-        self.observed += other.observed;
-    }
-}
+//! [`LogHistogram`] is a base-2 log-bucket histogram (65 fixed buckets):
+//! the streaming summary keeps request inter-arrival gaps in one, and
+//! `essio-obs` keeps its distribution metrics in them. Its merge is exact
+//! bucket-wise addition, so shards reduce in any order.
 
 /// Number of buckets in a [`LogHistogram`] (covers the full `u64` range).
 pub const LOG_BUCKETS: usize = 65;
@@ -254,66 +103,6 @@ impl LogHistogram {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn space_saving_exact_under_capacity() {
-        let mut s = SpaceSaving::new(8);
-        for k in [1u32, 1, 2, 3, 1, 2] {
-            s.observe(k, 1);
-        }
-        assert_eq!(s.estimate(1).unwrap().count, 3);
-        assert_eq!(s.estimate(1).unwrap().err, 0);
-        assert_eq!(s.estimate(2).unwrap().count, 2);
-        assert_eq!(s.observed(), 6);
-        assert_eq!(s.top()[0].0, 1);
-    }
-
-    #[test]
-    fn space_saving_overestimates_heavy_keys() {
-        // 3 counters, a skewed stream: heavy keys must be tracked with
-        // count ≥ true and count − err ≤ true.
-        let mut s = SpaceSaving::new(3);
-        let mut true_counts: HashMap<u32, u64> = HashMap::new();
-        let stream: Vec<u32> = (0..600)
-            .map(|i| {
-                if i % 3 == 0 {
-                    7
-                } else if i % 3 == 1 {
-                    8
-                } else {
-                    i as u32
-                }
-            })
-            .collect();
-        for &k in &stream {
-            s.observe(k, 1);
-            *true_counts.entry(k).or_insert(0) += 1;
-        }
-        for heavy in [7u32, 8] {
-            let t = true_counts[&heavy];
-            let c = s.estimate(heavy).expect("heavy key tracked");
-            assert!(c.count >= t, "estimate {} under true {t}", c.count);
-            assert!(c.count - c.err <= t, "lower bound violated");
-        }
-        assert_eq!(s.observed(), 600);
-    }
-
-    #[test]
-    fn space_saving_merge_keeps_heavy_keys_and_weight() {
-        let mut a = SpaceSaving::new(4);
-        let mut b = SpaceSaving::new(4);
-        for i in 0..300u32 {
-            a.observe(if i % 2 == 0 { 42 } else { i }, 1);
-            b.observe(if i % 2 == 0 { 42 } else { 1000 + i }, 1);
-        }
-        let true_heavy = 150 + 150; // key 42 in both halves
-        a.merge(&b);
-        assert_eq!(a.observed(), 600);
-        assert!(a.top().len() <= 4);
-        let c = a.estimate(42).expect("heavy key survives merge");
-        assert!(c.count >= true_heavy);
-        assert!(c.count - c.err <= true_heavy);
-    }
 
     #[test]
     fn log_histogram_buckets_and_quantiles() {

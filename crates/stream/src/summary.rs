@@ -1,4 +1,4 @@
-//! The all-in-one streaming summary and its shard reduction.
+//! The streaming summary and its shard reduction.
 
 use rayon::prelude::*;
 
@@ -7,48 +7,36 @@ use essio_trace::analysis::spatial::PAPER_BAND_SECTORS;
 use essio_trace::analysis::{MetricState, SummaryState, TraceSummary};
 use essio_trace::{RecordSink, TraceRecord};
 
-use crate::sketch::{LogHistogram, SpaceSaving};
+use crate::sketch::LogHistogram;
 
 /// Configuration shared by every shard of one analysis.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StreamConfig {
-    /// Spatial band width in sectors (paper: 100,000).
-    pub band_sectors: u32,
     /// Disk size in sectors.
     pub total_sectors: u32,
-    /// Space-Saving counters for the bounded hot-spot sketch.
-    pub hot_capacity: usize,
 }
 
 impl StreamConfig {
     /// The paper's analysis parameters for a disk of `total_sectors`.
     pub fn paper(total_sectors: u32) -> Self {
-        Self {
-            band_sectors: PAPER_BAND_SECTORS,
-            total_sectors,
-            hot_capacity: 256,
-        }
+        Self { total_sectors }
     }
 }
 
 /// Online form of [`TraceSummary`]: the exact per-metric states
-/// ([`SummaryState`]) behind a [`RecordSink`], plus bounded-memory
-/// sketches.
+/// ([`SummaryState`]) behind a [`RecordSink`], plus the inter-arrival
+/// histogram the batch summary does not report.
 ///
 /// Implements [`RecordSink`], so it plugs directly into the kernel drain
-/// path (`Experiment::run_streamed`), the chunked trace decoder
-/// (`essio_trace::codec::decode_chunked`), or a [`NodeShards`] router.
+/// path (`Experiment::run_streamed`) or the chunked trace decoder
+/// (`essio_trace::codec::decode_chunked`).
 #[derive(Debug, Clone)]
 pub struct StreamSummary {
     cfg: StreamConfig,
     /// The exact per-metric states [`StreamSummary::finalize`] reads.
     pub exact: SummaryState,
-    /// Bounded-memory hot-spot sketch over starting sectors.
-    pub hot_sketch: SpaceSaving<u32>,
     /// Log-bucket histogram of request inter-arrival gaps, µs.
     pub interarrival_us: LogHistogram,
-    /// Records observed.
-    pub records: u64,
     /// Earliest record timestamp seen, µs.
     pub first_ts: Option<SimTime>,
     /// Latest record timestamp seen, µs.
@@ -60,10 +48,8 @@ impl StreamSummary {
     pub fn new(cfg: StreamConfig) -> Self {
         Self {
             cfg,
-            exact: SummaryState::new(cfg.band_sectors, cfg.total_sectors),
-            hot_sketch: SpaceSaving::new(cfg.hot_capacity),
+            exact: SummaryState::new(PAPER_BAND_SECTORS, cfg.total_sectors),
             interarrival_us: LogHistogram::new(),
-            records: 0,
             first_ts: None,
             last_ts: None,
         }
@@ -86,7 +72,6 @@ impl StreamSummary {
             "cannot merge summaries with different configs"
         );
         self.exact.merge(other.exact);
-        self.hot_sketch.merge(&other.hot_sketch);
         self.interarrival_us.merge(&other.interarrival_us);
         // Boundary gap between the earlier stream's end and the later
         // stream's start (time-split shards; for interleaved shards this is
@@ -94,7 +79,6 @@ impl StreamSummary {
         if let (Some(a_last), Some(b_first)) = (self.last_ts, other.first_ts) {
             self.interarrival_us.observe(b_first.saturating_sub(a_last));
         }
-        self.records += other.records;
         self.first_ts = match (self.first_ts, other.first_ts) {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
@@ -107,15 +91,15 @@ impl StreamSummary {
     }
 
     /// The [`TraceSummary`] of every observed record for a run of
-    /// `duration`. With the paper's band width this is exactly what
-    /// `TraceSummary::compute(&trace, duration, total_sectors)` returns on
-    /// the same records: both fold the same states.
+    /// `duration`: exactly what `TraceSummary::compute(&trace, duration,
+    /// total_sectors)` returns on the same records, as both fold the same
+    /// states.
     pub fn finalize(&self, duration: SimTime) -> TraceSummary {
         self.exact.finalize(duration)
     }
 
-    /// Human-readable report (delegates to the finalized summary, plus the
-    /// sketch views the batch pipeline doesn't have).
+    /// Human-readable report: the finalized summary's, plus the
+    /// inter-arrival line the batch pipeline doesn't have.
     pub fn report(&self, name: &str, duration: SimTime) -> String {
         use std::fmt::Write as _;
         let mut s = self.finalize(duration).report(name);
@@ -127,15 +111,6 @@ impl StreamSummary {
             self.interarrival_us.quantile_floor(0.99),
             self.interarrival_us.total,
         );
-        if let Some((sector, c)) = self.hot_sketch.top().first().map(|&(k, c)| (k, c)) {
-            let _ = writeln!(
-                s,
-                "hot sketch: top sector {sector} (count {} ± {}, {} counters)",
-                c.count,
-                c.err,
-                self.hot_sketch.capacity(),
-            );
-        }
         s
     }
 }
@@ -143,58 +118,11 @@ impl StreamSummary {
 impl RecordSink for StreamSummary {
     fn observe(&mut self, r: &TraceRecord) {
         self.exact.observe(r);
-        self.hot_sketch.observe(r.sector, 1);
         if let Some(last) = self.last_ts {
             self.interarrival_us.observe(r.ts.saturating_sub(last));
         }
-        self.records += 1;
         self.first_ts = Some(self.first_ts.map_or(r.ts, |t| t.min(r.ts)));
         self.last_ts = Some(self.last_ts.map_or(r.ts, |t| t.max(r.ts)));
-    }
-}
-
-/// Per-node shard router: one [`StreamSummary`] per cluster node, updated
-/// live as records arrive from the drain path. Finalize per node, or
-/// reduce all shards with [`merge_all`] for the cluster-wide view.
-#[derive(Debug, Clone)]
-pub struct NodeShards {
-    shards: Vec<StreamSummary>,
-}
-
-impl NodeShards {
-    /// One shard per node, all sharing `cfg`.
-    pub fn new(nodes: u8, cfg: StreamConfig) -> Self {
-        let nodes = nodes.max(1);
-        Self {
-            shards: (0..nodes).map(|_| StreamSummary::new(cfg)).collect(),
-        }
-    }
-
-    /// Shard for one node.
-    pub fn node(&self, node: u8) -> &StreamSummary {
-        &self.shards[node as usize]
-    }
-
-    /// Number of shards.
-    pub fn len(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// True when there are no shards (never, by construction).
-    pub fn is_empty(&self) -> bool {
-        self.shards.is_empty()
-    }
-
-    /// Cluster-wide reduction of all shards.
-    pub fn reduce(self) -> StreamSummary {
-        merge_all(self.shards).expect("NodeShards always holds >= 1 shard")
-    }
-}
-
-impl RecordSink for NodeShards {
-    fn observe(&mut self, r: &TraceRecord) {
-        let i = (r.node as usize).min(self.shards.len() - 1);
-        self.shards[i].observe(r);
     }
 }
 
@@ -271,21 +199,6 @@ mod tests {
             serde_json::to_string(&merged.finalize(duration)).unwrap(),
             serde_json::to_string(&whole.finalize(duration)).unwrap(),
         );
-        assert_eq!(merged.records, whole.records);
-    }
-
-    #[test]
-    fn node_shards_route_by_node() {
-        let recs = sample(400);
-        let cfg = StreamConfig::paper(1_000_000);
-        let mut shards = NodeShards::new(4, cfg);
-        shards.observe_all(&recs);
-        for node in 0..4u8 {
-            let expect = recs.iter().filter(|r| r.node == node).count() as u64;
-            assert_eq!(shards.node(node).records, expect);
-        }
-        let merged = shards.reduce();
-        assert_eq!(merged.records, 400);
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //! equality field-by-field.
 
 use essio::prelude::*;
-use essio_stream::{merge_all, NodeShards, StreamConfig, StreamSummary};
-use essio_trace::RecordSink;
+use essio_stream::{merge_all, StreamConfig, StreamSummary};
+use essio_trace::{RecordSink, TraceRecord};
 
 fn cfg() -> StreamConfig {
     StreamConfig::paper(essio_disk::DiskGeometry::BEOWULF_500MB.total_sectors())
@@ -39,33 +39,48 @@ fn run_streamed_matches_batch_summary_on_three_experiments() {
         let (run, sink) = experiment(kind, 7).run_streamed(StreamSummary::new(cfg()));
 
         assert_eq!(run.duration, batch.duration, "{kind:?}: durations diverge");
+        let stream = sink.finalize(run.duration);
         assert_eq!(
-            sink.records,
+            stream.rw.total,
             batch.trace.len() as u64,
             "{kind:?}: record counts diverge"
         );
         assert_eq!(
-            json(&sink.finalize(run.duration)),
+            json(&stream),
             json(&batch.summary),
             "{kind:?}: streaming summary must be bit-identical to batch"
         );
     }
 }
 
-/// Per-node shards built live from the drain hook reduce to the same
-/// summary as one undivided stream, and per-node record counts match the
-/// batch trace's per-node decomposition.
+/// A streamed run split by node: the records its drain tap delivers go to
+/// one summary per `rec.node`, each shard counts the batch trace's records
+/// of that node, and the merged shards equal the whole-cluster batch
+/// summary.
 #[test]
 fn node_shards_reduce_to_whole_cluster_summary() {
     let batch = experiment(ExperimentKind::Wavelet, 11).run();
-    let (run, shards) =
-        experiment(ExperimentKind::Wavelet, 11).run_streamed(NodeShards::new(2, cfg()));
+    let (run, trace) =
+        experiment(ExperimentKind::Wavelet, 11).run_streamed(Vec::<TraceRecord>::new());
 
-    for node in 0..2u8 {
-        let expect = batch.trace.iter().filter(|r| r.node == node).count() as u64;
-        assert_eq!(shards.node(node).records, expect, "node {node} shard count");
+    let mut shards: Vec<StreamSummary> = (0..2).map(|_| StreamSummary::new(cfg())).collect();
+    for rec in &trace {
+        shards[rec.node as usize].observe(rec);
     }
-    let merged = shards.reduce();
+    for (node, shard) in shards.iter().enumerate() {
+        let expect = batch
+            .trace
+            .iter()
+            .filter(|r| r.node as usize == node)
+            .count() as u64;
+        assert!(expect > 0, "node {node} issued no requests");
+        assert_eq!(
+            shard.finalize(run.duration).rw.total,
+            expect,
+            "node {node} shard count"
+        );
+    }
+    let merged = merge_all(shards).unwrap();
     assert_eq!(json(&merged.finalize(run.duration)), json(&batch.summary));
 }
 
