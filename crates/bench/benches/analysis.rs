@@ -1,5 +1,7 @@
-//! Analysis-pipeline throughput on large traces (the rayon-parallel
-//! temporal-locality counting dominates).
+//! Analysis-pipeline throughput on large traces. Temporal locality counts
+//! every covered sector; it adds one over a slice of each 4096-sector
+//! counter page a request covers. `bench_gate` gates the full summary on
+//! the 100 K-record trace as `analysis/summary_100k`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use essio_bench::synthetic_trace;

@@ -5,7 +5,8 @@
 //!   `TraceSummary::compute`, which folds the same states over record
 //!   chunks in parallel?
 //! * what does folding a record into a live `StreamSummary` cost at the
-//!   drain hook (the per-record price of `run_streamed`)?
+//!   drain hook (the per-record price of `run_streamed`)? `bench_gate`
+//!   gates it on the 100 K-record trace as `analysis/stream_observe_100k`.
 //! * how does reducing k shards scale with k (the campaign's merge step)?
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};

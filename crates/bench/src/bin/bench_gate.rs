@@ -4,9 +4,10 @@
 //! bench_gate [--baseline PATH] [--threshold PCT] [--samples N] [--rounds N] [--record]
 //! ```
 //!
-//! Re-measures the `engine` and `trace_codec` micro-benchmarks (the same
-//! workloads as `benches/engine.rs` and `benches/trace_codec.rs`) and
-//! compares the medians against the committed `BENCH_baseline.json`. A
+//! Re-measures the `engine`, `trace_codec` and analysis micro-benchmarks
+//! (the same workloads as `benches/engine.rs`, `benches/trace_codec.rs`,
+//! `benches/analysis.rs` and `benches/stream_analysis.rs`) and compares
+//! the medians against the committed `BENCH_baseline.json`. A
 //! bench more than `--threshold` percent (default 25) slower than its
 //! baseline fails the gate.
 //!
@@ -28,13 +29,20 @@
 
 use std::hint::black_box;
 use std::io::Write as _;
+use std::sync::Arc;
 use std::time::Instant;
 
 use essio_bench::synthetic_trace;
 use essio_sim::Engine;
-use essio_trace::codec;
+use essio_stream::{StreamConfig, StreamSummary};
+use essio_trace::analysis::TraceSummary;
+use essio_trace::{codec, RecordSink};
 
 const N: u64 = 10_000;
+/// Run length and disk size the analysis cells summarize
+/// `synthetic_trace(100_000)` over (as `benches/analysis.rs` does).
+const DURATION: u64 = 2_000_000_000;
+const SECTORS: u32 = 1_000_000;
 
 /// Same size class as the simulator's `Event` enum (see benches/engine.rs).
 #[derive(Clone, Copy)]
@@ -88,9 +96,10 @@ struct Gate {
 }
 
 fn gates() -> Vec<Gate> {
-    let records = synthetic_trace(100_000);
+    let records = Arc::new(synthetic_trace(100_000));
     let columnar = codec::encode_columnar(&records);
     let gate = |name, run| Gate { name, run };
+    let (for_summary, for_stream) = (Arc::clone(&records), Arc::clone(&records));
     vec![
         gate(
             "engine/schedule_pop_10k",
@@ -108,6 +117,23 @@ fn gates() -> Vec<Gate> {
             "trace_codec/decode_columnar",
             Box::new(move || {
                 black_box(codec::decode_columnar(black_box(&columnar)).expect("valid")).len() as u64
+            }),
+        ),
+        gate(
+            "analysis/summary_100k",
+            Box::new(move || {
+                let summary = TraceSummary::compute(black_box(&for_summary), DURATION, SECTORS);
+                black_box(summary).temporal.distinct_sectors
+            }),
+        ),
+        gate(
+            "analysis/stream_observe_100k",
+            Box::new(move || {
+                let mut stream = StreamSummary::new(StreamConfig::paper(SECTORS));
+                stream.observe_all(black_box(&for_stream));
+                black_box(stream.finalize(DURATION))
+                    .temporal
+                    .distinct_sectors
             }),
         ),
     ]

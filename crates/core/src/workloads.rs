@@ -47,16 +47,28 @@ pub fn synthetic_landsat(side: usize, seed: u64) -> Vec<u8> {
     let ph: Vec<f64> = (0..6)
         .map(|_| rng.range_f64(0.0, std::f64::consts::TAU))
         .collect();
+    // Relief and texture are products of a column term and a row term, so
+    // each factor is computed once per column or row; the ridges depend on
+    // x + y and stay per pixel.
+    let table = |scale: f64, phase: f64, wave: fn(f64) -> f64| {
+        (0..side)
+            .map(|i| wave(i as f64 / scale + phase))
+            .collect::<Vec<f64>>()
+    };
+    let relief_x = table(97.0, ph[0], f64::sin);
+    let relief_y = table(83.0, ph[1], f64::cos);
+    let texture_x = table(7.0, ph[3], f64::sin);
+    let texture_y = table(5.0, ph[4], f64::sin);
     let mut out = Vec::with_capacity(side * side);
     for y in 0..side {
         for x in 0..side {
             let (xf, yf) = (x as f64, y as f64);
             // Large-scale relief.
-            let relief = 52.0 * ((xf / 97.0 + ph[0]).sin() * (yf / 83.0 + ph[1]).cos());
+            let relief = 52.0 * (relief_x[x] * relief_y[y]);
             // Mid-scale ridges.
             let ridges = 26.0 * ((xf / 23.0 + yf / 31.0 + ph[2]).sin()).abs();
             // Fine texture.
-            let texture = 12.0 * ((xf / 7.0 + ph[3]).sin() * (yf / 5.0 + ph[4]).sin());
+            let texture = 12.0 * (texture_x[x] * texture_y[y]);
             // Sensor noise.
             let noise = 4.0 * rng.normal();
             let v = 112.0 + relief + ridges + texture + noise;
@@ -163,6 +175,19 @@ mod tests {
         assert_eq!(a, b);
         assert_ne!(a, c);
         assert_eq!(a.len(), 64 * 64);
+    }
+
+    #[test]
+    fn paper_size_scene_bytes_are_pinned() {
+        // FNV-1a 64 of the full-size scene: any change to the terrain terms
+        // or to the noise draw order moves these.
+        let fnv = |bytes: &[u8]| {
+            bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+                (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+            })
+        };
+        assert_eq!(fnv(&synthetic_landsat(IMAGE_SIDE, 1)), 2368941114015181870);
+        assert_eq!(fnv(&synthetic_landsat(IMAGE_SIDE, 2)), 10159574766037509455);
     }
 
     #[test]

@@ -35,12 +35,6 @@ impl DiskGeometry {
         self.cylinders * self.sectors_per_cylinder()
     }
 
-    /// Capacity in bytes.
-    #[inline]
-    pub fn capacity_bytes(&self) -> u64 {
-        self.total_sectors() as u64 * essio_trace::SECTOR_BYTES as u64
-    }
-
     /// Cylinder containing a logical sector (LBA → CHS cylinder).
     #[inline]
     pub fn cylinder_of(&self, sector: u32) -> u32 {
@@ -62,7 +56,7 @@ mod tests {
 
     #[test]
     fn beowulf_drive_is_about_500mb() {
-        let mb = G.capacity_bytes() as f64 / (1000.0 * 1000.0);
+        let mb = G.total_sectors() as f64 * essio_trace::SECTOR_BYTES as f64 / (1000.0 * 1000.0);
         assert!((480.0..=520.0).contains(&mb), "capacity {mb} MB");
         assert_eq!(G.total_sectors(), 999_936);
     }

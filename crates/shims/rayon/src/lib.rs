@@ -16,9 +16,11 @@
 //!
 //! Work is split into one contiguous block per worker thread (capped at
 //! [`max_threads`]); each block is processed on its own scoped thread and
-//! results are combined on the caller. Fold identities are created per
-//! *chunk*, matching rayon's contract that `fold` may create any number of
-//! accumulators, so user code must supply an associative `reduce`.
+//! results are combined on the caller. `fold` starts one accumulator per
+//! *block*, so a chunk fold builds at most [`max_threads`] of them. rayon's
+//! contract lets `fold` create any number of accumulators, so user code
+//! must still supply an associative `reduce` with the identity as its
+//! neutral element.
 
 /// Worker-thread cap: the host parallelism (at least 1).
 pub fn max_threads() -> usize {
@@ -128,8 +130,9 @@ pub struct ParChunks<'a, T> {
 }
 
 impl<'a, T: Sync> ParChunks<'a, T> {
-    /// Fold each chunk with a fresh `identity`, yielding one accumulator
-    /// per chunk; combine with [`FoldChunks::reduce`].
+    /// Fold the chunks of each worker's block, in order, into one
+    /// accumulator started from `identity`; combine the per-block
+    /// accumulators with [`FoldChunks::reduce`].
     pub fn fold<Acc, Id, F>(self, identity: Id, fold: F) -> FoldChunks<'a, T, Id, F>
     where
         Id: Fn() -> Acc + Sync,
@@ -168,28 +171,17 @@ where
         let chunk_list: Vec<&'a [T]> = self.chunks.slice.chunks(self.chunks.size).collect();
         let identity = &self.identity;
         let fold = &self.fold;
-        let reduce_ref = &reduce;
         let tasks: Vec<_> = blocks(chunk_list.len())
             .into_iter()
             .map(|(s, e)| {
-                let mine = chunk_list[s..e].to_vec();
-                move || {
-                    let mut acc: Option<Acc> = None;
-                    for chunk in mine {
-                        let folded = fold(identity(), chunk);
-                        acc = Some(match acc {
-                            None => folded,
-                            Some(prev) => reduce_ref(prev, folded),
-                        });
-                    }
-                    acc
-                }
+                let mine = &chunk_list[s..e];
+                move || mine.iter().fold(identity(), |acc, chunk| fold(acc, chunk))
             })
             .collect();
         run_blocks(tasks)
             .into_iter()
-            .flatten()
-            .fold(r_identity(), reduce)
+            .reduce(reduce)
+            .unwrap_or_else(r_identity)
     }
 }
 
@@ -388,6 +380,7 @@ impl<O> FromParallel<O> for Vec<O> {
 mod tests {
     use super::prelude::*;
     use std::collections::HashMap;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn chunk_fold_reduce_counts_items() {
@@ -408,6 +401,29 @@ mod tests {
             });
         assert_eq!(counts.values().sum::<u64>(), 10_000);
         assert_eq!(counts[&0], 10_000u64.div_ceil(97));
+    }
+
+    #[test]
+    fn chunk_fold_starts_one_accumulator_per_worker_block() {
+        let data: Vec<u32> = (0..10_000).collect();
+        let made = AtomicUsize::new(0);
+        let identity = || {
+            made.fetch_add(1, Ordering::Relaxed);
+            0u64
+        };
+        let sum = data
+            .par_chunks(7)
+            .fold(identity, |acc, chunk| {
+                acc + chunk.iter().map(|&v| v as u64).sum::<u64>()
+            })
+            .reduce(identity, |a, b| a + b);
+        assert_eq!(sum, 9_999 * 10_000 / 2);
+        let made = made.into_inner();
+        assert!(
+            (1..=super::max_threads()).contains(&made),
+            "{made} accumulators for {} threads",
+            super::max_threads()
+        );
     }
 
     #[test]

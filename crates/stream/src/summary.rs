@@ -183,6 +183,32 @@ mod tests {
     }
 
     #[test]
+    fn a_record_running_past_the_last_sector_address_is_summarized() {
+        // A decoded trace can hold any sector: this transfer runs past
+        // `u32::MAX`, so it covers the last two sector addresses.
+        let recs = vec![TraceRecord {
+            ts: 7,
+            sector: u32::MAX - 1,
+            nsectors: 8,
+            pending: 0,
+            node: 0,
+            op: Op::Write,
+            origin: Origin::Unknown,
+        }];
+        let mut s = StreamSummary::new(StreamConfig::paper(1_000_000));
+        s.observe_all(&recs);
+        let stream = s.finalize(1_000_000);
+        let batch = TraceSummary::compute(&recs, 1_000_000, 1_000_000);
+        assert_eq!(batch.temporal.distinct_sectors, 2);
+        let hot: Vec<u32> = batch.temporal.hot_spots.iter().map(|h| h.sector).collect();
+        assert_eq!(hot, [u32::MAX - 1, u32::MAX]);
+        assert_eq!(
+            serde_json::to_string(&stream).unwrap(),
+            serde_json::to_string(&batch).unwrap(),
+        );
+    }
+
+    #[test]
     fn shard_merge_equals_whole() {
         let recs = sample(1000);
         let duration = 1_000_000;

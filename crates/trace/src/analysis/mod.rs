@@ -51,7 +51,7 @@ pub use phases::{Phase, PhaseConfig, PhaseKind};
 pub use rw::{RwState, RwStats};
 pub use size::{ClassBreakdown, SizeClass, SizeHistogram, SizeState};
 pub use spatial::{SpatialLocality, SpatialState};
-pub use temporal::{SectorSpan, TemporalLocality, TemporalState};
+pub use temporal::{TemporalLocality, TemporalState};
 
 /// An exact, mergeable accumulator over trace records.
 ///

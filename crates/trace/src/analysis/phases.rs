@@ -158,11 +158,6 @@ pub fn segment(records: &[TraceRecord], duration_s: f64, cfg: &PhaseConfig) -> V
     phases
 }
 
-/// The first phase of the given kind, if any.
-pub fn first_of(phases: &[Phase], kind: PhaseKind) -> Option<&Phase> {
-    phases.iter().find(|p| p.kind == kind)
-}
-
 /// The longest phase of the given kind, if any.
 pub fn longest_of(phases: &[Phase], kind: PhaseKind) -> Option<&Phase> {
     phases
@@ -240,13 +235,22 @@ mod tests {
                 ..Default::default()
             },
         );
-        let paging = first_of(&phases, PhaseKind::Paging).expect("paging phase");
+        let paging = phases
+            .iter()
+            .find(|p| p.kind == PhaseKind::Paging)
+            .expect("paging phase");
         assert!(paging.start_s < 5.0, "{paging:?}");
-        let stream = first_of(&phases, PhaseKind::StreamingRead).expect("streaming phase");
+        let stream = phases
+            .iter()
+            .find(|p| p.kind == PhaseKind::StreamingRead)
+            .expect("streaming phase");
         assert!((15.0..30.0).contains(&stream.start_s), "{stream:?}");
         let quiet = longest_of(&phases, PhaseKind::Quiet).expect("lull");
         assert!(quiet.duration_s() >= 20.0, "{quiet:?}");
-        let burst = first_of(&phases, PhaseKind::WriteBurst).expect("write burst");
+        let burst = phases
+            .iter()
+            .find(|p| p.kind == PhaseKind::WriteBurst)
+            .expect("write burst");
         assert!(burst.start_s >= 55.0, "{burst:?}");
     }
 

@@ -146,10 +146,12 @@ impl TraceRecord {
         essio_sim::time::as_secs_f64(self.ts)
     }
 
-    /// One sector past the end of the transfer.
+    /// One sector past the end of the transfer. It is a `u64` because a
+    /// decoded record may start near `u32::MAX`, where the end of its
+    /// transfer has no `u32` address.
     #[inline]
-    pub fn end_sector(&self) -> u32 {
-        self.sector + self.nsectors as u32
+    pub fn end_sector(&self) -> u64 {
+        self.sector as u64 + self.nsectors as u64
     }
 }
 

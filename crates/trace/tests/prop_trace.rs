@@ -6,7 +6,8 @@
 
 use essio_conform::fingerprint::TraceHasher;
 use essio_trace::analysis::{
-    rw::RwStats, series, size::ClassBreakdown, spatial, temporal::TemporalLocality,
+    rw::RwStats, series, size::ClassBreakdown, spatial, temporal::TemporalLocality, MetricState,
+    TemporalState,
 };
 use essio_trace::{codec, Op, Origin, RecordSink, TraceRecord};
 use proptest::prelude::*;
@@ -64,6 +65,100 @@ fn wild_record() -> impl Strategy<Value = TraceRecord> {
                 origin: Origin::from_u8(origin),
             },
         )
+}
+
+/// Records for the temporal-locality oracle: sectors at 0, across 4096-sector
+/// page boundaries, at the end of the paper's disk and at the top of the
+/// sector address space, with transfers of 0 to 16 sectors and now and then
+/// several pages long, over few enough sectors that they recur.
+fn temporal_record() -> impl Strategy<Value = TraceRecord> {
+    let sector = prop_oneof![
+        0u32..48,
+        (1u32..6, 0u32..48).prop_map(|(page, d)| page * 4096 - 24 + d),
+        999_900u32..999_936,
+        u32::MAX - 47..=u32::MAX,
+    ];
+    let nsectors =
+        (0u8..16, 0u16..=16, 4096u16..=9000)
+            .prop_map(|(pick, small, long)| if pick == 0 { long } else { small });
+    (0u64..50_000_000, sector, nsectors).prop_map(|(ts, sector, nsectors)| TraceRecord {
+        ts,
+        sector,
+        nsectors,
+        pending: 0,
+        node: 0,
+        op: Op::Write,
+        origin: Origin::Unknown,
+    })
+}
+
+/// Figure 8 as per-sector maps, the way `TemporalState` computed it before
+/// it counted in pages: `(distinct, revisited, hot spots, mean inter-access
+/// bits)`, hot spots as `(sector, accesses)`, busiest first, ties by sector.
+fn temporal_map_oracle(t: &[TraceRecord]) -> (u64, u64, Vec<(u32, u64)>, u64) {
+    use std::collections::HashMap;
+    let mut counts: HashMap<u32, u64> = HashMap::new();
+    let mut spans: HashMap<u32, (u64, u64, u64)> = HashMap::new();
+    for r in t {
+        for s in r.sector as u64..r.end_sector().min(1 << 32) {
+            *counts.entry(s as u32).or_insert(0) += 1;
+        }
+        let span = spans.entry(r.sector).or_insert((r.ts, r.ts, 0));
+        *span = (span.0.min(r.ts), span.1.max(r.ts), span.2 + 1);
+    }
+    let (mut gap_sum_us, mut gap_n) = (0u128, 0u64);
+    for &(first, last, n) in spans.values().filter(|s| s.2 >= 2) {
+        gap_sum_us += (last - first) as u128;
+        gap_n += n - 1;
+    }
+    let mean = if gap_n == 0 {
+        0.0
+    } else {
+        gap_sum_us as f64 / 1e6 / gap_n as f64
+    };
+    let mut hot: Vec<(u32, u64)> = counts.iter().map(|(&s, &n)| (s, n)).collect();
+    hot.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+    hot.truncate(TemporalLocality::MAX_HOT);
+    let revisited = counts.values().filter(|&&n| n >= 2).count() as u64;
+    (counts.len() as u64, revisited, hot, mean.to_bits())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn paged_temporal_state_matches_the_per_sector_map_oracle(
+        t in prop::collection::vec(temporal_record(), 0..120),
+        cuts in (any::<u16>(), any::<u16>()),
+    ) {
+        let duration = 60_000_000;
+        let serial = TemporalLocality::compute(&t, duration);
+        let (distinct, revisited, hot, mean_bits) = temporal_map_oracle(&t);
+        prop_assert_eq!(serial.distinct_sectors, distinct);
+        prop_assert_eq!(serial.revisited_sectors, revisited);
+        let got: Vec<(u32, u64)> = serial.hot_spots.iter().map(|h| (h.sector, h.accesses)).collect();
+        prop_assert_eq!(got, hot);
+        prop_assert_eq!(serial.mean_interaccess_s.to_bits(), mean_bits);
+
+        // Merging folds of a random three-way split, in either order,
+        // equals one serial fold.
+        let (a, b) = (cuts.0 as usize % (t.len() + 1), cuts.1 as usize % (t.len() + 1));
+        let (a, b) = (a.min(b), a.max(b));
+        let fold = |part: &[TraceRecord]| {
+            let mut s = TemporalState::default();
+            s.observe_all(part);
+            s
+        };
+        let json = |l: &TemporalLocality| serde_json::to_string(l).unwrap();
+        let mut forward = fold(&t[..a]);
+        forward.merge(fold(&t[a..b]));
+        forward.merge(fold(&t[b..]));
+        let mut backward = fold(&t[b..]);
+        backward.merge(fold(&t[a..b]));
+        backward.merge(fold(&t[..a]));
+        prop_assert_eq!(json(&forward.finalize(duration)), json(&serial));
+        prop_assert_eq!(json(&backward.finalize(duration)), json(&serial));
+    }
 }
 
 proptest! {
@@ -183,7 +278,7 @@ proptest! {
         let tl = TemporalLocality::compute(&t, 1_000_000_000);
         let mut sectors = std::collections::HashSet::new();
         for r in &t {
-            for s in r.sector..r.end_sector() {
+            for s in r.sector as u64..r.end_sector() {
                 sectors.insert(s);
             }
         }
