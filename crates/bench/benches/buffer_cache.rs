@@ -1,6 +1,8 @@
-//! Buffer cache throughput: hit path, miss/eviction churn, flush batching.
+//! Buffer cache throughput: hit path, miss/eviction churn, flush batching,
+//! the `update` daemon's flush of a full cache.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use essio_bench::{flush_tick, full_node_cache};
 use essio_kernel::cache::BufferCache;
 use essio_trace::Origin;
 use std::hint::black_box;
@@ -41,6 +43,18 @@ fn bench(c: &mut Criterion) {
                 cache.mark_dirty(i * 7 % 2000, Origin::Log);
             }
             black_box(cache.take_dirty().len())
+        })
+    });
+
+    // The `update` daemon's shape: a full cache, a few dirty blocks per
+    // tick. `take_dirty_1k` above flushes an all-dirty cache, so it cannot
+    // see what a flush costs per clean resident block.
+    g.bench_function("flush_4_of_full_1536", |b| {
+        let mut cache = full_node_cache();
+        let mut tick = 0u32;
+        b.iter(|| {
+            tick = tick.wrapping_add(1);
+            black_box(flush_tick(&mut cache, tick))
         })
     });
 

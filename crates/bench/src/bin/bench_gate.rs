@@ -4,9 +4,11 @@
 //! bench_gate [--baseline PATH] [--threshold PCT] [--samples N] [--rounds N] [--record]
 //! ```
 //!
-//! Re-measures the `engine`, `trace_codec` and analysis micro-benchmarks
-//! (the same workloads as `benches/engine.rs`, `benches/trace_codec.rs`,
-//! `benches/analysis.rs` and `benches/stream_analysis.rs`) and compares
+//! Re-measures the `engine`, `trace_codec`, analysis and buffer-cache flush
+//! micro-benchmarks (the same workloads as `benches/engine.rs`,
+//! `benches/trace_codec.rs`, `benches/analysis.rs`,
+//! `benches/stream_analysis.rs` and `flush_4_of_full_1536` in
+//! `benches/buffer_cache.rs`, 1,000 ticks an iteration) and compares
 //! the medians against the committed `BENCH_baseline.json`. A
 //! bench more than `--threshold` percent (default 25) slower than its
 //! baseline fails the gate.
@@ -27,18 +29,21 @@
 //! Exit codes: `0` within threshold, `2` I/O, argument or baseline error,
 //! `3` regression.
 
+use std::cell::RefCell;
 use std::hint::black_box;
 use std::io::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
 
-use essio_bench::synthetic_trace;
+use essio_bench::{flush_tick, full_node_cache, synthetic_trace};
 use essio_sim::Engine;
 use essio_stream::{StreamConfig, StreamSummary};
 use essio_trace::analysis::TraceSummary;
 use essio_trace::{codec, RecordSink};
 
 const N: u64 = 10_000;
+/// `update` ticks per `buffer_cache/flush_few_of_full` iteration.
+const TICKS: u32 = 1_000;
 /// Run length and disk size the analysis cells summarize
 /// `synthetic_trace(100_000)` over (as `benches/analysis.rs` does).
 const DURATION: u64 = 2_000_000_000;
@@ -100,6 +105,7 @@ fn gates() -> Vec<Gate> {
     let columnar = codec::encode_columnar(&records);
     let gate = |name, run| Gate { name, run };
     let (for_summary, for_stream) = (Arc::clone(&records), Arc::clone(&records));
+    let cache = RefCell::new(full_node_cache());
     vec![
         gate(
             "engine/schedule_pop_10k",
@@ -134,6 +140,15 @@ fn gates() -> Vec<Gate> {
                 black_box(stream.finalize(DURATION))
                     .temporal
                     .distinct_sectors
+            }),
+        ),
+        gate(
+            "buffer_cache/flush_few_of_full",
+            Box::new(move || {
+                let mut cache = cache.borrow_mut();
+                (0..TICKS)
+                    .map(|tick| black_box(flush_tick(&mut cache, tick)) as u64)
+                    .sum()
             }),
         ),
     ]

@@ -142,6 +142,30 @@ pub fn synthetic_trace(n: usize) -> Vec<essio_trace::TraceRecord> {
         .collect()
 }
 
+/// A Beowulf node's buffer cache (`KernelConfig::beowulf`), full of clean
+/// blocks `0..cache_blocks`: what the `update` daemon finds on a node whose
+/// reads have filled the cache.
+pub fn full_node_cache() -> essio_kernel::cache::BufferCache {
+    let blocks = essio_kernel::KernelConfig::beowulf(0).cache_blocks;
+    let mut cache = essio_kernel::cache::BufferCache::new(blocks);
+    for b in 0..blocks as u32 {
+        cache.insert_clean(b, essio_trace::Origin::FileData);
+    }
+    cache
+}
+
+/// One `update` tick in the baseline's shape: dirty 4 resident blocks of
+/// `cache` (spread over it by `tick`), then flush. Returns the blocks
+/// flushed.
+pub fn flush_tick(cache: &mut essio_kernel::cache::BufferCache, tick: u32) -> usize {
+    let resident = cache.len() as u32;
+    for i in 0..4 {
+        let blk = tick.wrapping_mul(4).wrapping_add(i).wrapping_mul(389) % resident;
+        cache.mark_dirty(blk, essio_trace::Origin::Log);
+    }
+    cache.take_dirty().len()
+}
+
 #[cfg(test)]
 mod tests {
     #[test]
@@ -152,5 +176,16 @@ mod tests {
         for w in a.windows(2) {
             assert!(w[0].ts <= w[1].ts);
         }
+    }
+
+    #[test]
+    fn a_flush_tick_flushes_four_blocks_and_evicts_none() {
+        let mut cache = super::full_node_cache();
+        let full = cache.len();
+        for tick in 0..1000 {
+            assert_eq!(super::flush_tick(&mut cache, tick), 4);
+        }
+        assert_eq!(cache.len(), full);
+        assert_eq!(cache.stats.evictions, 0);
     }
 }

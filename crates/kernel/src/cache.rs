@@ -17,6 +17,12 @@
 //! (unlink + relink at head) and an eviction (unlink tail) are O(1) pointer
 //! swaps with no ordered-index churn. The only per-access hashing left is
 //! the `BlockNo → slot` map lookup itself.
+//!
+//! Dirtiness is a **second intrusive list through the same slab**: a
+//! dirtied block links in at O(1), and a flush walks only that list and
+//! sorts what it took into the block order the driver merges best. So a
+//! flush costs O(dirty), not O(cache): the `update` daemon's 5-second tick
+//! typically finds a handful of dirty blocks in a full 1,536-block cache.
 
 use std::collections::HashMap;
 
@@ -49,6 +55,9 @@ struct Node {
     prev: u32,
     /// Toward less recently used (NIL at the tail).
     next: u32,
+    /// Dirty-list neighbours, unordered (meaningful only while `dirty`).
+    dprev: u32,
+    dnext: u32,
 }
 
 /// The write-back buffer cache.
@@ -64,8 +73,13 @@ pub struct BufferCache {
     head: u32,
     /// Least recently used (NIL when empty).
     tail: u32,
-    /// Resident dirty blocks (kept exact so `dirty_count` is O(1)).
+    /// Resident dirty blocks: the length of the dirty list, so
+    /// `dirty_count` is O(1).
     dirty: usize,
+    /// Head of the dirty list, which links every resident dirty block and
+    /// nothing else (NIL when none is dirty). Flushes read it; recency is
+    /// still the `head`/`tail` list.
+    dirty_head: u32,
     capacity: usize,
     /// Statistics.
     pub stats: CacheStats,
@@ -83,6 +97,7 @@ impl BufferCache {
             head: NIL,
             tail: NIL,
             dirty: 0,
+            dirty_head: NIL,
             capacity,
             stats: CacheStats::default(),
         }
@@ -147,24 +162,64 @@ impl BufferCache {
         self.link_front(slot);
     }
 
+    /// Mark `slot` dirty and push it on the dirty list; no-op if dirty.
+    fn set_dirty(&mut self, slot: u32) {
+        let old = self.dirty_head;
+        let n = &mut self.nodes[slot as usize];
+        if n.dirty {
+            return;
+        }
+        n.dirty = true;
+        n.dprev = NIL;
+        n.dnext = old;
+        if old != NIL {
+            self.nodes[old as usize].dprev = slot;
+        }
+        self.dirty_head = slot;
+        self.dirty += 1;
+    }
+
+    /// Mark `slot` clean, unlinking it from the dirty list. Returns whether
+    /// it was dirty.
+    fn clear_dirty(&mut self, slot: u32) -> bool {
+        let n = &mut self.nodes[slot as usize];
+        if !n.dirty {
+            return false;
+        }
+        n.dirty = false;
+        let (prev, next) = (n.dprev, n.dnext);
+        if prev == NIL {
+            self.dirty_head = next;
+        } else {
+            self.nodes[prev as usize].dnext = next;
+        }
+        if next != NIL {
+            self.nodes[next as usize].dprev = prev;
+        }
+        self.dirty -= 1;
+        true
+    }
+
     /// Take a slab slot for `blk` (recycling freed ones) and link it MRU.
-    fn alloc(&mut self, blk: BlockNo, origin: Origin, dirty: bool) -> u32 {
+    fn alloc(&mut self, blk: BlockNo, origin: Origin) -> u32 {
         let slot = if self.free != NIL {
             let slot = self.free;
             let n = &mut self.nodes[slot as usize];
+            debug_assert!(!n.dirty, "a freed slot is clean");
             self.free = n.next;
             n.blk = blk;
             n.origin = origin;
-            n.dirty = dirty;
             slot
         } else {
             let slot = self.nodes.len() as u32;
             self.nodes.push(Node {
                 blk,
                 origin,
-                dirty,
+                dirty: false,
                 prev: NIL,
                 next: NIL,
+                dprev: NIL,
+                dnext: NIL,
             });
             slot
         };
@@ -208,12 +263,8 @@ impl BufferCache {
     /// any eviction this caused.
     pub fn mark_dirty(&mut self, blk: BlockNo, origin: Origin) -> Vec<(BlockNo, Origin)> {
         if let Some(&slot) = self.map.get(&blk) {
-            let n = &mut self.nodes[slot as usize];
-            if !n.dirty {
-                n.dirty = true;
-                self.dirty += 1;
-            }
-            n.origin = origin;
+            self.set_dirty(slot);
+            self.nodes[slot as usize].origin = origin;
             self.promote(slot);
             return Vec::new();
         }
@@ -225,10 +276,8 @@ impl BufferCache {
         // the same block) refreshes recency in place; dirtiness is sticky —
         // a clean fill must never lose a dirty buffer's pending write.
         if let Some(&slot) = self.map.get(&blk) {
-            let n = &mut self.nodes[slot as usize];
-            if dirty && !n.dirty {
-                n.dirty = true;
-                self.dirty += 1;
+            if dirty {
+                self.set_dirty(slot);
             }
             self.promote(slot);
             return Vec::new();
@@ -237,23 +286,21 @@ impl BufferCache {
         while self.map.len() >= self.capacity {
             let victim_slot = self.tail;
             debug_assert_ne!(victim_slot, NIL, "map non-empty implies a tail");
-            let (victim, victim_origin, victim_dirty) = {
-                let n = &self.nodes[victim_slot as usize];
-                (n.blk, n.origin, n.dirty)
-            };
+            let n = &self.nodes[victim_slot as usize];
+            let (victim, victim_origin) = (n.blk, n.origin);
+            let victim_dirty = self.clear_dirty(victim_slot);
             self.release(victim_slot);
             self.map.remove(&victim);
             self.stats.evictions += 1;
             if victim_dirty {
-                self.dirty -= 1;
                 self.stats.dirty_evictions += 1;
                 writebacks.push((victim, victim_origin));
             }
         }
-        let slot = self.alloc(blk, origin, dirty);
+        let slot = self.alloc(blk, origin);
         self.map.insert(blk, slot);
         if dirty {
-            self.dirty += 1;
+            self.set_dirty(slot);
         }
         writebacks
     }
@@ -262,15 +309,14 @@ impl BufferCache {
     /// lets the driver merge contiguous ones), marking them clean.
     pub fn take_dirty(&mut self) -> Vec<(BlockNo, Origin)> {
         let mut out: Vec<(BlockNo, Origin)> = Vec::with_capacity(self.dirty);
-        let mut slot = self.head;
+        let mut slot = self.dirty_head;
         while slot != NIL {
             let n = &mut self.nodes[slot as usize];
-            if n.dirty {
-                n.dirty = false;
-                out.push((n.blk, n.origin));
-            }
-            slot = n.next;
+            n.dirty = false;
+            out.push((n.blk, n.origin));
+            slot = n.dnext;
         }
+        self.dirty_head = NIL;
         self.dirty = 0;
         out.sort_unstable_by_key(|(b, _)| *b);
         out
@@ -281,11 +327,8 @@ impl BufferCache {
         let mut out = Vec::new();
         for b in blocks {
             if let Some(&slot) = self.map.get(b) {
-                let n = &mut self.nodes[slot as usize];
-                if n.dirty {
-                    n.dirty = false;
-                    self.dirty -= 1;
-                    out.push((*b, n.origin));
+                if self.clear_dirty(slot) {
+                    out.push((*b, self.nodes[slot as usize].origin));
                 }
             }
         }
@@ -298,9 +341,7 @@ impl BufferCache {
     pub fn invalidate(&mut self, blocks: &[BlockNo]) {
         for b in blocks {
             if let Some(slot) = self.map.remove(b) {
-                if self.nodes[slot as usize].dirty {
-                    self.dirty -= 1;
-                }
+                self.clear_dirty(slot);
                 self.release(slot);
             }
         }

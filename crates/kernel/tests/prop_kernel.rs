@@ -111,24 +111,59 @@ proptest! {
 // Buffer cache
 // ---------------------------------------------------------------------
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 enum CacheOp {
     InsertClean(u32),
-    MarkDirty(u32),
+    MarkDirty(u32, Origin),
     Touch(u32),
     Flush,
+    /// `take_dirty_among` over a run of blocks, as `fsync` of one file.
+    Fsync(Vec<u32>),
+    /// `invalidate` of a run of blocks, as `unlink` of one file.
+    Unlink(Vec<u32>),
+}
+
+fn block_run() -> impl Strategy<Value = Vec<u32>> {
+    (0u32..300, 1u32..16).prop_map(|(start, len)| (start..start + len).collect())
 }
 
 fn cache_ops() -> impl Strategy<Value = Vec<CacheOp>> {
+    let origin = prop_oneof![
+        Just(Origin::FileData),
+        Just(Origin::Metadata),
+        Just(Origin::Log),
+        Just(Origin::TraceDump),
+    ];
     prop::collection::vec(
         prop_oneof![
             (0u32..300).prop_map(CacheOp::InsertClean),
-            (0u32..300).prop_map(CacheOp::MarkDirty),
+            ((0u32..300), origin).prop_map(|(b, o)| CacheOp::MarkDirty(b, o)),
             (0u32..300).prop_map(CacheOp::Touch),
             Just(CacheOp::Flush),
+            block_run().prop_map(CacheOp::Fsync),
+            block_run().prop_map(CacheOp::Unlink),
         ],
         1..300,
     )
+}
+
+/// Check a batch of blocks leaving the cache for disk against the model:
+/// each was dirty with the origin of its last `mark_dirty`, was not
+/// dropped by an unlink since, and leaves the model's dirty set.
+fn write_back(
+    out: &[(u32, Origin)],
+    dirty: &mut HashMap<u32, Origin>,
+    dropped: &BTreeSet<u32>,
+) -> Result<(), TestCaseError> {
+    for (blk, origin) in out {
+        prop_assert!(!dropped.contains(blk), "wrote back unlinked block {blk}");
+        prop_assert_eq!(dirty.remove(blk), Some(*origin), "block {} origin", blk);
+    }
+    Ok(())
+}
+
+fn strictly_ascending(out: &[(u32, Origin)]) -> bool {
+    out.windows(2).all(|w| w[0].0 < w[1].0)
 }
 
 proptest! {
@@ -137,50 +172,61 @@ proptest! {
     #[test]
     fn cache_never_loses_a_dirty_block(ops in cache_ops(), capacity in 4usize..64) {
         let mut cache = BufferCache::new(capacity);
-        // A dirty block must reach "disk" exactly once per dirtying epoch:
-        // via eviction write-back or via a flush.
-        let mut dirty_in_cache: std::collections::HashSet<u32> = Default::default();
-        let mut written: Vec<u32> = Vec::new();
+        // Model: resident dirty blocks and the origin of their last write.
+        // A dirty block reaches "disk" exactly once per dirtying epoch, via
+        // eviction write-back, a flush or an fsync, unless an unlink drops
+        // it first; `dropped` holds blocks unlinked since their last write.
+        let mut dirty: HashMap<u32, Origin> = HashMap::new();
+        let mut dropped: BTreeSet<u32> = BTreeSet::new();
         for op in ops {
             match op {
                 CacheOp::InsertClean(b) => {
-                    let wb = cache.insert_clean(b, Origin::FileData);
-                    for (blk, _) in wb {
-                        prop_assert!(dirty_in_cache.remove(&blk), "write-back of a non-dirty block {blk}");
-                        written.push(blk);
-                    }
+                    write_back(&cache.insert_clean(b, Origin::FileData), &mut dirty, &dropped)?;
                     // Dirtiness is sticky: a clean fill over a resident
                     // dirty buffer must not lose the pending write, so the
                     // model's dirty set is untouched here.
                 }
-                CacheOp::MarkDirty(b) => {
-                    let wb = cache.mark_dirty(b, Origin::FileData);
-                    for (blk, _) in wb {
-                        prop_assert!(dirty_in_cache.remove(&blk), "write-back of a non-dirty block {blk}");
-                        written.push(blk);
-                    }
-                    dirty_in_cache.insert(b);
+                CacheOp::MarkDirty(b, origin) => {
+                    write_back(&cache.mark_dirty(b, origin), &mut dirty, &dropped)?;
+                    dirty.insert(b, origin);
+                    dropped.remove(&b);
                 }
                 CacheOp::Touch(b) => {
                     cache.touch(b);
                 }
                 CacheOp::Flush => {
-                    for (blk, _) in cache.take_dirty() {
-                        prop_assert!(dirty_in_cache.remove(&blk), "flushed a non-dirty block {blk}");
-                        written.push(blk);
+                    let out = cache.take_dirty();
+                    prop_assert!(strictly_ascending(&out), "flush order {out:?}");
+                    write_back(&out, &mut dirty, &dropped)?;
+                    prop_assert!(dirty.is_empty(), "flush missed {dirty:?}");
+                }
+                CacheOp::Fsync(blocks) => {
+                    let out = cache.take_dirty_among(&blocks);
+                    prop_assert!(strictly_ascending(&out), "fsync order {out:?}");
+                    let expected: BTreeSet<u32> =
+                        blocks.iter().copied().filter(|b| dirty.contains_key(b)).collect();
+                    let got: BTreeSet<u32> = out.iter().map(|(b, _)| *b).collect();
+                    prop_assert_eq!(got, expected, "fsync takes exactly the file's dirty blocks");
+                    write_back(&out, &mut dirty, &dropped)?;
+                }
+                CacheOp::Unlink(blocks) => {
+                    cache.invalidate(&blocks);
+                    for b in blocks {
+                        prop_assert!(!cache.contains(b), "unlinked block {b} still resident");
+                        if dirty.remove(&b).is_some() {
+                            dropped.insert(b);
+                        }
                     }
-                    prop_assert_eq!(cache.dirty_count(), 0);
                 }
             }
             prop_assert!(cache.len() <= capacity, "capacity exceeded");
-            prop_assert_eq!(cache.dirty_count(), dirty_in_cache.len());
+            prop_assert_eq!(cache.dirty_count(), dirty.len());
         }
         // Final flush accounts for everything still dirty.
-        for (blk, _) in cache.take_dirty() {
-            prop_assert!(dirty_in_cache.remove(&blk));
-            written.push(blk);
-        }
-        prop_assert!(dirty_in_cache.is_empty(), "dirty blocks unaccounted: {dirty_in_cache:?}");
+        let out = cache.take_dirty();
+        prop_assert!(strictly_ascending(&out), "flush order {out:?}");
+        write_back(&out, &mut dirty, &dropped)?;
+        prop_assert!(dirty.is_empty(), "dirty blocks unaccounted: {dirty:?}");
     }
 }
 
