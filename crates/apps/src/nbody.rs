@@ -452,7 +452,24 @@ pub mod tree {
     }
 }
 
-/// Workload configuration.
+/// Executable path; the experiment installs it on every node.
+pub const TEXT_PATH: &str = "/bin/nbody";
+/// Executable size, bytes.
+pub const TEXT_BYTES: u32 = 128 * 1024;
+/// Output file path.
+pub const OUT_PATH: &str = "/out/nbody.dat";
+/// Paper-scale footprint in 4 KB pages: particle arrays + tree arena for
+/// 8 K bodies (~3 MB ≈ 750 pages).
+const FOOTPRINT_PAGES: u32 = 750;
+/// Snapshot size, bytes. These ~2.5 KB dumps are what give N-body its
+/// distinctive 2 KB request population (Figure 4: "more 2 KB requests ...
+/// than occurred during PPM").
+const SNAP_BYTES: usize = 2560;
+
+/// Workload configuration: the sizes, numerics and cadences a run may
+/// scale. The program text, output file, data footprint and snapshot size
+/// are the paper's and stay fixed ([`TEXT_PATH`], [`OUT_PATH`],
+/// `FOOTPRINT_PAGES`, `SNAP_BYTES`).
 #[derive(Debug, Clone)]
 pub struct NbodyConfig {
     /// Particles per node (scaled; paper: 8192).
@@ -465,22 +482,11 @@ pub struct NbodyConfig {
     pub dt: f64,
     /// Virtual run duration target, seconds.
     pub duration_s: f64,
-    /// Paper-scale footprint: particle arrays + tree arena for 8 K bodies
-    /// (~3 MB ≈ 750 pages).
-    pub footprint_pages: u32,
-    /// Executable path.
-    pub text_path: String,
-    /// Output path.
-    pub out_path: String,
     /// Append a summary every this many steps.
     pub stats_every: usize,
-    /// Dump a small particle snapshot every this many steps (0 = never).
-    /// These ~2.5 KB dumps are what give N-body its distinctive 2 KB
-    /// request population (Figure 4: "more 2 KB requests ... than occurred
-    /// during PPM").
+    /// Dump a `SNAP_BYTES` particle snapshot every this many steps
+    /// (0 = never).
     pub snap_every: usize,
-    /// Snapshot size in bytes.
-    pub snap_bytes: usize,
     /// RNG seed for the Plummer sampling.
     pub seed: u64,
     /// This node's rank.
@@ -499,12 +505,8 @@ impl Default for NbodyConfig {
             theta: 0.6,
             dt: 0.01,
             duration_s: 250.0,
-            footprint_pages: 750,
-            text_path: "/bin/nbody".into(),
-            out_path: "/out/nbody.dat".into(),
             stats_every: 5,
             snap_every: 4,
-            snap_bytes: 2560,
             seed: 42,
             rank: 0,
             ntasks: 0,
@@ -580,11 +582,11 @@ impl Trajectory {
             }
             if cfg.snap_every > 0 && (step + 1) % cfg.snap_every == 0 {
                 // Particle-subset snapshot (restart seed): positions of the
-                // first k bodies, padded to the configured dump size.
-                let end = traj.out.len() + cfg.snap_bytes;
+                // first k bodies, padded to the dump size.
+                let end = traj.out.len() + SNAP_BYTES;
                 let pos = sim.bodies().iter().flat_map(|b| b.pos);
                 traj.out
-                    .extend(pos.flat_map(f64::to_le_bytes).take(cfg.snap_bytes));
+                    .extend(pos.flat_map(f64::to_le_bytes).take(SNAP_BYTES));
                 traj.out.resize(end, 0);
                 traj.ends.push(end);
             }
@@ -613,13 +615,13 @@ pub async fn run(cfg: &NbodyConfig, traj: &Trajectory, ctx: &mut AppCtx) -> u64 
         cfg.steps * 32,
         "trajectory computed for another step count"
     );
-    load_program(ctx, &cfg.text_path).await;
-    let region = PagedRegion::map(ctx, cfg.footprint_pages).await;
+    load_program(ctx, TEXT_PATH).await;
+    let region = PagedRegion::map(ctx, FOOTPRINT_PAGES).await;
     // Initialization sweeps the particle arrays once.
     region.touch_fraction(ctx, 0.0, 0.3).await;
     cost::flops(ctx, (cfg.particles * 50) as f64).await;
 
-    let mut out = SimFile::open(ctx, &cfg.out_path, true, Placement::User).await;
+    let mut out = SimFile::open(ctx, OUT_PATH, true, Placement::User).await;
     let step_us = (cfg.duration_s * 1e6 / cfg.steps as f64) as u64;
     let mut appends = traj.appends();
 

@@ -434,7 +434,19 @@ pub mod solver {
     }
 }
 
-/// Workload configuration.
+/// Executable path; the experiment installs it on every node.
+pub const TEXT_PATH: &str = "/bin/ppm";
+/// Executable size, bytes (a lean Fortran-style numeric binary).
+pub const TEXT_BYTES: u32 = 96 * 1024;
+/// Output file path.
+pub const OUT_PATH: &str = "/out/ppm.dat";
+/// Paper-scale data footprint in 4 KB pages (4 grids of 240×480×4 fields
+/// in f32 ≈ 7.4 MB ≈ 1800 pages).
+const FOOTPRINT_PAGES: u32 = 1800;
+
+/// Workload configuration: the sizes and durations a run may scale. The
+/// program text, output file and data footprint are the paper's and stay
+/// fixed ([`TEXT_PATH`], [`OUT_PATH`], `FOOTPRINT_PAGES`).
 #[derive(Debug, Clone)]
 pub struct PpmConfig {
     /// Computational grid size (scaled; paper: 240×480).
@@ -447,13 +459,6 @@ pub struct PpmConfig {
     pub steps: usize,
     /// Virtual run duration target, seconds (paper's Figure 2: ~240 s).
     pub duration_s: f64,
-    /// Paper-scale data footprint in 4 KB pages (4 grids of 240×480×4
-    /// fields in f32 ≈ 7.4 MB ≈ 1800 pages).
-    pub footprint_pages: u32,
-    /// Executable path (installed by the experiment).
-    pub text_path: String,
-    /// Output file path.
-    pub out_path: String,
     /// Append a statistics line every this many steps.
     pub stats_every: usize,
     /// This node's rank and the ring size, for halo exchange.
@@ -472,9 +477,6 @@ impl Default for PpmConfig {
             grids_per_node: 4,
             steps: 46,
             duration_s: 235.0,
-            footprint_pages: 1800,
-            text_path: "/bin/ppm".into(),
-            out_path: "/out/ppm.dat".into(),
             stats_every: 10,
             rank: 0,
             ntasks: 0,
@@ -542,8 +544,8 @@ pub async fn run(cfg: &PpmConfig, traj: &Trajectory, ctx: &mut AppCtx) {
     );
     // Startup: demand-page program text, then allocate and initialize the
     // data footprint (the paper notes PPM has no input data).
-    load_program(ctx, &cfg.text_path).await;
-    let region = PagedRegion::map(ctx, cfg.footprint_pages).await;
+    load_program(ctx, TEXT_PATH).await;
+    let region = PagedRegion::map(ctx, FOOTPRINT_PAGES).await;
     for g in 0..cfg.grids_per_node {
         // Initialization touches each grid's slice of the footprint.
         let frac0 = g as f64 / cfg.grids_per_node as f64;
@@ -552,7 +554,7 @@ pub async fn run(cfg: &PpmConfig, traj: &Trajectory, ctx: &mut AppCtx) {
         cost::flops(ctx, (cfg.nx * cfg.ny * 20) as f64).await;
     }
 
-    let mut out = SimFile::open(ctx, &cfg.out_path, true, Placement::User).await;
+    let mut out = SimFile::open(ctx, OUT_PATH, true, Placement::User).await;
     let step_us = (cfg.duration_s * 1e6 / cfg.steps as f64) as u64;
 
     for step in 0..cfg.steps {

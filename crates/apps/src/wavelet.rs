@@ -203,27 +203,41 @@ pub mod transform {
     }
 }
 
-/// Workload configuration.
+/// Path of the input image; the experiment installs it on every node.
+pub const IMAGE_PATH: &str = "/data/landsat.img";
+/// Side of the on-disk image, bytes (paper: a 512×512 byte image).
+pub const IMAGE_SIDE: usize = 512;
+/// Bytes of the on-disk image, read in full and written back as the
+/// coefficient plane.
+const IMAGE_BYTES: usize = IMAGE_SIDE * IMAGE_SIDE;
+/// Read chunk size — a 1995 stdio-style buffered reader.
+const READ_CHUNK: u32 = 1024;
+/// Output coefficient file.
+pub const OUT_PATH: &str = "/out/coeffs.dat";
+/// Executable path; the experiment installs it on every node.
+pub const TEXT_PATH: &str = "/bin/wavelet";
+/// Executable size, bytes: image code linked against big imaging
+/// libraries — the "large program space" of paper §4.2.
+pub const TEXT_BYTES: u32 = 1408 * 1024;
+/// Paper-scale data footprint, 4 KB pages: 11.6 MB of image +
+/// double-precision work buffers. Together with the 1.4 MB program text
+/// this slightly overcommits the 12 MB user frame pool, so startup shows
+/// eviction churn on top of the text page-in burst — and under the
+/// combined load the three applications' footprints overcommit it heavily.
+const FOOTPRINT_PAGES: u32 = 3250;
+
+/// Workload configuration: the transform and phase lengths a run may
+/// scale. The image, program text, output file and data footprint are the
+/// paper's and stay fixed ([`IMAGE_PATH`], [`IMAGE_SIDE`], [`TEXT_PATH`],
+/// [`OUT_PATH`], `FOOTPRINT_PAGES`).
 #[derive(Debug, Clone)]
 pub struct WaveletConfig {
-    /// Transform size (scaled; the image *file* stays 512×512).
+    /// Transform size (scaled; the image *file* stays [`IMAGE_SIDE`]²).
     pub size: usize,
     /// Decomposition levels.
     pub levels: usize,
     /// Filter bank.
     pub filter: transform::Filter,
-    /// Path of the input image (installed by the experiment).
-    pub image_path: String,
-    /// Bytes of the on-disk image (paper: 512×512 = 262,144).
-    pub image_bytes: u32,
-    /// Read chunk size — a 1995 stdio-style buffered reader.
-    pub read_chunk: u32,
-    /// Output coefficient file.
-    pub out_path: String,
-    /// Executable path.
-    pub text_path: String,
-    /// Paper-scale data footprint, 4 KB pages (image + f64 work buffers).
-    pub footprint_pages: u32,
     /// Startup compute before the image read (Figure 3: spike at ~50 s).
     pub setup_s: f64,
     /// Decomposition-phase duration (the lull).
@@ -242,17 +256,6 @@ impl Default for WaveletConfig {
             size: 128,
             levels: 4,
             filter: transform::Filter::Daub4,
-            image_path: "/data/landsat.img".into(),
-            image_bytes: 512 * 512,
-            read_chunk: 1024,
-            out_path: "/out/coeffs.dat".into(),
-            text_path: "/bin/wavelet".into(),
-            // 11.6 MB of image + double-precision work buffers. Together
-            // with the 1.4 MB program text this slightly overcommits the
-            // 12 MB user frame pool, so startup shows eviction churn on top
-            // of the text page-in burst — and under the combined load the
-            // three applications' footprints overcommit it heavily.
-            footprint_pages: 3250,
             setup_s: 38.0,
             transform_s: 165.0,
             rank: 0,
@@ -271,8 +274,8 @@ pub async fn run(cfg: &WaveletConfig, ctx: &mut AppCtx) -> (f64, f64, f64) {
     // Phase 1 — startup: big text image + work-buffer initialization.
     // Two passes over a footprint that exceeds what stays resident under
     // load → sustained 4 KB paging (Figure 3's opening burst).
-    load_program(ctx, &cfg.text_path).await;
-    let region = PagedRegion::map(ctx, cfg.footprint_pages).await;
+    load_program(ctx, TEXT_PATH).await;
+    let region = PagedRegion::map(ctx, FOOTPRINT_PAGES).await;
     let setup_us = (cfg.setup_s * 1e6) as u64;
     let init_slices = 24;
     // Pass 1 builds every buffer (zero-fill, forward); pass 2 re-walks the
@@ -295,10 +298,10 @@ pub async fn run(cfg: &WaveletConfig, ctx: &mut AppCtx) -> (f64, f64, f64) {
     }
 
     // Phase 2 — stream the image from disk (the ~50 s read spike).
-    let mut img_file = SimFile::open(ctx, &cfg.image_path, false, Placement::User).await;
-    let mut raw = Vec::with_capacity(cfg.image_bytes as usize);
-    while raw.len() < cfg.image_bytes as usize {
-        let chunk = img_file.read(ctx, cfg.read_chunk).await;
+    let mut img_file = SimFile::open(ctx, IMAGE_PATH, false, Placement::User).await;
+    let mut raw = Vec::with_capacity(IMAGE_BYTES);
+    while raw.len() < IMAGE_BYTES {
+        let chunk = img_file.read(ctx, READ_CHUNK).await;
         if chunk.is_empty() {
             break;
         }
@@ -370,10 +373,10 @@ pub async fn run(cfg: &WaveletConfig, ctx: &mut AppCtx) -> (f64, f64, f64) {
         }
     }
 
-    let mut out = SimFile::open(ctx, &cfg.out_path, true, Placement::User).await;
+    let mut out = SimFile::open(ctx, OUT_PATH, true, Placement::User).await;
     // Coefficient plane: one byte per pixel at paper scale (the transform
     // is in-place, so the output file matches the input's 256 KB).
-    let out_bytes = cfg.image_bytes as usize;
+    let out_bytes = IMAGE_BYTES;
     let mut written = 0usize;
     while written < out_bytes {
         let n = 4096.min(out_bytes - written);

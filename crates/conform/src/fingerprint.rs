@@ -195,14 +195,11 @@ pub fn run_cell(spec: &CellSpec) -> CellRun {
 
 /// Re-run a cell keeping the full trace. Determinism makes this
 /// equivalent to having kept it the first time; it is only paid when a
-/// golden trace is blessed or a mismatch needs bisecting.
+/// golden trace is blessed or a mismatch needs bisecting. Batch and
+/// streamed cells drain the same records in the same order, so one run
+/// mode serves both.
 pub fn materialize_trace(spec: &CellSpec) -> Vec<TraceRecord> {
-    let exp = spec.experiment();
-    if spec.streamed {
-        exp.run_streamed(Vec::new()).1
-    } else {
-        exp.run().trace
-    }
+    spec.experiment().run_streamed(Vec::new()).1
 }
 
 #[cfg(test)]

@@ -20,10 +20,10 @@
 //!   drift).
 //! * [`registry`] — the committed `conform/golden.json` registry and its
 //!   diff against a fresh run of the matrix.
-//! * [`bisect`] — divergence bisection: when a committed columnar golden
-//!   trace and a fresh run's records differ, one linear pass (decoding the
-//!   golden a frame at a time through `ChunkedDecoder`) finds the **first
-//!   divergent record index** and reports its decoded
+//! * [`bisect`](mod@bisect) — divergence bisection: when a committed
+//!   columnar golden trace and a fresh run's records differ, one linear
+//!   pass (decoding the golden a frame at a time through `ChunkedDecoder`)
+//!   finds the **first divergent record index** and reports its decoded
 //!   `{time, sector, rw, queue}` on both sides plus the responsible node —
 //!   turning "hash mismatch" into an actionable pointer.
 //!

@@ -233,7 +233,6 @@ impl Experiment {
         self.wavelet.levels = 3;
         self.wavelet.setup_s = 4.0;
         self.wavelet.transform_s = 25.0;
-        self.wavelet.footprint_pages = 3250;
         self.nbody.particles = 96;
         self.nbody.steps = 10;
         self.nbody.duration_s = 55.0;
@@ -242,21 +241,21 @@ impl Experiment {
         self
     }
 
-    /// Run the experiment.
+    /// Run the experiment, keeping the whole trace: a streamed run into a
+    /// `Vec`, then the batch summary of what it collected.
     pub fn run(self) -> ExperimentResult {
-        let kind = self.kind;
-        let out = self.execute(None);
-        let summary = TraceSummary::compute(&out.trace, out.duration, Self::total_sectors());
+        let (run, trace) = self.run_streamed(Vec::new());
+        let summary = TraceSummary::compute(&trace, run.duration, Self::total_sectors());
         ExperimentResult {
-            kind,
-            nodes: out.nodes,
-            duration: out.duration,
-            trace: out.trace,
+            kind: run.kind,
+            nodes: run.nodes,
+            duration: run.duration,
+            trace,
             summary,
-            exits: out.exits,
-            degradation: out.degradation,
-            perf: out.perf,
-            obs: out.obs,
+            exits: run.exits,
+            degradation: run.degradation,
+            perf: run.perf,
+            obs: run.obs,
         }
     }
 
@@ -273,29 +272,12 @@ impl Experiment {
     where
         S: RecordSink + 'static,
     {
-        let kind = self.kind;
         let shared = SharedSink::new(sink);
-        let tap = Box::new(shared.clone());
-        let out = self.execute(Some(tap));
-        debug_assert!(
-            out.trace.is_empty(),
-            "streaming run must not keep the trace"
-        );
+        let run = self.execute(Box::new(shared.clone()));
         let sink = shared
             .try_unwrap()
             .unwrap_or_else(|_| unreachable!("cluster dropped, tap handle released"));
-        (
-            StreamedRun {
-                kind,
-                nodes: out.nodes,
-                duration: out.duration,
-                exits: out.exits,
-                degradation: out.degradation,
-                perf: out.perf,
-                obs: out.obs,
-            },
-            sink,
-        )
+        (run, sink)
     }
 
     /// Disk size every experiment runs against.
@@ -303,16 +285,14 @@ impl Experiment {
         essio_disk::DiskGeometry::BEOWULF_500MB.total_sectors()
     }
 
-    /// Shared run loop behind [`Experiment::run`] and
-    /// [`Experiment::run_streamed`]. With a tap the host-side trace vector
-    /// stays empty and the returned trace is empty too.
-    fn execute(self, tap: Option<Box<dyn RecordSink>>) -> RunOutput {
+    /// The run loop behind [`Experiment::run_streamed`]: every drained
+    /// record goes to `tap`, and the cluster keeps none. It takes a boxed
+    /// sink so the loop is compiled once, not once per sink type.
+    fn execute(self, tap: Box<dyn RecordSink>) -> StreamedRun {
         let started = std::time::Instant::now();
         let mut bw = Beowulf::new(self.cluster.clone());
-        if let Some(tap) = tap {
-            bw.set_tap(tap);
-            bw.set_keep_trace(false);
-        }
+        bw.set_tap(tap);
+        bw.set_keep_trace(false);
         let kind = self.kind;
         if kind != ExperimentKind::Baseline {
             workloads::install_assets(&mut bw, self.cluster.seed);
@@ -346,37 +326,23 @@ impl Experiment {
             }
         };
         let obs = bw.obs_report();
-        let trace = bw.take_trace();
+        // Drains the rings' last records into the tap; the kept trace is empty.
+        bw.take_trace();
         let perf = RunPerf {
             events: bw.events_delivered(),
             records: bw.records_drained(),
             host_secs: started.elapsed().as_secs_f64(),
         };
-        let nodes = bw.nodes();
-        let exits = bw.exits().to_vec();
-        let degradation = bw.degradation();
-        RunOutput {
-            nodes,
+        StreamedRun {
+            kind,
+            nodes: bw.nodes(),
             duration,
-            trace,
-            exits,
-            degradation,
+            exits: bw.exits().to_vec(),
+            degradation: bw.degradation(),
             perf,
             obs,
         }
     }
-}
-
-/// Everything [`Experiment::execute`] hands back to the two public run
-/// modes.
-struct RunOutput {
-    nodes: u8,
-    duration: SimTime,
-    trace: Vec<TraceRecord>,
-    exits: Vec<ProcExit>,
-    degradation: Degradation,
-    perf: RunPerf,
-    obs: Option<ObsReport>,
 }
 
 /// Host-side throughput of one simulator run: how fast the simulation

@@ -20,24 +20,15 @@ use std::sync::Arc;
 
 use essio_apps::nbody::{self, NbodyConfig};
 use essio_apps::ppm::{self, PpmConfig};
-use essio_apps::wavelet::WaveletConfig;
+use essio_apps::wavelet::{self, WaveletConfig};
 use essio_kernel::Placement;
 use essio_sim::{SimRng, SimTime};
 use rayon::prelude::*;
 
 use crate::cluster::Beowulf;
 
-/// On-disk path of the synthetic Landsat scene.
-pub const IMAGE_PATH: &str = "/data/landsat.img";
-/// Side of the on-disk image (paper: 512×512 bytes).
-pub const IMAGE_SIDE: usize = 512;
-/// PPM executable path and size (a lean Fortran-style numeric binary).
-pub const PPM_TEXT: (&str, u32) = ("/bin/ppm", 96 * 1024);
-/// Wavelet executable path and size (image code linked against big
-/// imaging libraries — the "large program space" of paper §4.2).
-pub const WAVELET_TEXT: (&str, u32) = ("/bin/wavelet", 1408 * 1024);
-/// N-body executable path and size.
-pub const NBODY_TEXT: (&str, u32) = ("/bin/nbody", 128 * 1024);
+/// Side of the on-disk scene, which the wavelet application defines.
+pub use essio_apps::wavelet::IMAGE_SIDE;
 
 /// Procedurally generate the stand-in satellite scene (`side`×`side`
 /// bytes, row-major).
@@ -84,11 +75,16 @@ pub fn executable_image(bytes: u32, seed: u64) -> Vec<u8> {
     (0..bytes).map(|_| rng.next_u32() as u8).collect()
 }
 
-/// Install every application asset on every node's disk.
+/// Install every application asset on every node's disk, at the paths and
+/// sizes each application module defines.
 pub fn install_assets(bw: &mut Beowulf, seed: u64) {
     let image = synthetic_landsat(IMAGE_SIDE, seed ^ 0x1111);
-    bw.install_all(IMAGE_PATH, Placement::User, &image);
-    for (path, bytes) in [PPM_TEXT, WAVELET_TEXT, NBODY_TEXT] {
+    bw.install_all(wavelet::IMAGE_PATH, Placement::User, &image);
+    for (path, bytes) in [
+        (ppm::TEXT_PATH, ppm::TEXT_BYTES),
+        (wavelet::TEXT_PATH, wavelet::TEXT_BYTES),
+        (nbody::TEXT_PATH, nbody::TEXT_BYTES),
+    ] {
         let blob = executable_image(bytes, seed ^ bytes as u64);
         bw.install_all(path, Placement::User, &blob);
     }

@@ -25,7 +25,9 @@ fn nbody_output(e: Experiment) -> (String, (u64, u64), u64) {
     let mut h = 0xcbf29ce484222325;
     for n in 0..bw.nodes() {
         let fs = bw.kernel(n).fs();
-        let ino = fs.lookup("/out/nbody.dat").expect("nbody.dat written");
+        let ino = fs
+            .lookup(essio_apps::nbody::OUT_PATH)
+            .expect("nbody.dat written");
         h = fnv1a(h, fs.inode(ino).expect("nbody.dat inode").content());
     }
     (format!("{h:016x}"), bw.net_stats(), bw.events_delivered())

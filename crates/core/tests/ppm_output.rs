@@ -24,7 +24,9 @@ fn ppm_output(e: Experiment) -> (String, (u64, u64), u64) {
     let mut h = 0xcbf29ce484222325;
     for n in 0..bw.nodes() {
         let fs = bw.kernel(n).fs();
-        let ino = fs.lookup("/out/ppm.dat").expect("ppm.dat written");
+        let ino = fs
+            .lookup(essio_apps::ppm::OUT_PATH)
+            .expect("ppm.dat written");
         h = fnv1a(h, fs.inode(ino).expect("ppm.dat inode").content());
     }
     (format!("{h:016x}"), bw.net_stats(), bw.events_delivered())

@@ -28,7 +28,7 @@ use essio_sim::{SimRng, SimTime, Vpn};
 use essio_trace::{InstrumentationLevel, Op, Origin, RecordSink};
 
 use crate::cache::BufferCache;
-use crate::daemons::{DaemonConfig, DaemonKind};
+use crate::daemons::{syslog_line_len, DaemonKind, KTABLE_BYTES};
 use crate::fs::{BlockNo, Fs, SECTORS_PER_BLOCK};
 use crate::readahead::ReadAhead;
 use crate::syscall::{Fd, Ino, Pid, Placement, SysError, SysResult, Syscall};
@@ -76,7 +76,19 @@ pub enum WakeKind {
     Fatal(&'static str),
 }
 
-/// Kernel tuning parameters (one node).
+/// Fixed syscall entry cost, µs.
+const SYSCALL_US: u64 = 150;
+/// Data copy cost, µs per KiB (user↔kernel on a 486).
+const COPY_US_PER_KB: u64 = 40;
+/// Page-fault handler cost, µs.
+const FAULT_US: u64 = 300;
+/// Trace ring capacity, records: far more than one 5 s drain interval
+/// produces at paper scale.
+const TRACE_RING_RECORDS: usize = 1 << 21;
+
+/// The settings of one node that runs, tests and ablations vary. The rest
+/// of the machine (drive timing, CPU costs, daemon cadences, trace ring) is
+/// fixed by the paper and lives in constants (DESIGN §5).
 #[derive(Debug, Clone)]
 pub struct KernelConfig {
     /// Node id stamped into trace records.
@@ -87,18 +99,6 @@ pub struct KernelConfig {
     pub cache_blocks: usize,
     /// Disk scheduler policy.
     pub sched: essio_disk::SchedPolicy,
-    /// Drive timing model.
-    pub timing: essio_disk::TimingModel,
-    /// Trace ring capacity (records).
-    pub trace_capacity: usize,
-    /// Fixed syscall entry cost, µs.
-    pub syscall_us: u64,
-    /// Data copy cost, µs per KiB (user↔kernel on a 486).
-    pub copy_us_per_kb: u64,
-    /// Page-fault handler cost, µs.
-    pub fault_us: u64,
-    /// Daemon cadences.
-    pub daemons: DaemonConfig,
     /// Spool the trace buffer to a high-region file (the instrumentation's
     /// own I/O). Off for overhead benchmarks.
     pub spool_trace: bool,
@@ -120,12 +120,6 @@ impl KernelConfig {
             frames_user: 3072,
             cache_blocks: 1536,
             sched: essio_disk::SchedPolicy::Elevator,
-            timing: essio_disk::TimingModel::beowulf_ide(),
-            trace_capacity: 1 << 21,
-            syscall_us: 150,
-            copy_us_per_kb: 40,
-            fault_us: 300,
-            daemons: DaemonConfig::default(),
             spool_trace: true,
             readahead: true,
             seed: 0x5EED + node as u64,
@@ -133,6 +127,11 @@ impl KernelConfig {
             disk_faults: None,
         }
     }
+}
+
+/// CPU cost of a syscall that copies `bytes` between user and kernel.
+fn copy_cost(bytes: usize) -> u64 {
+    SYSCALL_US + (bytes as u64 * COPY_US_PER_KB) / 1024
 }
 
 #[derive(Debug)]
@@ -236,8 +235,12 @@ impl Kernel {
             .expect("fresh fs");
         let vm = Vm::new(cfg.frames_user, &layout);
         let cache = BufferCache::new(cfg.cache_blocks);
-        let mut driver =
-            IdeDriver::new(cfg.node, cfg.timing.clone(), cfg.sched, cfg.trace_capacity);
+        let mut driver = IdeDriver::new(
+            cfg.node,
+            essio_disk::TimingModel::beowulf_ide(),
+            cfg.sched,
+            TRACE_RING_RECORDS,
+        );
         if let Some(faults) = &cfg.disk_faults {
             driver.set_faults(Some(essio_faults::DiskFaultState::new(
                 cfg.fault_seed,
@@ -381,7 +384,7 @@ impl Kernel {
     pub fn boot_deadlines(&mut self, now: SimTime) -> Vec<(SimTime, DaemonKind)> {
         DaemonKind::ALL
             .iter()
-            .map(|&k| (self.cfg.daemons.next_tick(k, now, &mut self.rng), k))
+            .map(|&k| (k.next_tick(now, &mut self.rng), k))
             .collect()
     }
 
@@ -590,7 +593,7 @@ impl Kernel {
     fn done(&self, result: SysResult) -> Outcome {
         Outcome::Done {
             result,
-            cpu_us: self.cfg.syscall_us,
+            cpu_us: SYSCALL_US,
         }
     }
 
@@ -690,8 +693,7 @@ impl Kernel {
                 self.apply_write(now, ino, offset, &data, origin)?;
                 Ok(Outcome::Done {
                     result: SysResult::Written(data.len() as u32),
-                    cpu_us: self.cfg.syscall_us
-                        + (data.len() as u64 * self.cfg.copy_us_per_kb) / 1024,
+                    cpu_us: copy_cost(data.len()),
                 })
             }
 
@@ -784,7 +786,7 @@ impl Kernel {
     ) -> Result<Outcome, SysError> {
         let ino = self.open_file(pid, fd)?;
         let plan = self.fs.read_plan(ino, offset, len)?;
-        let cpu = self.cfg.syscall_us + (plan.data.len() as u64 * self.cfg.copy_us_per_kb) / 1024;
+        let cpu = copy_cost(plan.data.len());
 
         // Read-ahead bookkeeping (before cache checks, like the real path).
         let cap = if self.cfg.readahead {
@@ -891,7 +893,7 @@ impl Kernel {
                 }
                 TouchResult::Fault { io, swap_outs } => (io, swap_outs),
             };
-            cpu_us += self.cfg.fault_us;
+            cpu_us += FAULT_US;
             if !swap_outs.is_empty() {
                 let scope = self.obs.begin(now, SpanKind::SwapOut, Some(pid));
                 for slot in swap_outs {
@@ -1059,13 +1061,13 @@ impl Kernel {
                 }
             }
             DaemonKind::Syslog => {
-                let len = self.cfg.daemons.syslog_line_len(&mut self.rng);
+                let len = syslog_line_len(&mut self.rng);
                 self.append_log(now, len);
             }
             DaemonKind::KTable => {
                 // Rotating fixed-size table: overwrites in place, so it
                 // stays a compact high-sector hot region.
-                let rec = vec![0xAAu8; self.cfg.daemons.ktable_bytes as usize];
+                let rec = vec![0xAAu8; KTABLE_BYTES];
                 let off = self.ktable_offset;
                 self.ktable_offset = (self.ktable_offset + rec.len() as u64) % (64 * 1024);
                 self.apply_write(now, self.ktable_ino, off, &rec, Origin::Log)
@@ -1085,7 +1087,7 @@ impl Kernel {
             }
             DaemonKind::TraceSpool => {}
         }
-        self.cfg.daemons.next_tick(kind, now, &mut self.rng)
+        kind.next_tick(now, &mut self.rng)
     }
 }
 
@@ -1625,7 +1627,7 @@ mod tests {
         let TouchOutcome::Done { cpu_us } = o else {
             panic!("zero-fill needs no I/O")
         };
-        assert_eq!(cpu_us, 3 * 300);
+        assert_eq!(cpu_us, 3 * FAULT_US);
         assert_eq!(k.take_disk_deadline(), None);
     }
 
@@ -1833,10 +1835,50 @@ mod tests {
                 panic!("{what} blocked")
             };
             assert_eq!(result, SysResult::Err(err), "{what}");
-            assert_eq!(cpu_us, k.cfg.syscall_us, "{what}");
+            assert_eq!(cpu_us, SYSCALL_US, "{what}");
             assert_eq!(k.take_disk_deadline(), None, "{what}");
         }
         assert_eq!(k.driver_stats().submitted, 0);
+    }
+
+    #[test]
+    fn data_syscalls_bill_the_entry_plus_the_copy() {
+        let mut k = kernel();
+        k.register_process(1);
+        let fd = k
+            .sys_done(
+                0,
+                Syscall::Open {
+                    path: "/c".into(),
+                    create: true,
+                    placement: Placement::User,
+                },
+            )
+            .fd();
+        // Not a whole number of KiB, so the copy charge rounds down.
+        let n = 3000;
+        let expected = SYSCALL_US + n as u64 * COPY_US_PER_KB / 1024;
+        let write = Syscall::WriteAt {
+            fd,
+            offset: 0,
+            data: vec![7u8; n],
+        };
+        let Outcome::Done { result, cpu_us } = k.syscall(1, 1, write) else {
+            panic!("a write only dirties the cache")
+        };
+        assert_eq!(result, SysResult::Written(n as u32));
+        assert_eq!(cpu_us, expected, "write");
+        let read = Syscall::ReadAt {
+            fd,
+            offset: 0,
+            len: n as u32,
+        };
+        let Outcome::Done { result, cpu_us } = k.syscall(2, 1, read) else {
+            panic!("the blocks just written are cached")
+        };
+        assert_eq!(result.data(), vec![7u8; n]);
+        assert_eq!(cpu_us, expected, "cached read");
+        assert_eq!(k.driver_stats().submitted, 0, "no disk I/O either way");
     }
 
     #[test]

@@ -7,8 +7,6 @@
 //!   summary's fold over record chunks;
 //! * `vec.into_par_iter().map(f).reduce(id, g)` — shard merging in
 //!   `essio-stream`;
-//! * `slice.par_iter().map(f)` with `reduce` or `collect` — kept for
-//!   parity with rayon, with no caller in the workspace;
 //! * `vec.into_par_iter().map(f).collect::<Vec<_>>()` and
 //!   `.collect_into_vec(&mut v)` — order-preserving parallel maps, among
 //!   them the campaign runner's seed fan-out and the N-body fleet's
@@ -69,13 +67,10 @@ pub mod prelude {
     pub use crate::{IntoParallelIterator, ParallelIterator, ParallelSlice};
 }
 
-/// Slice extension providing [`ParallelSlice::par_chunks`] and
-/// [`ParallelSlice::par_iter`].
+/// Slice extension providing [`ParallelSlice::par_chunks`].
 pub trait ParallelSlice<T: Sync> {
     /// Parallel iterator over `size`-sized chunks (last may be shorter).
     fn par_chunks(&self, size: usize) -> ParChunks<'_, T>;
-    /// Parallel iterator over item references.
-    fn par_iter(&self) -> ParIter<'_, T>;
 }
 
 impl<T: Sync> ParallelSlice<T> for [T] {
@@ -83,19 +78,11 @@ impl<T: Sync> ParallelSlice<T> for [T] {
         assert!(size > 0, "chunk size must be nonzero");
         ParChunks { slice: self, size }
     }
-
-    fn par_iter(&self) -> ParIter<'_, T> {
-        ParIter { slice: self }
-    }
 }
 
 impl<T: Sync> ParallelSlice<T> for Vec<T> {
     fn par_chunks(&self, size: usize) -> ParChunks<'_, T> {
         self.as_slice().par_chunks(size)
-    }
-
-    fn par_iter(&self) -> ParIter<'_, T> {
-        self.as_slice().par_iter()
     }
 }
 
@@ -182,82 +169,6 @@ where
             .into_iter()
             .reduce(reduce)
             .unwrap_or_else(r_identity)
-    }
-}
-
-/// Borrowing parallel iterator (see [`ParallelSlice::par_iter`]).
-pub struct ParIter<'a, T> {
-    slice: &'a [T],
-}
-
-impl<'a, T: Sync> ParIter<'a, T> {
-    /// Map each item in parallel.
-    pub fn map<O, F>(self, f: F) -> ParMap<'a, T, F>
-    where
-        O: Send,
-        F: Fn(&'a T) -> O + Sync,
-    {
-        ParMap {
-            slice: self.slice,
-            f,
-        }
-    }
-}
-
-/// Mapped borrowing iterator.
-pub struct ParMap<'a, T, F> {
-    slice: &'a [T],
-    f: F,
-}
-
-impl<'a, T, O, F> ParMap<'a, T, F>
-where
-    T: Sync,
-    O: Send,
-    F: Fn(&'a T) -> O + Sync,
-{
-    /// Reduce the mapped values (associative `reduce`, neutral `identity`).
-    pub fn reduce<Id, R>(self, identity: Id, reduce: R) -> O
-    where
-        Id: Fn() -> O + Sync,
-        R: Fn(O, O) -> O + Sync,
-    {
-        let f = &self.f;
-        let reduce_ref = &reduce;
-        let tasks: Vec<_> = blocks(self.slice.len())
-            .into_iter()
-            .map(|(s, e)| {
-                let mine = &self.slice[s..e];
-                move || {
-                    let mut acc: Option<O> = None;
-                    for item in mine {
-                        let v = f(item);
-                        acc = Some(match acc {
-                            None => v,
-                            Some(prev) => reduce_ref(prev, v),
-                        });
-                    }
-                    acc
-                }
-            })
-            .collect();
-        run_blocks(tasks)
-            .into_iter()
-            .flatten()
-            .fold(identity(), reduce)
-    }
-
-    /// Collect mapped values in input order.
-    pub fn collect<C: FromParallel<O>>(self) -> C {
-        let f = &self.f;
-        let tasks: Vec<_> = blocks(self.slice.len())
-            .into_iter()
-            .map(|(s, e)| {
-                let mine = &self.slice[s..e];
-                move || mine.iter().map(f).collect::<Vec<O>>()
-            })
-            .collect();
-        C::from_blocks(run_blocks(tasks))
     }
 }
 
@@ -427,13 +338,6 @@ mod tests {
     }
 
     #[test]
-    fn par_iter_map_reduce_sums() {
-        let data: Vec<u64> = (1..=1000).collect();
-        let sum = data.par_iter().map(|v| *v).reduce(|| 0, |a, b| a + b);
-        assert_eq!(sum, 500_500);
-    }
-
-    #[test]
     fn into_par_iter_collect_preserves_order() {
         let data: Vec<u32> = (0..1000).collect();
         let doubled: Vec<u32> = data.clone().into_par_iter().map(|v| v * 2).collect();
@@ -467,7 +371,6 @@ mod tests {
     #[test]
     fn empty_inputs() {
         let data: Vec<u64> = Vec::new();
-        assert_eq!(data.par_iter().map(|v| *v).reduce(|| 7, |a, b| a + b), 7);
         let out: Vec<u64> = data.into_par_iter().map(|v| v).collect();
         assert!(out.is_empty());
     }

@@ -49,11 +49,19 @@ impl<S: RecordSink + ?Sized> RecordSink for &mut S {
     fn observe(&mut self, rec: &TraceRecord) {
         (**self).observe(rec);
     }
+
+    fn observe_all(&mut self, recs: &[TraceRecord]) {
+        (**self).observe_all(recs);
+    }
 }
 
 impl<S: RecordSink + ?Sized> RecordSink for Box<S> {
     fn observe(&mut self, rec: &TraceRecord) {
         (**self).observe(rec);
+    }
+
+    fn observe_all(&mut self, recs: &[TraceRecord]) {
+        (**self).observe_all(recs);
     }
 }
 
@@ -135,6 +143,23 @@ mod tests {
         v.observe(&rec(1));
         v.observe_all(&[rec(2), rec(3)]);
         assert_eq!(v.iter().map(|r| r.sector).collect::<Vec<_>>(), [1, 2, 3]);
+    }
+
+    #[test]
+    fn boxes_and_refs_pass_a_batch_on_whole() {
+        /// Counts batches, as `Vec` and `SharedSink` take one in a call.
+        struct Batches(usize);
+        impl RecordSink for Batches {
+            fn observe(&mut self, _rec: &TraceRecord) {}
+            fn observe_all(&mut self, _recs: &[TraceRecord]) {
+                self.0 += 1;
+            }
+        }
+        let mut inner = Batches(0);
+        // The cluster boxes the tap it is given, which may be boxed already.
+        let tap: Box<dyn RecordSink + '_> = Box::new(&mut inner);
+        Box::new(tap).observe_all(&[rec(1), rec(2), rec(3)]);
+        assert_eq!(inner.0, 1, "one batch, not one call per record");
     }
 
     #[test]
