@@ -4,14 +4,15 @@
 //! bench_gate [--baseline PATH] [--threshold PCT] [--samples N] [--rounds N] [--record]
 //! ```
 //!
-//! Re-measures the `engine`, `trace_codec`, analysis and buffer-cache flush
-//! micro-benchmarks (the same workloads as `benches/engine.rs`,
-//! `benches/trace_codec.rs`, `benches/analysis.rs`,
-//! `benches/stream_analysis.rs` and `flush_4_of_full_1536` in
-//! `benches/buffer_cache.rs`, 1,000 ticks an iteration) and compares
-//! the medians against the committed `BENCH_baseline.json`. A
-//! bench more than `--threshold` percent (default 25) slower than its
-//! baseline fails the gate.
+//! The repository's one host-performance harness. `gates()` defines its
+//! seven micro-benchmark cells, and this file is their only definition:
+//! the event engine's schedule/pop chain and same-instant fan-out, the
+//! columnar trace codec's encode and decode, the batch and streamed
+//! summaries of `synthetic_trace(100_000)`, and the `update` daemon's
+//! flush of a full node cache (1,000 ticks an iteration). It measures each
+//! cell and compares the medians against the committed
+//! `BENCH_baseline.json`. A bench more than `--threshold` percent
+//! (default 25) slower than its baseline fails the gate.
 //!
 //! Medians are compared like-for-like against the `bench_gate.medians_us`
 //! section of the baseline file, written by `--record` with this same
@@ -45,11 +46,12 @@ const N: u64 = 10_000;
 /// `update` ticks per `buffer_cache/flush_few_of_full` iteration.
 const TICKS: u32 = 1_000;
 /// Run length and disk size the analysis cells summarize
-/// `synthetic_trace(100_000)` over (as `benches/analysis.rs` does).
+/// `synthetic_trace(100_000)` over.
 const DURATION: u64 = 2_000_000_000;
 const SECTORS: u32 = 1_000_000;
 
-/// Same size class as the simulator's `Event` enum (see benches/engine.rs).
+/// Stand-in for the simulator's `Event` enum, in its size class (64 bytes
+/// here), since the heap moves payloads inline while it reorders entries.
 #[derive(Clone, Copy)]
 struct Payload {
     tag: u64,
@@ -498,6 +500,15 @@ mod tests {
         let _ = upsert_bench_gate(raw, SECTION);
         if let Ok(doc) = serde_json::from_str::<serde::Value>(raw) {
             let _ = baselines(&doc, &["engine/schedule_pop_10k", "x"]);
+        }
+    }
+
+    #[test]
+    fn every_cell_runs_and_repeats_its_answer() {
+        for g in gates() {
+            let first = (g.run)();
+            assert_ne!(first, 0, "{} counted nothing", g.name);
+            assert_eq!((g.run)(), first, "{} changed its answer", g.name);
         }
     }
 

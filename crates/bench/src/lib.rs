@@ -1,20 +1,18 @@
-//! # essio-bench — figure/table regeneration and performance benchmarks
+//! # essio-bench — figure/table regeneration and the bench gate
 //!
-//! Two kinds of targets live here:
+//! The binaries (`src/bin/`) regenerate the paper's evaluation:
+//! `paper` writes every figure and table (or the ones named with
+//! `--only fig1` … `fig8`, `table1`), `experiment` and `campaign` run one
+//! experiment kind. Each accepts `--full` to run at paper scale (16 nodes,
+//! full durations; seconds of host time) and defaults to a quick 2-node
+//! variant. `conform` checks the conformance matrix against its goldens.
+//! The design-knob ablations, and the paper's claim that instrumentation
+//! "did not measurably change the execution time of any of the
+//! applications", are asserted in the root package's `tests/ablations.rs`.
 //!
-//! * **Binaries** (`src/bin/`) regenerate the paper's evaluation:
-//!   `paper` writes every figure and table (or the ones named with
-//!   `--only fig1` … `fig8`, `table1`), `experiment` and `campaign` run
-//!   one experiment kind. Each accepts `--full` to run at paper scale
-//!   (16 nodes, full durations; seconds of host time) and defaults to a
-//!   quick 2-node variant. The design-knob ablations are asserted in the
-//!   root package's `tests/ablations.rs`.
-//! * **Criterion benches** (`benches/`) measure the host-side performance
-//!   of every subsystem (driver scheduling, buffer cache, VM paging,
-//!   read-ahead, the three numerical kernels, trace codecs, the analysis
-//!   pipeline) plus the tracer-overhead comparison backing the paper's
-//!   note that instrumentation "did not measurably change the execution
-//!   time of any of the applications".
+//! `bench_gate` is the one host-performance harness: it times seven
+//! micro-workloads built from [`synthetic_trace`], [`full_node_cache`] and
+//! [`flush_tick`] against the medians committed in `BENCH_baseline.json`.
 
 use essio::prelude::*;
 
@@ -88,7 +86,8 @@ impl Cli {
     }
 }
 
-/// Build a deterministic synthetic trace for the codec/analysis benches.
+/// Build a deterministic synthetic trace for the codec and analysis gate
+/// cells.
 pub fn synthetic_trace(n: usize) -> Vec<essio_trace::TraceRecord> {
     use essio_trace::{Op, Origin, TraceRecord};
     let mut rng = essio_sim::SimRng::new(0xBEEF);

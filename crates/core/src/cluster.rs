@@ -102,9 +102,9 @@ pub struct BeowulfConfig {
     pub spool_trace: bool,
     /// Instrumentation level for all nodes.
     pub instrumentation: InstrumentationLevel,
-    /// User frame pool per node (ablation knob; default 3072 = 12 MB).
+    /// User frame pool per node (ablation knob).
     pub frames_user: u32,
-    /// Buffer cache blocks per node (ablation knob; default 1536).
+    /// Buffer cache blocks per node (ablation knob).
     pub cache_blocks: usize,
     /// Network parameters.
     pub net: NetConfig,
@@ -119,16 +119,19 @@ pub struct BeowulfConfig {
 }
 
 impl Default for BeowulfConfig {
+    /// The paper's 16-node cluster; each node setting is
+    /// [`KernelConfig::beowulf`]'s.
     fn default() -> Self {
+        let node = KernelConfig::beowulf(0);
         Self {
             nodes: 16,
             seed: 0xE55,
-            sched: essio_disk::SchedPolicy::Elevator,
-            readahead: true,
-            spool_trace: true,
+            sched: node.sched,
+            readahead: node.readahead,
+            spool_trace: node.spool_trace,
             instrumentation: InstrumentationLevel::Full,
-            frames_user: 3072,
-            cache_blocks: 1536,
+            frames_user: node.frames_user,
+            cache_blocks: node.cache_blocks,
             net: NetConfig::default(),
             faults: FaultPlan::none(),
             obs: false,
@@ -341,16 +344,17 @@ impl Beowulf {
         assert!(cfg.nodes > 0);
         let mut nodes = Vec::with_capacity(cfg.nodes as usize);
         for n in 0..cfg.nodes {
-            let mut kc = KernelConfig::beowulf(n);
-            kc.sched = cfg.sched;
-            kc.readahead = cfg.readahead;
-            kc.spool_trace = cfg.spool_trace;
-            kc.frames_user = cfg.frames_user;
-            kc.cache_blocks = cfg.cache_blocks;
-            kc.seed = cfg.seed ^ (0x9E3779B97F4A7C15u64.wrapping_mul(n as u64 + 1));
-            kc.fault_seed = cfg.seed ^ cfg.faults.seed;
-            kc.disk_faults = cfg.faults.disk.clone();
-            let mut kernel = Kernel::new(kc);
+            let mut kernel = Kernel::new(KernelConfig {
+                node: n,
+                frames_user: cfg.frames_user,
+                cache_blocks: cfg.cache_blocks,
+                sched: cfg.sched,
+                spool_trace: cfg.spool_trace,
+                readahead: cfg.readahead,
+                seed: cfg.seed ^ (0x9E3779B97F4A7C15u64.wrapping_mul(n as u64 + 1)),
+                fault_seed: cfg.seed ^ cfg.faults.seed,
+                disk_faults: cfg.faults.disk.clone(),
+            });
             kernel.set_instrumentation(cfg.instrumentation);
             let obs = if cfg.obs { Obs::enabled(n) } else { Obs::Off };
             kernel.set_obs(obs.clone());

@@ -348,8 +348,7 @@ impl Experiment {
 /// Host-side throughput of one simulator run: how fast the simulation
 /// itself executed, as opposed to what the simulated disks did. The event
 /// count is seed-deterministic, so across code versions at the same seed
-/// events/sec moves exactly as wall time does — the end-to-end figure the
-/// perf baselines in `BENCH_baseline.json` track.
+/// events/sec moves exactly as wall time does.
 #[derive(Debug, Clone, Copy, Serialize)]
 pub struct RunPerf {
     /// Simulator events delivered by the engine over the whole run.

@@ -9,8 +9,9 @@
 //!    populations arise (N-body, Figure 4) and how flush bursts coalesce.
 //! 2. **Elevator (LOOK) scheduling.** Requests dispatch in sweep order, not
 //!    arrival order, which shapes service times and the pending-queue counts
-//!    the trace records carry. A FIFO policy is kept for the ablation bench
-//!    (`benches/disk_sched.rs`).
+//!    the trace records carry. A FIFO policy is kept for the ablation test
+//!    `elevator_reduces_virtual_service_time_on_scattered_load`
+//!    (`tests/ablations.rs`).
 
 use std::collections::VecDeque;
 

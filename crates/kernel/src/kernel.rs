@@ -93,7 +93,7 @@ const TRACE_RING_RECORDS: usize = 1 << 21;
 pub struct KernelConfig {
     /// Node id stamped into trace records.
     pub node: u8,
-    /// User-available page frames (16 MB minus kernel+cache ≈ 3072).
+    /// User-available page frames (16 MB minus kernel and cache: 12 MB).
     pub frames_user: u32,
     /// Buffer cache capacity in 1 KB blocks (~1.5 MB).
     pub cache_blocks: usize,

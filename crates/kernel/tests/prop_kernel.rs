@@ -460,6 +460,42 @@ fn vm_ops() -> impl Strategy<Value = Vec<VmOp>> {
     })
 }
 
+/// Run `ops` through a [`Vm`] and the model over `frames` frames and
+/// `slots` swap slots, checking that every result, the stats, the frame
+/// count and each pid's residency agree after each op. Returns the stats.
+fn vm_agrees_with_model(frames: u32, slots: u32, ops: &[VmOp]) -> Result<VmStats, TestCaseError> {
+    let mut layout = DiskLayout::beowulf_500mb();
+    layout.swap = (300_000, 300_000 + slots * SECTORS_PER_PAGE);
+    let mut vm = Vm::new(frames, &layout);
+    let mut model = ModelVm::new(frames, &layout);
+    for op in ops {
+        match *op {
+            VmOp::MapAnon { pid, pages } => {
+                prop_assert_eq!(vm.map_anon(pid, pages), model.map(pid, pages, None));
+            }
+            VmOp::MapText { pid, ino, pages } => {
+                prop_assert_eq!(
+                    vm.map_text(pid, ino, pages),
+                    model.map(pid, pages, Some(ino))
+                );
+            }
+            VmOp::Touch { pid, vpn } => {
+                prop_assert_eq!(vm.touch(pid, vpn), model.touch(pid, vpn), "{:?}", op);
+            }
+            VmOp::Release { pid } => {
+                vm.release(pid);
+                model.release(pid);
+            }
+        }
+        prop_assert_eq!(vm.stats, model.stats, "after {:?}", op);
+        prop_assert_eq!(vm.frames_used(), model.frames_used);
+        for pid in 1..4 {
+            prop_assert_eq!(vm.resident_pages(pid), model.resident_pages(pid));
+        }
+    }
+    Ok(vm.stats)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -469,31 +505,24 @@ proptest! {
         slots in 1u32..=24,
         ops in vm_ops(),
     ) {
-        let mut layout = DiskLayout::beowulf_500mb();
-        layout.swap = (300_000, 300_000 + slots * SECTORS_PER_PAGE);
-        let mut vm = Vm::new(frames, &layout);
-        let mut model = ModelVm::new(frames, &layout);
-        for op in &ops {
-            match *op {
-                VmOp::MapAnon { pid, pages } => {
-                    prop_assert_eq!(vm.map_anon(pid, pages), model.map(pid, pages, None));
-                }
-                VmOp::MapText { pid, ino, pages } => {
-                    prop_assert_eq!(vm.map_text(pid, ino, pages), model.map(pid, pages, Some(ino)));
-                }
-                VmOp::Touch { pid, vpn } => {
-                    prop_assert_eq!(vm.touch(pid, vpn), model.touch(pid, vpn), "{:?}", op);
-                }
-                VmOp::Release { pid } => {
-                    vm.release(pid);
-                    model.release(pid);
-                }
-            }
-            prop_assert_eq!(vm.stats, model.stats, "after {:?}", op);
-            prop_assert_eq!(vm.frames_used(), model.frames_used);
-            for pid in 1..4 {
-                prop_assert_eq!(vm.resident_pages(pid), model.resident_pages(pid));
-            }
-        }
+        vm_agrees_with_model(frames, slots, &ops)?;
     }
+}
+
+/// One fixed input to the model check: a single anonymous mapping twice
+/// the frame pool, swept four times with a swap slot for every page. Each
+/// touch is a hit or a fault, never `BadAddress` or `OutOfMemory`.
+#[test]
+fn a_sweep_of_twice_the_frame_pool_only_hits_and_faults() {
+    let (frames, pages) = (16, 32);
+    let mut ops = vec![VmOp::MapAnon { pid: 1, pages }];
+    for _ in 0..4 {
+        ops.extend((0..pages as Vpn).map(|p| VmOp::Touch {
+            pid: 1,
+            vpn: 0x10 + p,
+        }));
+    }
+    let stats = vm_agrees_with_model(frames, pages, &ops).unwrap();
+    assert_eq!(stats.hits + stats.faults, 4 * pages as u64);
+    assert!(stats.swap_ins > 0 && stats.swap_outs > 0, "{stats:?}");
 }

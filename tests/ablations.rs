@@ -205,3 +205,37 @@ fn elevator_reduces_virtual_service_time_on_scattered_load() {
         "elevator {elevator} should beat fifo {fifo} by >20% on a deep scattered queue"
     );
 }
+
+#[test]
+fn tracing_off_and_full_give_identical_virtual_timing() {
+    // The paper: "I/O instrumentation did not measurably change the
+    // execution time of any of the applications". The trace hook sits off
+    // the timing path, so with the spool (the instrumentation's own I/O)
+    // off, tracing nothing and tracing everything run the same cluster.
+    use ess_io_study::trace::InstrumentationLevel;
+    let run = |level: InstrumentationLevel| {
+        Experiment::nbody()
+            .quick()
+            .seed(3)
+            .spool_trace(false)
+            .instrumentation(level)
+            .run()
+    };
+    let off = run(InstrumentationLevel::Off);
+    let full = run(InstrumentationLevel::Full);
+    let exits = |r: &ExperimentResult| {
+        r.exits
+            .iter()
+            .map(|x| (x.node, x.pid, x.name.clone(), x.code, x.at))
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(off.duration, full.duration);
+    assert_eq!(exits(&off), exits(&full));
+    assert!(!full.exits.is_empty());
+    assert!(
+        off.trace.is_empty(),
+        "{} records traced at Off",
+        off.trace.len()
+    );
+    assert!(!full.trace.is_empty());
+}
